@@ -1,16 +1,16 @@
 """Per-layer seconds at several sizes, with a log-log slope per layer.
 
-    python3 bench/scaling.py [--sizes 1000 2000 4000] [--seed 1]
+    python3 bench/scaling.py
 
-Runs the first document of each workload, generated at each size, once
-through `layers.pipeline` in this process and prints a Markdown table. A
-slope near 1 means linear growth, near 2 quadratic. README.md quotes these
-figures for reference; they are not benchmark metrics.
+Runs the first document of each workload, generated from seed 1 at 1000,
+2000 and 4000 classes, once through `layers.pipeline` in this process and
+prints a Markdown table. A slope near 1 means linear growth, near 2
+quadratic. README.md quotes these figures for reference; they are not
+benchmark metrics.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from pathlib import Path
@@ -23,6 +23,9 @@ sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
 import layers  # noqa: E402
 import workloads  # noqa: E402
 
+SIZES = (1000, 2000, 4000)
+SEED = 1
+
 GENERATORS = {
     "deep-chain": lambda seed, n: workloads.deep_chain(seed, n)[0],
     "wide-flat": lambda seed, n: workloads.wide_flat(seed, n)[0],
@@ -30,7 +33,7 @@ GENERATORS = {
 }
 
 
-def slope(sizes: list[int], seconds: list[float]) -> float:
+def slope(sizes: tuple[int, ...], seconds: list[float]) -> float:
     """Least-squares slope of log(seconds) against log(size)."""
     xs = [math.log(n) for n in sizes]
     ys = [math.log(max(t, 1e-9)) for t in seconds]
@@ -40,27 +43,21 @@ def slope(sizes: list[int], seconds: list[float]) -> float:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sizes", type=int, nargs="+",
-                        default=[1000, 2000, 4000])
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
-
-    head = " | ".join(f"{n}" for n in args.sizes)
+    head = " | ".join(f"{n}" for n in SIZES)
     print(f"| workload | layer | {head} | slope |")
-    print("|---|---|" + "---:|" * (len(args.sizes) + 1))
+    print("|---|---|" + "---:|" * (len(SIZES) + 1))
     for workload, generate in GENERATORS.items():
         per_layer: dict[str, list[float]] = {}
-        for n in args.sizes:
+        for n in SIZES:
             tracer = layers.Tracer()
-            layers.pipeline(generate(args.seed, n), tracer.step)
+            layers.pipeline(generate(SEED, n), tracer.step)
             for span in tracer.spans:
                 per_layer.setdefault(span.name, []).append(span.end - span.start)
         for name in layers.LAYER_STEPS:
             seconds = per_layer[name]
             cells = " | ".join(f"{t:.3f}" for t in seconds)
             print(f"| {workload} | {name} | {cells} | "
-                  f"{slope(args.sizes, seconds):.2f} |", flush=True)
+                  f"{slope(SIZES, seconds):.2f} |", flush=True)
     return 0
 
 
