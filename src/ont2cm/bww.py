@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 from .ontology import DATATYPE, DISJOINT, Ontology, OntologyIndex
 
@@ -54,11 +55,13 @@ class BwwReport:
     properties: tuple[PropertyClassification, ...]
     notes: tuple[str, ...]
 
+    @cached_property
+    def _concept_by_name(self) -> dict[str, ConceptClassification]:
+        # reversed, so the first entry of a repeated name wins
+        return {c.name: c for c in reversed(self.concepts)}
+
     def concept(self, name: str) -> ConceptClassification:
-        for c in self.concepts:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return self._concept_by_name[name]
 
     def category_of(self, name: str) -> str:
         return self.concept(name).category

@@ -103,9 +103,11 @@ def _load(path_text: str, fmt: str | None) -> tuple[Ontology, ImportReport | Non
     if fmt is None:
         fmt = "damlxml" if path.suffix.lower() in _XML_EXTENSIONS else "cot"
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not UTF-8 text: {exc}")
     if fmt == "damlxml":
         try:
             report = import_daml(text, source_name=path.stem)

@@ -121,16 +121,15 @@ class _Importer:
         self.ind_types: dict[str, list[ClassExpression]] = {}
         self.translated: dict[str, int] = {}
         self.skipped: dict[str, list] = {}
-        self.notes: list[str] = []
+        self.notes: dict[str, None] = {}  # insertion-ordered set
         self._renames: set[str] = set()
 
     # ---- bookkeeping
 
     def note(self, text: str) -> None:
-        if text not in self.notes:
-            self.notes.append(text)
+        self.notes.setdefault(text)
 
-    def tally(self, el, path: str) -> None:
+    def tally(self, el) -> None:
         name = _prefixed(el.tag)
         self.translated[name] = self.translated.get(name, 0) + 1
 
@@ -330,7 +329,7 @@ class _Importer:
     # ---- top-level elements
 
     def class_element(self, el, path: str, name: str) -> None:
-        self.tally(el, path)
+        self.tally(el)
         self.declare_class(name)
         for child, cpath in _child_paths(el, path):
             curi, clocal = _split(child.tag)
@@ -344,7 +343,7 @@ class _Importer:
                     self.skip_tree(child, cpath)
                     self.note(f"class {name}: non-named disjointWith skipped")
                 else:
-                    self.tally(child, cpath)
+                    self.tally(child)
                     self.skip_children(child, cpath)
                     self.axioms.append(
                         Axiom(DISJOINT, name, named(self.ref(resource))))
@@ -369,7 +368,7 @@ class _Importer:
 
     def _axiom_child(self, kind: str, subject: str, child, cpath: str) -> None:
         resource = child.attrib.get(_RDF_RESOURCE)
-        self.tally(child, cpath)
+        self.tally(child)
         if resource is not None:
             self.skip_children(child, cpath)
             self.axioms.append(Axiom(kind, subject, named(self.ref(resource))))
@@ -386,7 +385,7 @@ class _Importer:
 
     def _equivalence_child(self, name: str, child, cpath: str) -> None:
         resource = child.attrib.get(_RDF_RESOURCE)
-        self.tally(child, cpath)
+        self.tally(child)
         if resource is not None:
             self.skip_children(child, cpath)
             self.axioms.append(Axiom(SAME_CLASS, name, named(self.ref(resource))))
@@ -402,13 +401,13 @@ class _Importer:
             self.skip_tree(el, path)
             self.note("anonymous property element skipped")
             return
-        self.tally(el, path)
+        self.tally(el)
         record = self.declare_property(name, category)
         for child, cpath in _child_paths(el, path):
             curi, clocal = _split(child.tag)
             resource = child.attrib.get(_RDF_RESOURCE)
             if (curi, clocal) == (_RDFS, "domain") and resource is not None:
-                self.tally(child, cpath)
+                self.tally(child)
                 self.skip_children(child, cpath)
                 domain = self.ref(resource)
                 if domain not in record["domains"]:
@@ -427,14 +426,14 @@ class _Importer:
                 self.note(f"object property {name}: datatype range "
                           f"{_local_name(resource)} dropped")
                 return
-            self.tally(child, cpath)
+            self.tally(child)
             self.skip_children(child, cpath)
             if record["range"] is None:
                 record["range"] = self.ref(resource)
             else:
                 self.note(f"property {name}: extra range ignored")
         else:
-            self.tally(child, cpath)
+            self.tally(child)
             self.skip_children(child, cpath)
             local = _local_name(resource)
             if local in DATATYPES:
@@ -453,7 +452,7 @@ class _Importer:
             self.skip_tree(el, path)
             self.note("individual without a name skipped")
             return
-        self.tally(el, path)
+        self.tally(el)
         if name not in self.ind_types:
             self.ind_order.append(name)
             self.ind_types[name] = []
@@ -464,7 +463,7 @@ class _Importer:
             curi, clocal = _split(child.tag)
             resource = child.attrib.get(_RDF_RESOURCE)
             if (curi, clocal) == (_RDF, "type") and resource is not None:
-                self.tally(child, cpath)
+                self.tally(child)
                 self.skip_children(child, cpath)
                 ref = named(self.ref(resource))
                 if ref not in types:
@@ -475,7 +474,7 @@ class _Importer:
     def top_level(self, el, path: str) -> None:
         uri, local = _split(el.tag)
         if (uri, local) == (_DAML, "Ontology"):
-            self.tally(el, path)
+            self.tally(el)
             name = self.name_of(el)
             if name is not None and self.ontology_name is None:
                 self.ontology_name = name
@@ -518,36 +517,32 @@ class _Importer:
 
     # ---- assembly
 
-    def _walk_expr_names(self, expr: ClassExpression, classes: list[str],
-                         properties: list[str]) -> None:
+    def _walk_expr_names(self, expr: ClassExpression, classes: dict[str, None],
+                         properties: dict[str, None]) -> None:
         if expr.op == "named":
-            if expr.name not in classes:
-                classes.append(expr.name)
+            classes.setdefault(expr.name)
         for m in expr.members:
             self._walk_expr_names(m, classes, properties)
         if expr.restriction is not None:
-            if expr.restriction.on_property not in properties:
-                properties.append(expr.restriction.on_property)
+            properties.setdefault(expr.restriction.on_property)
             if expr.restriction.target is not None:
                 self._walk_expr_names(expr.restriction.target, classes, properties)
 
     def finish(self, source_name: str | None) -> ImportReport:
-        ref_classes: list[str] = []
-        ref_properties: list[str] = []
+        # insertion-ordered sets, so auto-declarations keep reference order
+        ref_classes: dict[str, None] = {}
+        ref_properties: dict[str, None] = {}
         for expr in self.definitions.values():
             if expr is not None:
                 self._walk_expr_names(expr, ref_classes, ref_properties)
         for ax in self.axioms:
-            if ax.subject not in ref_classes:
-                ref_classes.append(ax.subject)
+            ref_classes.setdefault(ax.subject)
             self._walk_expr_names(ax.target, ref_classes, ref_properties)
         for record in self.props.values():
             for d in record["domains"]:
-                if d not in ref_classes:
-                    ref_classes.append(d)
+                ref_classes.setdefault(d)
             if record["category"] == OBJECT and record["range"] is not None:
-                if record["range"] not in ref_classes:
-                    ref_classes.append(record["range"])
+                ref_classes.setdefault(record["range"])
         for types in self.ind_types.values():
             for t in types:
                 self._walk_expr_names(t, ref_classes, ref_properties)

@@ -136,25 +136,33 @@ def _mult_label(m: Multiplicity) -> str:
     return label + "!" if m.unsatisfiable else label
 
 
-def _member_label(model: ConceptualModel, member_id: str) -> str:
-    for r in model.relationships:
-        if r.id == member_id:
-            source = model.entity(r.source_id).name
-            target = model.entity(r.target_id).name
-            return f"{r.name}({source}, {target})"
-    for et in model.entity_types:
-        if et.id == member_id:
-            return et.name
-    return member_id
+def _member_label(model: ConceptualModel, relationships: dict[str, Relationship],
+                  member_id: str) -> str:
+    r = relationships.get(member_id)
+    if r is not None:
+        source = model.entity(r.source_id).name
+        target = model.entity(r.target_id).name
+        return f"{r.name}({source}, {target})"
+    try:
+        return model.entity(member_id).name
+    except KeyError:
+        return member_id
 
 
 _CONSTRAINT_LABELS = {AND_GROUP: "and", DISJOINT_GROUP: "disjoint"}
 
 
-def _constraint_text(model: ConceptualModel, con: SemanticConstraint) -> str:
-    label = _CONSTRAINT_LABELS.get(con.kind, "or")
-    members = ", ".join(_member_label(model, m) for m in con.member_ids)
-    return f"{{{label}}}: {members}"
+def _constraint_texts(model: ConceptualModel) -> list[str]:
+    """Note text per constraint, in model order."""
+    # reversed, so the first relationship of a repeated id wins
+    relationships = {r.id: r for r in reversed(model.relationships)}
+    texts = []
+    for con in model.constraints:
+        label = _CONSTRAINT_LABELS.get(con.kind, "or")
+        members = ", ".join(_member_label(model, relationships, m)
+                            for m in con.member_ids)
+        texts.append(f"{{{label}}}: {members}")
+    return texts
 
 
 def emit_plantuml(model: ConceptualModel) -> str:
@@ -184,8 +192,8 @@ def emit_plantuml(model: ConceptualModel) -> str:
         else:
             lines.append(f'{source} "{_mult_label(r.source_mult)}" --> '
                          f'"{_mult_label(r.target_mult)}" {target} : {label}')
-    for n, con in enumerate(model.constraints, start=1):
-        lines.append(f'note "{_constraint_text(model, con)}" as N{n}')
+    for n, text in enumerate(_constraint_texts(model), start=1):
+        lines.append(f'note "{text}" as N{n}')
     lines.append("@enduml")
     return "\n".join(lines) + "\n"
 
@@ -218,9 +226,8 @@ def emit_dot(model: ConceptualModel) -> str:
         else:
             lines.append(f'  "{source}" -> "{target}" [label="{label}", '
                          "arrowhead=vee];")
-    for con in model.constraints:
-        lines.append(f'  "{con.id}" [shape=note, '
-                     f'label="{_constraint_text(model, con)}"];')
+    for con, text in zip(model.constraints, _constraint_texts(model)):
+        lines.append(f'  "{con.id}" [shape=note, label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

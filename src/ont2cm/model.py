@@ -10,6 +10,7 @@ transformation must always pass it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 ASSOCIATION = "association"
 AGGREGATION = "aggregation"
@@ -91,11 +92,13 @@ class ConceptualModel:
     constraints: tuple[SemanticConstraint, ...] = ()
     instances: tuple[Instance, ...] = ()
 
+    @cached_property
+    def _entity_by_id(self) -> dict[str, EntityType]:
+        # reversed, so the first entry of a repeated id wins
+        return {et.id: et for et in reversed(self.entity_types)}
+
     def entity(self, entity_id: str) -> EntityType:
-        for et in self.entity_types:
-            if et.id == entity_id:
-                return et
-        raise KeyError(entity_id)
+        return self._entity_by_id[entity_id]
 
     def entity_by_name(self, name: str) -> EntityType:
         for et in self.entity_types:
@@ -207,26 +210,30 @@ def check_model(model: ConceptualModel) -> list[ModelDefect]:
                                        f"{gen.sub_id} generalizes itself"))
         gen_edges.setdefault(gen.sub_id, []).append(gen.super_id)
 
-    # cycle sweep over the generalization graph
+    # depth-first cycle sweep over the generalization graph; an explicit
+    # stack, so a taxonomy deeper than the recursion limit is fine
     state: dict[str, int] = {}  # 1 in progress, 2 done
-
-    def visit(node: str, trail: list[str]) -> None:
-        state[node] = 1
-        trail.append(node)
-        for nxt in gen_edges.get(node, []):
-            if state.get(nxt) == 1:
-                cycle = trail[trail.index(nxt):] + [nxt]
-                defects.append(ModelDefect(
-                    "generalizationCycle", nxt,
-                    "generalization cycle: " + " -> ".join(cycle)))
-            elif state.get(nxt) is None:
-                visit(nxt, trail)
-        trail.pop()
-        state[node] = 2
-
-    for node in sorted(gen_edges):
-        if state.get(node) is None:
-            visit(node, [])
+    for root in sorted(gen_edges):
+        if root in state:
+            continue
+        state[root] = 1
+        trail = [root]  # the nodes in progress, outermost first
+        pending = [iter(gen_edges[root])]  # their unvisited successors
+        while pending:
+            for nxt in pending[-1]:
+                if state.get(nxt) == 1:
+                    cycle = trail[trail.index(nxt):] + [nxt]
+                    defects.append(ModelDefect(
+                        "generalizationCycle", nxt,
+                        "generalization cycle: " + " -> ".join(cycle)))
+                elif nxt not in state:
+                    state[nxt] = 1
+                    trail.append(nxt)
+                    pending.append(iter(gen_edges.get(nxt, ())))
+                    break
+            else:
+                pending.pop()
+                state[trail.pop()] = 2
 
     for con in model.constraints:
         if len(con.member_ids) < 2:

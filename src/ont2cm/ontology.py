@@ -8,6 +8,7 @@ and usable as dict keys.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 # Datatype names accepted for datatype-property ranges.
@@ -480,20 +481,24 @@ def collapse_equivalences(ont: Ontology) -> tuple[Ontology, dict[str, str]]:
         return ont, {}
 
     class_by_name = {c.name: c for c in ont.classes}
+    aliases_of: dict[str, list[str]] = {}
+    for alias, rep in mapping.items():
+        aliases_of.setdefault(rep, []).append(alias)
     classes: list[ClassDefinition] = []
     extra_axioms: list[Axiom] = []
     for cls in ont.classes:
         if cls.name in mapping:
             continue
         restrictions = [rename_restriction(r, mapping) for r in cls.local_restrictions]
+        seen_restrictions = set(restrictions)
         # Fold aliased classes' restrictions and definitions into the
         # representative so nothing asserted is lost.
-        aliases = sorted(a for a, rep in mapping.items() if rep == cls.name)
-        for alias in aliases:
+        for alias in sorted(aliases_of.get(cls.name, ())):
             aliased = class_by_name[alias]
             for r in aliased.local_restrictions:
                 renamed = rename_restriction(r, mapping)
-                if renamed not in restrictions:
+                if renamed not in seen_restrictions:
+                    seen_restrictions.add(renamed)
                     restrictions.append(renamed)
             if aliased.definition is not None:
                 target = rename_expression(aliased.definition, mapping)
@@ -505,13 +510,15 @@ def collapse_equivalences(ont: Ontology) -> tuple[Ontology, dict[str, str]]:
                                local_restrictions=tuple(restrictions)))
 
     axioms: list[Axiom] = []
+    seen_axioms: set[Axiom] = set()
     for ax in list(ont.axioms) + extra_axioms:
         subject = mapping.get(ax.subject, ax.subject)
         target = rename_expression(ax.target, mapping)
         if target.op == "named" and target.name == subject:
             continue  # cycle edges vanish into the representative
         renamed = Axiom(ax.kind, subject, target)
-        if renamed not in axioms:
+        if renamed not in seen_axioms:
+            seen_axioms.add(renamed)
             axioms.append(renamed)
 
     properties = []
@@ -557,6 +564,8 @@ class OntologyIndex:
                 if d in self.domain_of:
                     self.domain_of[d].append(p)
         self._direct_restrictions: dict[str, list[Restriction]] = {}
+        # subclass/same-class axioms by subject, in document order
+        self._axioms_of: dict[str, list[Axiom]] = {}
         self._super_edges: dict[str, list[str]] = {c.name: [] for c in ont.classes}
         self._ancestors: dict[str, tuple[str, ...]] = {}
         self._build_edges()
@@ -578,6 +587,7 @@ class OntologyIndex:
                         self._add_edge(m.name, cls.name)
         for ax in self.ontology.axioms:
             if ax.kind in (SUBCLASS, SAME_CLASS):
+                self._axioms_of.setdefault(ax.subject, []).append(ax)
                 for sup in named_conjuncts(ax.target):
                     self._add_edge(ax.subject, sup)
 
@@ -591,10 +601,10 @@ class OntologyIndex:
         if cached is not None:
             return cached
         seen: list[str] = []
-        queue = list(self._super_edges.get(cls, []))
+        queue = deque(self._super_edges.get(cls, []))
         visited = {cls}
         while queue:
-            nxt = queue.pop(0)
+            nxt = queue.popleft()
             if nxt in visited:
                 continue
             visited.add(nxt)
@@ -615,9 +625,8 @@ class OntologyIndex:
         out = list(definition.local_restrictions)
         if definition.definition is not None:
             out.extend(conjunct_restrictions(definition.definition))
-        for ax in self.ontology.axioms:
-            if ax.subject == cls and ax.kind in (SUBCLASS, SAME_CLASS):
-                out.extend(conjunct_restrictions(ax.target))
+        for ax in self._axioms_of.get(cls, ()):
+            out.extend(conjunct_restrictions(ax.target))
         self._direct_restrictions[cls] = out
         return out
 

@@ -62,6 +62,7 @@ from .ontology import (
     SUBCLASS,
     Ontology,
     OntologyIndex,
+    _strongly_connected,
     collapse_equivalences,
     hoist_axiom_restrictions,
     iter_subexpressions,
@@ -134,6 +135,57 @@ def merged_multiplicity(index: OntologyIndex, cls: str, prop: str) -> Multiplici
             upper = r.count if upper is None else min(upper, r.count)
     unsatisfiable = upper is not None and lower > upper
     return Multiplicity(lower, upper, unsatisfiable=unsatisfiable)
+
+
+def insert_generalizations(candidates: list[tuple[str, str, str]]
+                           ) -> tuple[dict[tuple[str, str], list[str]], list[str]]:
+    """Insert (sub, sup, source) candidates one by one, skipping each edge
+    that would close a cycle with the edges kept so far. Returns the sources
+    of each kept pair, in insertion order, and a note per skipped edge.
+
+    Only candidates whose ends share a strongly connected component of the
+    whole candidate graph can close a cycle, and every path between two
+    nodes of one component stays inside it. So the search for a closing
+    path runs only there, and only inside that component.
+    """
+    candidate_edges: dict[str, list[str]] = {}
+    for sub, sup, _ in candidates:
+        candidate_edges.setdefault(sub, []).append(sup)
+        candidate_edges.setdefault(sup, [])
+    component = {node: n
+                 for n, members in enumerate(_strongly_connected(candidate_edges))
+                 for node in members}
+
+    gen_edges: dict[str, set[str]] = {}
+    gen_sources: dict[tuple[str, str], list[str]] = {}
+    notes: list[str] = []
+
+    def reaches(start: str, goal: str) -> bool:
+        scope = component[start]
+        seen, stack = set(), [start]
+        while stack:
+            node = stack.pop()
+            if node == goal:
+                return True
+            for nxt in gen_edges.get(node, ()):
+                if nxt not in seen and component[nxt] == scope:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
+
+    for sub, sup, source in candidates:
+        pair = (sub, sup)
+        if pair in gen_sources:
+            if source not in gen_sources[pair]:
+                gen_sources[pair].append(source)
+            continue
+        if component[sub] == component[sup] and reaches(sup, sub):
+            notes.append(f"generalization {sub} -> {sup} skipped: "
+                         "it would close a cycle")
+            continue
+        gen_sources[pair] = [source]
+        gen_edges.setdefault(sub, set()).add(sup)
+    return gen_sources, notes
 
 
 def transform(ont: Ontology, bww_report: BwwReport | None = None,
@@ -264,35 +316,8 @@ def transform(ont: Ontology, bww_report: BwwReport | None = None,
             handle_equivalence(cls.name, cls.definition,
                                f"class {cls.name} definition", "definition")
 
-    # insert candidates one by one, skipping edges that would close a cycle
-    gen_edges: dict[str, set[str]] = {}
-    gen_sources: dict[tuple[str, str], list[str]] = {}
-
-    def reaches(start: str, goal: str) -> bool:
-        seen, stack = set(), [start]
-        while stack:
-            node = stack.pop()
-            if node == goal:
-                return True
-            for nxt in gen_edges.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
-    for sub, sup, source in candidates:
-        pair = (sub, sup)
-        if pair in gen_sources:
-            if source not in gen_sources[pair]:
-                gen_sources[pair].append(source)
-            continue
-        if reaches(sup, sub):
-            notes.append(f"generalization {sub} -> {sup} skipped: "
-                         "it would close a cycle")
-            continue
-        gen_sources[pair] = [source]
-        gen_edges.setdefault(sub, set()).add(sup)
-
+    gen_sources, skipped = insert_generalizations(candidates)
+    notes.extend(skipped)
     generalizations = tuple(Generalization(entity_ids[sub], entity_ids[sup])
                             for sub, sup in gen_sources)
     for (sub, sup), sources in gen_sources.items():

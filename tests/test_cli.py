@@ -137,6 +137,14 @@ class TestCheck:
         assert run("check", str(FIXTURES / "dangling.cot")) == 2
         assert "danglingClass" in capsys.readouterr().err
 
+    def test_non_utf8_input_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cot"
+        bad.write_bytes(b"ontology x\nclass Caf\xe9\n")
+        assert run("check", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "UTF-8" in err
+        assert "Traceback" not in err
+
 
 class TestImport:
     def test_stdout_round_trips(self, capsys):

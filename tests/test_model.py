@@ -1,7 +1,10 @@
 """Conceptual-model structural checks and canonical ordering."""
 
+import sys
+
 import pytest
 
+from ont2cm import cot
 from ont2cm.model import (
     AGGREGATION,
     AND_GROUP,
@@ -24,6 +27,7 @@ from ont2cm.model import (
     entity_id,
     relationship_id,
 )
+from ont2cm.transform import derive_model
 
 
 def et(name, attributes=(), bww="thingSet"):
@@ -132,6 +136,33 @@ class TestCheckModel:
                              Generalization("et:B", "et:A"),
                              Generalization("et:C", "et:A")))
         assert check_model(m) == []
+
+    def test_cycles_reported_in_sweep_order(self):
+        pairs = [("A", "B"), ("B", "C"), ("C", "A"), ("B", "D"), ("D", "B"),
+                 ("D", "A"), ("E", "E")]
+        m = ConceptualModel(
+            "m", entity_types=tuple(et(n) for n in "ABCDE"),
+            generalizations=tuple(Generalization(entity_id(a), entity_id(b))
+                                  for a, b in pairs))
+        assert [(d.subject, d.message) for d in check_model(m)] == [
+            ("et:E", "et:E generalizes itself"),
+            ("et:A", "generalization cycle: et:A -> et:B -> et:C -> et:A"),
+            ("et:B", "generalization cycle: et:B -> et:D -> et:B"),
+            ("et:A", "generalization cycle: et:A -> et:B -> et:D -> et:A"),
+            ("et:E", "generalization cycle: et:E -> et:E"),
+        ]
+
+    def test_chain_deeper_than_recursion_limit(self):
+        # each superclass sorts after its subclass, so the sweep starts at
+        # the bottom and walks the whole chain in one descent
+        n = 1500
+        assert n > sys.getrecursionlimit()
+        lines = ["ontology chain"]
+        lines += [f"class C{i:05d}" for i in range(n)]
+        lines += [f"subclass C{i:05d} C{i + 1:05d}" for i in range(n - 1)]
+        model, _, _, _ = derive_model(cot.parse("\n".join(lines) + "\n"))
+        assert len(model.generalizations) == n - 1
+        assert check_model(model) == []
 
 
 class TestCanonicalOrder:

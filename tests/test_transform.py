@@ -5,11 +5,17 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ont2cm import cot
 from ont2cm.emit import emit_model_json
 from ont2cm.model import AGGREGATION, ASSOCIATION, COMPOSITION, Multiplicity
-from ont2cm.transform import TransformConfig, derive_model, transform
+from ont2cm.transform import (
+    TransformConfig,
+    derive_model,
+    insert_generalizations,
+    transform,
+)
 from invariants import assert_model_invariants
 from strategies import ontologies
 
@@ -365,3 +371,74 @@ class TestInvariants:
     @given(ontologies())
     def test_transform_is_deterministic(self, o):
         assert derive_model(o) == derive_model(o)
+
+
+def reference_insert(candidates):
+    """The per-candidate search insert_generalizations replaced: before each
+    new edge sub -> sup, a depth-first search over every kept edge for a
+    path sup -> sub."""
+    gen_edges, gen_sources, notes = {}, {}, []
+
+    def reaches(start, goal):
+        seen, stack = set(), [start]
+        while stack:
+            node = stack.pop()
+            if node == goal:
+                return True
+            for nxt in gen_edges.get(node, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
+
+    for sub, sup, source in candidates:
+        pair = (sub, sup)
+        if pair in gen_sources:
+            if source not in gen_sources[pair]:
+                gen_sources[pair].append(source)
+            continue
+        if reaches(sup, sub):
+            notes.append(f"generalization {sub} -> {sup} skipped: "
+                         "it would close a cycle")
+            continue
+        gen_sources[pair] = [source]
+        gen_edges.setdefault(sub, set()).add(sup)
+    return gen_sources, notes
+
+
+NODES = ["A", "B", "C", "D", "E", "F", "G", "H"]
+SOURCES = ["subclass axiom", "equivalence axiom", "definition",
+           "union membership"]
+
+
+@st.composite
+def candidate_lists(draw):
+    """Random generalization candidates with planted cycles and repeated
+    pairs, in random order."""
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(NODES), st.sampled_from(NODES))
+        .filter(lambda p: p[0] != p[1]), max_size=16))
+    for cycle in draw(st.lists(st.lists(st.sampled_from(NODES), min_size=2,
+                                        max_size=5, unique=True), max_size=3)):
+        pairs += zip(cycle, cycle[1:] + cycle[:1])
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=6))
+    return [(sub, sup, draw(st.sampled_from(SOURCES)))
+            for sub, sup in draw(st.permutations(pairs))]
+
+
+class TestGeneralizationInsertion:
+    @settings(max_examples=300, deadline=None)
+    @given(candidate_lists())
+    def test_matches_per_candidate_search(self, candidates):
+        kept, notes = insert_generalizations(candidates)
+        ref_kept, ref_notes = reference_insert(candidates)
+        assert list(kept.items()) == list(ref_kept.items())
+        assert notes == ref_notes
+
+    def test_lookups_raise_key_error_on_unknown_names(self):
+        model, _, grading, _ = derive_model(load("tambis-mini.cot"))
+        with pytest.raises(KeyError):
+            model.entity("et:Nothing")
+        with pytest.raises(KeyError):
+            grading.concept("Nothing")
