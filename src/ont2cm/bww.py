@@ -93,30 +93,21 @@ def classify(ont: Ontology, index: OntologyIndex | None = None) -> BwwReport:
             for side in {ax.subject, ax.target.name}:
                 disjoint_mentions[side] = disjoint_mentions.get(side, 0) + 1
 
-    # Per-class feature sets, unioned over the superclass closure. This is
-    # the counting core of effective_properties/effective_restrictions
-    # without materializing the origin-tagged entry lists, which matters on
-    # deep hierarchies.
-    domain_names: dict[str, set[str]] = {}
-    restriction_names: dict[str, set[str]] = {}
+    # Per-class values read once, then unioned over each superclass closure.
+    attached: dict[str, tuple[str, ...]] = {}
     restriction_count: dict[str, int] = {}
     for cls in ont.classes:
-        domain_names[cls.name] = {p.name
-                                  for p in index.domain_of.get(cls.name, [])}
-        direct = index.direct_restrictions(cls.name)
-        restriction_count[cls.name] = len(direct)
-        restriction_names[cls.name] = {r.on_property for r in direct
-                                       if r.on_property in index.properties}
+        attached[cls.name] = index.attached_properties(cls.name)
+        restriction_count[cls.name] = len(index.direct_restrictions(cls.name))
 
     concepts = []
     notes = []
     for cls in sorted(ont.classes, key=lambda c: c.name):
-        names = set(domain_names[cls.name]) | restriction_names[cls.name]
+        names = set(attached[cls.name])
         law_count = (restriction_count[cls.name]
                      + disjoint_mentions.get(cls.name, 0))
         for sup in index.ancestors(cls.name):
-            names |= domain_names[sup]
-            names |= restriction_names[sup]
+            names.update(attached[sup])
             law_count += restriction_count[sup]
         property_count = len(names)
         category = _categorize(property_count, law_count)

@@ -48,6 +48,11 @@ _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*|\d+|[(),=]|\S")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 _INT_RE = re.compile(r"\d+\Z")
 
+# Deepest expression nesting a document may use; a bare name is depth 1.
+# It keeps the parser and every recursive walker downstream well inside
+# Python's default recursion limit.
+MAX_NESTING = 200
+
 
 class ParseError(ValueError):
     def __init__(self, line: int, column: int, message: str):
@@ -119,18 +124,21 @@ class _Cursor:
                              f"unexpected {tok.text!r} after statement")
 
 
-def _parse_expr(cur: _Cursor) -> ClassExpression:
+def _parse_expr(cur: _Cursor, depth: int = 1) -> ClassExpression:
     tok = cur.next("a class expression")
     if not _NAME_RE.match(tok.text):
         raise ParseError(tok.line, tok.column,
                          f"expected a class expression, got {tok.text!r}")
+    if depth > MAX_NESTING:
+        raise ParseError(tok.line, tok.column,
+                         f"expression nested deeper than {MAX_NESTING} levels")
     head = tok.text
     if head in ("and", "or") and cur.at("("):
         cur.literal("(")
-        members = [_parse_expr(cur)]
+        members = [_parse_expr(cur, depth + 1)]
         while cur.at(","):
             cur.literal(",")
-            members.append(_parse_expr(cur))
+            members.append(_parse_expr(cur, depth + 1))
         cur.literal(")")
         if len(members) < 2:
             raise ParseError(tok.line, tok.column,
@@ -138,7 +146,7 @@ def _parse_expr(cur: _Cursor) -> ClassExpression:
         return ClassExpression(head, members=tuple(members))
     if head == "not" and cur.at("("):
         cur.literal("(")
-        member = _parse_expr(cur)
+        member = _parse_expr(cur, depth + 1)
         cur.literal(")")
         return ClassExpression("not", members=(member,))
     if head == "restriction" and cur.at("("):
@@ -149,7 +157,7 @@ def _parse_expr(cur: _Cursor) -> ClassExpression:
         flavor = flavor_tok.text
         cur.literal(",")
         if flavor in CLASS_FLAVORS:
-            r = Restriction(prop, flavor, target=_parse_expr(cur))
+            r = Restriction(prop, flavor, target=_parse_expr(cur, depth + 1))
         elif flavor in CARDINALITY_FLAVORS:
             r = Restriction(prop, flavor, count=cur.integer())
         else:

@@ -48,6 +48,12 @@ _CARDINALITY_TAGS = {"cardinality": "exactly", "minCardinality": "min",
                      "minCardinalityQ": "min", "maxCardinalityQ": "max"}
 
 
+# Deepest element nesting below rdf:RDF a document may use. Every descent
+# of the importer goes through _child_paths, so its check there also bounds
+# the recursion of the expression parser and of the skip ledger.
+MAX_DEPTH = 200
+
+
 class DamlImportError(ValueError):
     pass
 
@@ -98,7 +104,11 @@ def _child_paths(el, path: str):
             continue
         tag = _prefixed(child.tag)
         counts[tag] = counts.get(tag, 0) + 1
-        yield child, f"{path}/{tag}[{counts[tag]}]"
+        child_path = f"{path}/{tag}[{counts[tag]}]"
+        if child_path.count("/") > MAX_DEPTH:
+            raise DamlImportError(
+                f"element nested deeper than {MAX_DEPTH} levels at {child_path}")
+        yield child, child_path
 
 
 def _local_name(uri: str) -> str:

@@ -269,10 +269,6 @@ _SECTIONS = {
         "Multi-domain properties",
         "One property is declared on several domains, so it maps several times.",
         "Check that the copies should stay in sync."),
-    "nameCollision": (
-        "Name collisions",
-        "Two model elements wanted the same name; one was renamed.",
-        "Rename at the source to keep names stable."),
     "zeroPropertyEntity": (
         "Entities without properties",
         "No property reaches this entity.",

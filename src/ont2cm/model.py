@@ -29,7 +29,6 @@ class Multiplicity:
 
 
 MANY = Multiplicity(0, None)
-EXACTLY_ONE = Multiplicity(1, 1)
 
 
 @dataclass(frozen=True)
@@ -99,12 +98,6 @@ class ConceptualModel:
 
     def entity(self, entity_id: str) -> EntityType:
         return self._entity_by_id[entity_id]
-
-    def entity_by_name(self, name: str) -> EntityType:
-        for et in self.entity_types:
-            if et.name == name:
-                return et
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)

@@ -37,23 +37,6 @@ SUBCLASS = "subclass"
 SAME_CLASS = "same-class"
 DISJOINT = "disjoint"
 
-# Origin tags for effective_properties / effective_restrictions.
-DIRECT_DOMAIN = "direct-domain"
-INHERITED_DOMAIN = "inherited-domain"
-DIRECT_RESTRICTION = "direct-restriction"
-INHERITED_RESTRICTION = "inherited-restriction"
-_ORIGIN_RANK = {
-    DIRECT_DOMAIN: 0,
-    INHERITED_DOMAIN: 1,
-    DIRECT_RESTRICTION: 2,
-    INHERITED_RESTRICTION: 3,
-}
-
-
-class UnknownClassError(ValueError):
-    """Raised when an operation is asked about an undeclared class."""
-
-
 @dataclass(frozen=True)
 class Restriction:
     """A property constraint: some/only carry a target expression, the
@@ -150,21 +133,6 @@ class OntologyDefect:
 
 # --------------------------------------------------------------------------
 # expression utilities
-
-
-def expr_key(expr: ClassExpression) -> tuple:
-    """Structural sort key; total order over expressions."""
-    if expr.op == "named":
-        return ("named", expr.name)
-    if expr.op == "restriction":
-        return ("restriction", restriction_key(expr.restriction))
-    return (expr.op, tuple(expr_key(m) for m in expr.members))
-
-
-def restriction_key(r: Restriction) -> tuple:
-    target = expr_key(r.target) if r.target is not None else ()
-    count = r.count if r.count is not None else -1
-    return (r.on_property, r.flavor, target, count)
 
 
 def rename_expression(expr: ClassExpression, mapping: dict[str, str]) -> ClassExpression:
@@ -547,7 +515,11 @@ def collapse_equivalences(ont: Ontology) -> tuple[Ontology, dict[str, str]]:
 
 
 class OntologyIndex:
-    """Precomputed lookup tables over a validated ontology.
+    """The one answer to "what reaches class X" over a validated ontology.
+
+    Three lookups: `ancestors` (the superclass closure), `direct_restrictions`
+    and `attached_properties` (what is asserted on a class itself). What
+    reaches a class is what is attached to it or to one of its ancestors.
 
     The superclass graph used for inheritance matches the edges the
     transformation turns into generalizations: subclass axioms, same-class
@@ -555,28 +527,28 @@ class OntologyIndex:
     """
 
     def __init__(self, ont: Ontology):
-        self.ontology = ont
-        self.classes = {c.name: c for c in ont.classes}
-        self.properties = {p.name: p for p in ont.properties}
-        self.domain_of: dict[str, list[PropertyDefinition]] = {c.name: [] for c in ont.classes}
+        self._classes = {c.name: c for c in ont.classes}
+        self._declared = {p.name for p in ont.properties}
+        # names of the properties declaring each class a domain
+        self._domains_of: dict[str, list[str]] = {}
         for p in ont.properties:
             for d in p.domains:
-                if d in self.domain_of:
-                    self.domain_of[d].append(p)
+                self._domains_of.setdefault(d, []).append(p.name)
         self._direct_restrictions: dict[str, list[Restriction]] = {}
+        self._attached: dict[str, tuple[str, ...]] = {}
         # subclass/same-class axioms by subject, in document order
         self._axioms_of: dict[str, list[Axiom]] = {}
         self._super_edges: dict[str, list[str]] = {c.name: [] for c in ont.classes}
         self._ancestors: dict[str, tuple[str, ...]] = {}
-        self._build_edges()
+        self._build_edges(ont)
 
     def _add_edge(self, sub: str, sup: str) -> None:
-        if sub in self._super_edges and sup in self.classes and sup != sub:
+        if sub in self._super_edges and sup in self._classes and sup != sub:
             if sup not in self._super_edges[sub]:
                 self._super_edges[sub].append(sup)
 
-    def _build_edges(self) -> None:
-        for cls in self.ontology.classes:
+    def _build_edges(self, ont: Ontology) -> None:
+        for cls in ont.classes:
             if cls.definition is None:
                 continue
             for sup in named_conjuncts(cls.definition):
@@ -585,14 +557,11 @@ class OntologyIndex:
                 for m in cls.definition.members:
                     if m.op == "named":
                         self._add_edge(m.name, cls.name)
-        for ax in self.ontology.axioms:
+        for ax in ont.axioms:
             if ax.kind in (SUBCLASS, SAME_CLASS):
                 self._axioms_of.setdefault(ax.subject, []).append(ax)
                 for sup in named_conjuncts(ax.target):
                     self._add_edge(ax.subject, sup)
-
-    def super_edges(self, cls: str) -> list[str]:
-        return self._super_edges.get(cls, [])
 
     def ancestors(self, cls: str) -> tuple[str, ...]:
         """Transitive superclasses in deterministic (BFS) order, excluding
@@ -621,7 +590,7 @@ class OntologyIndex:
         cached = self._direct_restrictions.get(cls)
         if cached is not None:
             return cached
-        definition = self.classes[cls]
+        definition = self._classes[cls]
         out = list(definition.local_restrictions)
         if definition.definition is not None:
             out.extend(conjunct_restrictions(definition.definition))
@@ -630,73 +599,16 @@ class OntologyIndex:
         self._direct_restrictions[cls] = out
         return out
 
-    def effective_properties(self, cls: str) -> list[tuple[PropertyDefinition, str]]:
-        if cls not in self.classes:
-            raise UnknownClassError(cls)
-        entries: list[tuple[PropertyDefinition, str]] = []
-        seen: set[tuple[str, str]] = set()
-
-        def add(prop: PropertyDefinition, origin: str) -> None:
-            key = (prop.name, origin)
-            if key not in seen:
-                seen.add(key)
-                entries.append((prop, origin))
-
-        for p in self.domain_of.get(cls, []):
-            add(p, DIRECT_DOMAIN)
-        for r in self.direct_restrictions(cls):
-            p = self.properties.get(r.on_property)
-            if p is not None:
-                add(p, DIRECT_RESTRICTION)
-        for sup in self.ancestors(cls):
-            for p in self.domain_of.get(sup, []):
-                add(p, INHERITED_DOMAIN)
-            for r in self.direct_restrictions(sup):
-                p = self.properties.get(r.on_property)
-                if p is not None:
-                    add(p, INHERITED_RESTRICTION)
-        entries.sort(key=lambda e: (e[0].name, _ORIGIN_RANK[e[1]]))
-        return entries
-
-    def effective_restrictions(self, cls: str) -> list[tuple[Restriction, str]]:
-        if cls not in self.classes:
-            raise UnknownClassError(cls)
-        entries: list[tuple[Restriction, str]] = []
-        for r in self.direct_restrictions(cls):
-            entries.append((r, DIRECT_RESTRICTION))
-        for sup in self.ancestors(cls):
-            for r in self.direct_restrictions(sup):
-                entries.append((r, INHERITED_RESTRICTION))
-        entries.sort(key=lambda e: (e[0].on_property, _ORIGIN_RANK[e[1]]))
-        return entries
-
-
-def effective_properties(ont: Ontology, cls: str) -> list[tuple[PropertyDefinition, str]]:
-    """Every property applying to `cls` directly or through a superclass,
-    tagged with its origin; ordered by (property name, origin rank)."""
-    return OntologyIndex(ont).effective_properties(cls)
-
-
-def effective_restrictions(ont: Ontology, cls: str) -> list[tuple[Restriction, str]]:
-    """Every restriction constraining `cls`, with direct entries ahead of
-    inherited ones so callers can prefer local constraints."""
-    return OntologyIndex(ont).effective_restrictions(cls)
-
-
-# --------------------------------------------------------------------------
-# canonical form (for order-insensitive comparison)
-
-
-def canonicalize(ont: Ontology) -> Ontology:
-    """Sort every statement-level collection. Two ontologies that differ only
-    in statement order canonicalize to equal values."""
-    classes = tuple(sorted(
-        (replace(c, local_restrictions=tuple(sorted(c.local_restrictions,
-                                                    key=restriction_key)))
-         for c in ont.classes),
-        key=lambda c: c.name))
-    properties = tuple(sorted(ont.properties, key=lambda p: p.name))
-    axioms = tuple(sorted(ont.axioms, key=lambda a: (a.kind, a.subject, expr_key(a.target))))
-    individuals = tuple(sorted(ont.individuals, key=lambda i: i.name))
-    return replace(ont, classes=classes, properties=properties,
-                   axioms=axioms, individuals=individuals)
+    def attached_properties(self, cls: str) -> tuple[str, ...]:
+        """Names of the declared properties attached to the class itself,
+        each once: those naming it as a domain, then those its direct
+        restrictions constrain."""
+        cached = self._attached.get(cls)
+        if cached is not None:
+            return cached
+        names = dict.fromkeys(self._domains_of.get(cls, ()))
+        names.update(dict.fromkeys(
+            r.on_property for r in self.direct_restrictions(cls)
+            if r.on_property in self._declared))
+        result = self._attached[cls] = tuple(names)
+        return result

@@ -69,7 +69,8 @@ from .ontology import (
     named_conjuncts,
 )
 
-DEFAULT_COMPOSITION_TOKENS = frozenset({
+# whole-part tokens, compared after normalize_token
+_COMPOSITION_TOKENS = frozenset({
     "partof", "componentof", "has", "haspart", "contains", "composedof"})
 
 # tokens whose subject is the whole; for the others the subject is the part
@@ -85,7 +86,6 @@ FLAG_KINDS = (
     "unsatisfiableMultiplicity",
     "equivalenceCollapsed",
     "multiDomainProperty",
-    "nameCollision",
     "zeroPropertyEntity",
 )
 
@@ -93,7 +93,6 @@ FLAG_KINDS = (
 @dataclass(frozen=True)
 class TransformConfig:
     composition_heuristics: bool = True
-    composition_tokens: frozenset = DEFAULT_COMPOSITION_TOKENS
     include_instances: bool = True
 
 
@@ -209,34 +208,13 @@ def transform(ont: Ontology, bww_report: BwwReport | None = None,
         flags.append(FlaggedItem(kind, subject, detail))
 
     # ---- entity types
-    display_name: dict[str, str] = {}
-    entity_ids: dict[str, str] = {}
-    used_names: set[str] = set()
-    for cls in ont.classes:
-        display = cls.name
-        if display in used_names:
-            n = 2
-            while f"{cls.name}_{n}" in used_names:
-                n += 1
-            display = f"{cls.name}_{n}"
-            flag("nameCollision", cls.name, f"entity renamed to {display}")
-        used_names.add(display)
-        display_name[cls.name] = display
-        entity_ids[cls.name] = entity_id(display)
+    entity_ids = {cls.name: entity_id(cls.name) for cls in ont.classes}
 
-    # ---- property attachment sites (domain or direct restriction), in
-    # class declaration order per property
+    # ---- property attachment sites, in class declaration order per property
     prop_sites: dict[str, list[str]] = {p.name: [] for p in ont.properties}
     for cls in ont.classes:
-        attached: set[str] = set()
-        for p in index.domain_of.get(cls.name, []):
-            if p.name not in attached:
-                attached.add(p.name)
-                prop_sites[p.name].append(cls.name)
-        for r in index.direct_restrictions(cls.name):
-            if r.on_property in prop_sites and r.on_property not in attached:
-                attached.add(r.on_property)
-                prop_sites[r.on_property].append(cls.name)
+        for name in index.attached_properties(cls.name):
+            prop_sites[name].append(cls.name)
 
     def bounded(cls_name: str, prop_name: str) -> Multiplicity:
         mult = merged_multiplicity(index, cls_name, prop_name)
@@ -390,8 +368,7 @@ def transform(ont: Ontology, bww_report: BwwReport | None = None,
                     group_id = f"con:and:{site_cls}:{p.name}"
                 elif info[target]["pool"] == "or" and len(or_pool) >= 2:
                     group_id = f"con:or:{site_cls}:{p.name}"
-                rid = relationship_id(p.name, display_name[site_cls],
-                                      display_name[target])
+                rid = relationship_id(p.name, site_cls, target)
                 rel = Relationship(rid, p.name, entity_ids[site_cls],
                                    entity_ids[target], MANY, mult,
                                    exclusive=info[target]["exclusive"],
@@ -439,7 +416,7 @@ def transform(ont: Ontology, bww_report: BwwReport | None = None,
         for rid in rel_order:
             rel = rel_map[rid]
             token = normalize_token(rel.name)
-            if token not in config.composition_tokens:
+            if token not in _COMPOSITION_TOKENS:
                 continue
             if rel.source_id == rel.target_id:
                 notes.append(f"{rel.id}: whole-part naming on a "
@@ -555,7 +532,7 @@ def transform(ont: Ontology, bww_report: BwwReport | None = None,
                  "no property reaches this entity; check whether it should stay")
 
     entity_types = tuple(
-        EntityType(entity_ids[cls.name], display_name[cls.name], cls.name,
+        EntityType(entity_ids[cls.name], cls.name, cls.name,
                    bww_report.category_of(cls.name), cls.kind,
                    tuple(attributes[cls.name]))
         for cls in ont.classes)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ont2cm import cli, cot
+from ont2cm import cli, cot, damlxml
 from ont2cm.damlxml import import_daml
 from ont2cm.model import ModelDefect
 
@@ -111,6 +111,23 @@ class TestTransform:
                 == (tmp_path / "b" / name).read_bytes()
 
 
+class TestGoldenArtifacts:
+    """Every artifact `transform` and `classify` write, byte for byte."""
+
+    @pytest.mark.parametrize("name, suffix", [
+        (name, suffix)
+        for name in ("tambis-mini.cot", "protein.daml")
+        for suffix in (".model.json", ".puml", ".dot", ".report.md",
+                       ".bww.json")])
+    def test_matches_golden_bytes(self, tmp_path, name, suffix):
+        source = FIXTURES / name
+        assert run("transform", str(source), "--out", str(tmp_path)) == 0
+        assert run("classify", str(source), "--out", str(tmp_path)) == 0
+        artifact = source.stem + suffix
+        assert (tmp_path / artifact).read_bytes() \
+            == (FIXTURES / "golden" / artifact).read_bytes()
+
+
 class TestClassify:
     def test_writes_bww_json(self, tmp_path):
         code = run("classify", str(FIXTURES / "rule4.cot"),
@@ -144,6 +161,57 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "UTF-8" in err
         assert "Traceback" not in err
+
+
+def nested_cot(depth: int) -> str:
+    """A subclass axiom whose target is a complement chain `depth` deep."""
+    inner = "not(" * (depth - 1) + "B" + ")" * (depth - 1)
+    return f"ontology deep\nclass A\nclass B\nsubclass A {inner}\n"
+
+
+def nested_daml(depth: int) -> str:
+    """A class whose superclass is a complement chain reaching `depth`
+    elements below rdf:RDF."""
+    tags = ['daml:Class rdf:ID="A"', "rdfs:subClassOf"]
+    while len(tags) < depth - 1:
+        tags.append("daml:Class" if tags[-1] != "daml:Class"
+                    else "daml:complementOf")
+    leaf = ('<daml:complementOf rdf:resource="#B"/>'
+            if tags[-1] == "daml:Class" else '<daml:Class rdf:about="#B"/>')
+    opened = "".join(f"<{t}>" for t in tags)
+    closed = "".join(f"</{t.split()[0]}>" for t in reversed(tags))
+    return ('<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
+            'xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#" '
+            'xmlns:daml="http://www.daml.org/2001/03/daml+oil#">'
+            f'<daml:Class rdf:ID="B"/>{opened}{leaf}{closed}</rdf:RDF>\n')
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("name, text", [
+        ("deep.cot", nested_cot(1200)), ("deep.daml", nested_daml(1200))])
+    def test_too_deep_input_exit_1(self, tmp_path, capsys, name, text):
+        source = tmp_path / name
+        source.write_text(text)
+        assert run("check", str(source)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nested deeper than" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name, text", [
+        ("bound.cot", nested_cot(cot.MAX_NESTING)),
+        ("bound.daml", nested_daml(damlxml.MAX_DEPTH))])
+    def test_input_at_the_bound_transforms(self, tmp_path, name, text):
+        source = tmp_path / name
+        source.write_text(text)
+        assert run("transform", str(source), "--out", str(tmp_path)) == 0
+        assert run("classify", str(source), "--out", str(tmp_path)) == 0
+
+    def test_bounds_are_exact(self):
+        with pytest.raises(cot.ParseError, match="line 4"):
+            cot.parse(nested_cot(cot.MAX_NESTING + 1))
+        with pytest.raises(damlxml.DamlImportError,
+                           match=r"at rdf:RDF/daml:Class\[2\]/"):
+            import_daml(nested_daml(damlxml.MAX_DEPTH + 1))
 
 
 class TestImport:

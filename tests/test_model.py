@@ -11,7 +11,6 @@ from ont2cm.model import (
     ASSOCIATION,
     COMPOSITION,
     DISJOINT_GROUP,
-    EXACTLY_ONE,
     MANY,
     OR_GROUP,
     Attribute,
@@ -47,7 +46,7 @@ def clean_model():
         entity_types=(
             et("DNA"),
             et("Protein", attributes=(
-                Attribute("accession", "string", EXACTLY_ONE, "accession"),)),
+                Attribute("accession", "string", Multiplicity(1, 1), "accession"),)),
         ),
         relationships=(rel("binds", "Protein", "DNA"),),
         generalizations=(Generalization(entity_id("Protein"), entity_id("DNA")),),
@@ -69,7 +68,7 @@ class TestCheckModel:
         (ConceptualModel("m", entity_types=(et("A"),),
                          relationships=(rel("p", "A", "B"),)), "danglingReference"),
         (ConceptualModel("m", entity_types=(
-            et("A", attributes=(Attribute("x", "string", EXACTLY_ONE, "x"),
+            et("A", attributes=(Attribute("x", "string", Multiplicity(1, 1), "x"),
                                 Attribute("x", "string", MANY, "x"))),)),
          "duplicateAttribute"),
         (ConceptualModel("m", entity_types=(

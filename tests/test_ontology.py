@@ -1,15 +1,13 @@
 """Core ontology model: validation, normalization, equivalence collapse and
 inherited-feature resolution."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
 from ont2cm.ontology import (
     DEFINED,
-    DIRECT_DOMAIN,
-    DIRECT_RESTRICTION,
-    INHERITED_DOMAIN,
-    INHERITED_RESTRICTION,
     SUBCLASS,
     SAME_CLASS,
     DISJOINT,
@@ -20,13 +18,8 @@ from ont2cm.ontology import (
     OntologyIndex,
     PropertyDefinition,
     Restriction,
-    UnknownClassError,
-    canonicalize,
     collapse_equivalences,
-    effective_properties,
-    effective_restrictions,
     hoist_axiom_restrictions,
-    intersection_of,
     named,
     restriction_expr,
     union_of,
@@ -296,113 +289,27 @@ def chain_fixture():
     )
 
 
-class TestEffectiveFeatures:
-    def test_direct_and_inherited_properties(self):
-        entries = effective_properties(chain_fixture(), "Enzyme")
-        assert [(p.name, origin) for p, origin in entries] == [
-            ("accession", INHERITED_DOMAIN),
-            ("catalyses", DIRECT_DOMAIN),
-            ("catalyses", DIRECT_RESTRICTION),
-            ("mass", INHERITED_DOMAIN),
-            ("mass", INHERITED_RESTRICTION),
-        ]
-
-    def test_root_sees_only_direct(self):
-        entries = effective_properties(chain_fixture(), "Macromolecule")
-        assert [(p.name, origin) for p, origin in entries] == [
-            ("mass", DIRECT_DOMAIN),
-            ("mass", DIRECT_RESTRICTION),
-        ]
-
-    def test_effective_restrictions_order(self):
-        entries = effective_restrictions(chain_fixture(), "Enzyme")
-        assert [(r.on_property, origin) for r, origin in entries] == [
-            ("catalyses", DIRECT_RESTRICTION),
-            ("mass", INHERITED_RESTRICTION),
-        ]
-
-    def test_unknown_class_raises(self):
-        with pytest.raises(UnknownClassError):
-            effective_properties(chain_fixture(), "Nothing")
-        with pytest.raises(UnknownClassError):
-            effective_restrictions(chain_fixture(), "Nothing")
-
-    def test_defined_class_conjuncts_count_as_superclasses(self):
-        o = ont(
-            classes=[ClassDefinition("Protein"),
-                     ClassDefinition("Enzyme", kind=DEFINED,
-                                     definition=intersection_of(
-                                         named("Protein"),
-                                         restriction_expr(Restriction(
-                                             "catalyses", "some",
-                                             target=named("Protein")))))],
-            properties=[PropertyDefinition("accession", "datatype",
-                                           domains=("Protein",), range="string"),
-                        PropertyDefinition("catalyses", "object",
-                                           range="Protein")],
-        )
-        entries = effective_properties(o, "Enzyme")
-        assert [(p.name, origin) for p, origin in entries] == [
-            ("accession", INHERITED_DOMAIN),
-            ("catalyses", DIRECT_RESTRICTION),
-        ]
-
-    def test_union_definition_inherits_to_members(self):
-        o = ont(
-            classes=[ClassDefinition("DNA"), ClassDefinition("RNA"),
-                     ClassDefinition("NucleicAcid", kind=DEFINED,
-                                     definition=union_of(named("DNA"),
-                                                         named("RNA")))],
-            properties=[PropertyDefinition("sequence", "datatype",
-                                           domains=("NucleicAcid",),
-                                           range="string")],
-        )
-        entries = effective_properties(o, "DNA")
-        assert [(p.name, origin) for p, origin in entries] == [
-            ("sequence", INHERITED_DOMAIN),
-        ]
+class TestOntologyIndex:
+    def test_attached_properties_domains_first_each_once(self):
+        o = chain_fixture()
+        mass = replace(o.properties[0], domains=("Macromolecule", "Gene"))
+        index = OntologyIndex(replace(
+            o,
+            classes=o.classes + (ClassDefinition("Gene", local_restrictions=(
+                Restriction("catalyses", "some", target=named("Reaction")),
+                Restriction("undeclared", "min", count=1),
+                Restriction("catalyses", "max", count=2),
+                Restriction("mass", "max", count=1))),),
+            properties=(mass,) + o.properties[1:]))
+        assert index.attached_properties("Macromolecule") == ("mass",)
+        assert index.attached_properties("Protein") == ("accession",)
+        assert index.attached_properties("Enzyme") == ("catalyses",)
+        assert index.attached_properties("Gene") == ("mass", "catalyses")
 
     def test_cyclic_graph_terminates(self):
         o = ont(classes=[ClassDefinition("A"), ClassDefinition("B")],
                 axioms=[Axiom(SUBCLASS, "A", named("B")),
                         Axiom(SUBCLASS, "B", named("A"))])
         index = OntologyIndex(o)
-        assert index.ancestors("A") == ("B",)
-        assert index.ancestors("B") == ("A",)
-
-    @settings(max_examples=100, deadline=None)
-    @given(ontologies())
-    def test_matches_one_shot_helpers(self, o):
-        index = OntologyIndex(o)
-        for c in o.classes:
-            assert index.effective_properties(c.name) == effective_properties(o, c.name)
-            assert index.effective_restrictions(c.name) == effective_restrictions(o, c.name)
-
-    @settings(max_examples=100, deadline=None)
-    @given(ontologies())
-    def test_direct_domains_always_present(self, o):
-        index = OntologyIndex(o)
-        for p in o.properties:
-            for d in p.domains:
-                assert (p, DIRECT_DOMAIN) in index.effective_properties(d)
-
-
-# --------------------------------------------------------------------------
-# canonical form
-
-
-class TestCanonicalize:
-    @settings(max_examples=100, deadline=None)
-    @given(ontologies())
-    def test_idempotent(self, o):
-        once = canonicalize(o)
-        assert canonicalize(once) == once
-
-    @settings(max_examples=100, deadline=None)
-    @given(ontologies())
-    def test_reversal_insensitive(self, o):
-        reversed_o = Ontology(o.name, classes=o.classes[::-1],
-                              properties=o.properties[::-1],
-                              axioms=o.axioms[::-1],
-                              individuals=o.individuals[::-1])
-        assert canonicalize(reversed_o) == canonicalize(o)
+        assert set(index.ancestors("A")) == {"B"}
+        assert set(index.ancestors("B")) == {"A"}

@@ -175,22 +175,22 @@ class TestAttributes:
         model, report = from_text(
             "ontology t\nclass A\ndataprop d range integer\n"
             "restriction A d exactly 1\n")
-        (attr,) = model.entity_by_name("A").attributes
+        (attr,) = model.entity("et:A").attributes
         assert (attr.name, attr.datatype) == ("d", "integer")
         assert attr.multiplicity == Multiplicity(1, 1)
         assert report.by_kind("droppedProperty") == ()
 
     def test_missing_range_defaults_to_string(self):
         model, _ = from_text("ontology t\nclass A\ndataprop d domain A\n")
-        (attr,) = model.entity_by_name("A").attributes
+        (attr,) = model.entity("et:A").attributes
         assert attr.datatype == "string"
         assert attr.multiplicity == Multiplicity(0, None)
 
     def test_multi_domain_property_maps_everywhere_and_flags(self):
         model, report = from_text(
             "ontology t\nclass A\nclass B\ndataprop d domain A, B range string\n")
-        assert model.entity_by_name("A").attributes[0].name == "d"
-        assert model.entity_by_name("B").attributes[0].name == "d"
+        assert model.entity("et:A").attributes[0].name == "d"
+        assert model.entity("et:B").attributes[0].name == "d"
         (flag,) = report.by_kind("multiDomainProperty")
         assert flag.subject == "d"
 
@@ -355,7 +355,7 @@ class TestDeterminism:
         o = load("tambis-mini.cot")
         model, report, _, _ = derive_model(o)
         assert_model_invariants(o, model, report)
-        assert model.entity_by_name("Receptor")
+        assert model.entity("et:Receptor")
         assert any(r.exclusive for r in model.relationships)
         assert any(r.kind == AGGREGATION for r in model.relationships)
 
