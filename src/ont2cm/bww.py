@@ -11,25 +11,10 @@ intrinsic ones (carried by a single thing, datatype-valued) and mutual ones
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from functools import cached_property
 
 from .ontology import DATATYPE, DISJOINT, Ontology, OntologyIndex
 
-
-class Category(IntEnum):
-    THING_SET = 0
-    CLASS = 1
-    KIND = 2
-    NATURAL_KIND = 3
-
-
-CATEGORY_LABELS = {
-    Category.THING_SET: "thingSet",
-    Category.CLASS: "bwwClass",
-    Category.KIND: "kind",
-    Category.NATURAL_KIND: "naturalKind",
-}
 
 INTRINSIC = "intrinsic"
 MUTUAL = "mutual"
@@ -71,14 +56,14 @@ def classify_property(category: str) -> str:
     return INTRINSIC if category == DATATYPE else MUTUAL
 
 
-def _categorize(property_count: int, law_count: int) -> Category:
+def _categorize(property_count: int, law_count: int) -> str:
     if property_count == 0:
-        return Category.THING_SET
+        return "thingSet"
     if property_count == 1:
-        return Category.CLASS
+        return "bwwClass"
     if law_count == 0:
-        return Category.KIND
-    return Category.NATURAL_KIND
+        return "kind"
+    return "naturalKind"
 
 
 def classify(ont: Ontology, index: OntologyIndex | None = None) -> BwwReport:
@@ -110,9 +95,9 @@ def classify(ont: Ontology, index: OntologyIndex | None = None) -> BwwReport:
             names.update(attached[sup])
             law_count += restriction_count[sup]
         property_count = len(names)
-        category = _categorize(property_count, law_count)
         concepts.append(ConceptClassification(
-            cls.name, CATEGORY_LABELS[category], property_count, law_count))
+            cls.name, _categorize(property_count, law_count), property_count,
+            law_count))
         if property_count == 1 and law_count > 0:
             notes.append(
                 f"{cls.name}: laws present but only one common property; "

@@ -154,18 +154,23 @@ def _parse_expr(cur: _Cursor, depth: int = 1) -> ClassExpression:
         prop = cur.name("a property name")
         cur.literal(",")
         flavor_tok = cur.next("a restriction flavor")
-        flavor = flavor_tok.text
         cur.literal(",")
-        if flavor in CLASS_FLAVORS:
-            r = Restriction(prop, flavor, target=_parse_expr(cur, depth + 1))
-        elif flavor in CARDINALITY_FLAVORS:
-            r = Restriction(prop, flavor, count=cur.integer())
-        else:
-            raise ParseError(flavor_tok.line, flavor_tok.column,
-                             f"unknown restriction flavor {flavor!r}")
+        r = _restriction_body(cur, prop, flavor_tok, depth + 1)
         cur.literal(")")
         return restriction_expr(r)
     return named(head)
+
+
+def _restriction_body(cur: _Cursor, prop: str, flavor_tok: _Token,
+                     depth: int) -> Restriction:
+    """The target expression or count after a restriction's flavor."""
+    flavor = flavor_tok.text
+    if flavor in CLASS_FLAVORS:
+        return Restriction(prop, flavor, target=_parse_expr(cur, depth))
+    if flavor in CARDINALITY_FLAVORS:
+        return Restriction(prop, flavor, count=cur.integer())
+    raise ParseError(flavor_tok.line, flavor_tok.column,
+                     f"unknown restriction flavor {flavor!r}")
 
 
 def _parse_property(cur: _Cursor, category: str) -> PropertyDefinition:
@@ -244,15 +249,7 @@ def parse(text: str) -> Ontology:
         elif keyword == "restriction":
             cls = cur.name("a class name")
             prop = cur.name("a property name")
-            flavor_tok = cur.next("a restriction flavor")
-            flavor = flavor_tok.text
-            if flavor in CLASS_FLAVORS:
-                r = Restriction(prop, flavor, target=_parse_expr(cur))
-            elif flavor in CARDINALITY_FLAVORS:
-                r = Restriction(prop, flavor, count=cur.integer())
-            else:
-                raise ParseError(flavor_tok.line, flavor_tok.column,
-                                 f"unknown restriction flavor {flavor!r}")
+            r = _restriction_body(cur, prop, cur.next("a restriction flavor"), 1)
             cur.done()
             pending_restrictions.setdefault(cls, []).append(r)
         elif keyword == "individual":

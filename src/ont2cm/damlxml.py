@@ -362,9 +362,6 @@ class _Importer:
                 expr = self.parse_expr_entry(child, cpath, f"class {name}")
                 if expr is not None:
                     self._attach_definition(name, expr)
-            elif curi == _RDFS and clocal in ("label", "comment") \
-                    or curi == _DAML and clocal == "versionInfo":
-                self.skip_tree(child, cpath)
             else:
                 self.skip_tree(child, cpath)
 

@@ -75,10 +75,6 @@ def union_of(*members: ClassExpression) -> ClassExpression:
     return ClassExpression("or", members=tuple(members))
 
 
-def complement_of(member: ClassExpression) -> ClassExpression:
-    return ClassExpression("not", members=(member,))
-
-
 def restriction_expr(r: Restriction) -> ClassExpression:
     return ClassExpression("restriction", restriction=r)
 
@@ -200,18 +196,21 @@ def walk_expressions(ont: Ontology):
             yield f"individual {ind.name}", expr
 
 
-def _subexpressions(expr: ClassExpression):
-    yield expr
+def _complements(expr: ClassExpression):
+    if expr.op == "not":
+        yield expr
+        return
     for m in expr.members:
-        yield from _subexpressions(m)
+        yield from _complements(m)
     if expr.restriction is not None and expr.restriction.target is not None:
-        yield from _subexpressions(expr.restriction.target)
+        yield from _complements(expr.restriction.target)
 
 
-def iter_subexpressions(ont: Ontology):
-    """Yield (site, sub-expression) for every node of every expression tree."""
+def outermost_complements(ont: Ontology):
+    """Yield (site, complement) for every complement that no other
+    complement encloses, in document order."""
     for site, expr in walk_expressions(ont):
-        for sub in _subexpressions(expr):
+        for sub in _complements(expr):
             yield site, sub
 
 
@@ -514,16 +513,49 @@ def collapse_equivalences(ont: Ontology) -> tuple[Ontology, dict[str, str]]:
 # inherited-feature resolution
 
 
+def _superclass_edges(ont: Ontology) -> list[tuple[str, str, str]]:
+    """Every (sub, sup, source) edge the document asserts, in order: the
+    named conjuncts of subclass axioms, then of same-class axioms, then of
+    class definitions. A union on the right of a same-class axiom or a
+    definition instead makes each named member a subclass of the subject.
+    Self-edges are left out; an edge asserted twice is listed twice."""
+    declared = {c.name for c in ont.classes}
+    edges: list[tuple[str, str, str]] = []
+
+    def add(sub: str, sup: str, source: str) -> None:
+        if sub in declared and sup in declared and sub != sup:
+            edges.append((sub, sup, source))
+
+    def equivalence(subject: str, expr: ClassExpression, source: str) -> None:
+        if expr.op == "or":
+            for m in expr.members:
+                if m.op == "named":
+                    add(m.name, subject, "union membership")
+        else:
+            for sup in named_conjuncts(expr):
+                add(subject, sup, source)
+
+    for ax in ont.axioms:
+        if ax.kind == SUBCLASS:
+            for sup in named_conjuncts(ax.target):
+                add(ax.subject, sup, "subclass axiom")
+    for ax in ont.axioms:
+        if ax.kind == SAME_CLASS:
+            equivalence(ax.subject, ax.target, "equivalence axiom")
+    for cls in ont.classes:
+        if cls.definition is not None:
+            equivalence(cls.name, cls.definition, "definition")
+    return edges
+
+
 class OntologyIndex:
     """The one answer to "what reaches class X" over a validated ontology.
 
-    Three lookups: `ancestors` (the superclass closure), `direct_restrictions`
-    and `attached_properties` (what is asserted on a class itself). What
-    reaches a class is what is attached to it or to one of its ancestors.
-
-    The superclass graph used for inheritance matches the edges the
-    transformation turns into generalizations: subclass axioms, same-class
-    axioms, defined-class conjuncts, and union-definition membership.
+    Three lookups: `ancestors` (the closure over `superclass_edges`),
+    `direct_restrictions` and `attached_properties` (what is asserted on a
+    class itself). What reaches a class is what is attached to it or to one
+    of its ancestors. The transformation draws its generalizations from the
+    same `superclass_edges` list.
     """
 
     def __init__(self, ont: Ontology):
@@ -538,30 +570,14 @@ class OntologyIndex:
         self._attached: dict[str, tuple[str, ...]] = {}
         # subclass/same-class axioms by subject, in document order
         self._axioms_of: dict[str, list[Axiom]] = {}
-        self._super_edges: dict[str, list[str]] = {c.name: [] for c in ont.classes}
-        self._ancestors: dict[str, tuple[str, ...]] = {}
-        self._build_edges(ont)
-
-    def _add_edge(self, sub: str, sup: str) -> None:
-        if sub in self._super_edges and sup in self._classes and sup != sub:
-            if sup not in self._super_edges[sub]:
-                self._super_edges[sub].append(sup)
-
-    def _build_edges(self, ont: Ontology) -> None:
-        for cls in ont.classes:
-            if cls.definition is None:
-                continue
-            for sup in named_conjuncts(cls.definition):
-                self._add_edge(cls.name, sup)
-            if cls.definition.op == "or":
-                for m in cls.definition.members:
-                    if m.op == "named":
-                        self._add_edge(m.name, cls.name)
         for ax in ont.axioms:
             if ax.kind in (SUBCLASS, SAME_CLASS):
                 self._axioms_of.setdefault(ax.subject, []).append(ax)
-                for sup in named_conjuncts(ax.target):
-                    self._add_edge(ax.subject, sup)
+        self.superclass_edges = _superclass_edges(ont)
+        self._supers: dict[str, list[str]] = {}
+        for sub, sup, _ in self.superclass_edges:
+            self._supers.setdefault(sub, []).append(sup)
+        self._ancestors: dict[str, tuple[str, ...]] = {}
 
     def ancestors(self, cls: str) -> tuple[str, ...]:
         """Transitive superclasses in deterministic (BFS) order, excluding
@@ -570,7 +586,7 @@ class OntologyIndex:
         if cached is not None:
             return cached
         seen: list[str] = []
-        queue = deque(self._super_edges.get(cls, []))
+        queue = deque(self._supers.get(cls, ()))
         visited = {cls}
         while queue:
             nxt = queue.popleft()
@@ -578,7 +594,7 @@ class OntologyIndex:
                 continue
             visited.add(nxt)
             seen.append(nxt)
-            queue.extend(self._super_edges.get(nxt, []))
+            queue.extend(self._supers.get(nxt, ()))
         result = tuple(seen)
         self._ancestors[cls] = result
         return result

@@ -1,21 +1,25 @@
 """Ontology-to-model transformation.
 
-Mapping summary, applied in this order:
-  - every class becomes an entity type
-  - datatype properties become attributes at the classes that declare them
-    as domain or restrict them directly
-  - subclass/equivalence axioms and definition conjuncts become
-    generalizations (equivalence and union definitions point the arrow at
-    the defined class); edges that would close a cycle are skipped
-  - object properties become relationships at each class that is a domain
-    or direct restriction site; targets come from that class's direct
-    some/only restrictions, falling back to the declared range
-  - cardinality restrictions tighten the target multiplicity; universal
-    restrictions mark the relationship exclusive
-  - whole-part naming upgrades a relationship to composition when the part
-    joins nothing else, aggregation otherwise
-  - individuals become instances linked to their named types
-  - disjointness and union membership become constraint groups
+`transform` runs these stages in order, each a function returning what it
+builds; every class becomes an entity type first:
+  - attributes: datatype properties become attributes at the classes that
+    declare them as domain or restrict them directly
+  - generalizations: `OntologyIndex.superclass_edges` (subclass/equivalence
+    axioms, definition conjuncts, union members pointing at the defined
+    class), minus each edge that would close a cycle
+  - relationships: object properties become relationships at each class
+    that is a domain or direct restriction site; targets come from that
+    class's direct some/only restrictions, falling back to the declared
+    range. Cardinality restrictions tighten the target multiplicity;
+    universal restrictions mark the relationship exclusive
+  - dropped properties: properties that became neither
+  - whole-part: whole-part naming upgrades a relationship to composition
+    when the part joins nothing else, aggregation otherwise
+  - constraints: union membership, and/or target groups and disjointness
+    become constraint groups
+  - instances: individuals become instances linked to their named types
+  - diagnostics: collapsed equivalences, multi-domain properties,
+    complements, import skips and entities no property reaches
 
 Anything that cannot be carried over is flagged for specialist review
 rather than silently dropped.
@@ -23,6 +27,7 @@ rather than silently dropped.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .bww import BwwReport, classify
@@ -65,8 +70,8 @@ from .ontology import (
     _strongly_connected,
     collapse_equivalences,
     hoist_axiom_restrictions,
-    iter_subexpressions,
     named_conjuncts,
+    outermost_complements,
 )
 
 # whole-part tokens, compared after normalize_token
@@ -187,6 +192,313 @@ def insert_generalizations(candidates: list[tuple[str, str, str]]
     return gen_sources, notes
 
 
+class _Findings:
+    """Review flags and notes as the stages raise them; the report keeps
+    the first of each repeat."""
+
+    def __init__(self) -> None:
+        self.flags: list[FlaggedItem] = []
+        self.notes: list[str] = []
+
+    def flag(self, kind: str, subject: str, detail: str) -> None:
+        self.flags.append(FlaggedItem(kind, subject, detail))
+
+    def report(self) -> ValidationReport:
+        return ValidationReport(tuple(dict.fromkeys(self.flags)),
+                                tuple(dict.fromkeys(self.notes)))
+
+
+def _bounded(index: OntologyIndex, found: _Findings, cls: str,
+             prop: str) -> Multiplicity:
+    mult = merged_multiplicity(index, cls, prop)
+    if mult.unsatisfiable:
+        found.flag("unsatisfiableMultiplicity", f"{cls}.{prop}",
+                   f"merged bounds ({mult.lower}, {mult.upper}) cannot be met")
+    return mult
+
+
+def _attributes(ont: Ontology, index: OntologyIndex,
+                sites: dict[str, list[str]],
+                found: _Findings) -> dict[str, list[Attribute]]:
+    attributes: dict[str, list[Attribute]] = {c.name: [] for c in ont.classes}
+    for p in ont.properties:
+        if p.category != DATATYPE:
+            continue
+        datatype = p.range if p.range in DATATYPES else "string"
+        for site in sites[p.name]:
+            attributes[site].append(Attribute(
+                p.name, datatype, _bounded(index, found, site, p.name), p.name))
+    return attributes
+
+
+def _generalizations(ont: Ontology, index: OntologyIndex,
+                     entity_ids: dict[str, str], found: _Findings
+                     ) -> tuple[tuple[Generalization, ...],
+                                list[tuple[str, tuple[str, ...]]]]:
+    """Keep each superclass edge that closes no cycle. Also flag the unions
+    an edge cannot carry and collect the or-group of each union on the
+    right of a same-class axiom or a definition."""
+    union_groups: list[tuple[str, tuple[str, ...]]] = []
+
+    def conjunction(expr, site: str) -> None:
+        if expr.op == "and":
+            for m in expr.members:
+                conjunction(m, site)
+        elif expr.op == "or":
+            found.flag("unmappedConstruct", site,
+                       f"union expression {format_expr(expr)} has no direct mapping here")
+
+    def equivalence(subject: str, expr, site: str) -> None:
+        if expr.op != "or":
+            conjunction(expr, site)
+            return
+        for m in expr.members:
+            if m.op not in ("named", "not"):
+                found.flag("unmappedConstruct", site,
+                           f"union member {format_expr(m)} has no direct mapping")
+        member_ids = {entity_ids[m.name] for m in expr.members
+                      if m.op == "named" and m.name in entity_ids}
+        if len(member_ids) >= 2:
+            union_groups.append((subject, tuple(sorted(member_ids))))
+        found.notes.append(f"{site}: union definition; members recorded as "
+                           f"subtypes of {subject}, review the or-group")
+
+    for ax in ont.axioms:
+        if ax.kind != SUBCLASS:
+            continue
+        site = f"axiom subclass {ax.subject}"
+        if ax.target.op == "or":
+            found.flag("unmappedConstruct", site,
+                       f"union supertype {format_expr(ax.target)} has no direct mapping")
+        else:
+            conjunction(ax.target, site)
+    for ax in ont.axioms:
+        if ax.kind == SAME_CLASS:
+            equivalence(ax.subject, ax.target, f"axiom same-class {ax.subject}")
+    for cls in ont.classes:
+        if cls.definition is not None:
+            equivalence(cls.name, cls.definition, f"class {cls.name} definition")
+
+    gen_sources, skipped = insert_generalizations(index.superclass_edges)
+    found.notes.extend(skipped)
+    for (sub, sup), sources in gen_sources.items():
+        if len(sources) >= 2:
+            found.notes.append(f"generalization {sub} -> {sup} asserted more "
+                               "than one way: " + ", ".join(sources))
+    generalizations = tuple(Generalization(entity_ids[sub], entity_ids[sup])
+                            for sub, sup in gen_sources)
+    return generalizations, union_groups
+
+
+def _relationships(ont: Ontology, index: OntologyIndex,
+                   sites: dict[str, list[str]], entity_ids: dict[str, str],
+                   found: _Findings) -> dict[str, Relationship]:
+    """One relationship per (object property, site, target), by id. Each
+    group id joins the two or more targets of one and/or pool."""
+    relationships: dict[str, Relationship] = {}
+    for p in ont.properties:
+        if p.category != OBJECT:
+            continue
+        for site in sites[p.name]:
+            where = f"restriction {site}.{p.name}"
+            specs: list[tuple[str, str | None, str | None]] = []
+            for r in index.direct_restrictions(site):
+                if r.on_property != p.name or r.flavor not in CLASS_FLAVORS:
+                    continue
+                t = r.target
+                pool = "or" if t.op == "or" else "and" if r.flavor == SOME else None
+                if t.op == "named":
+                    specs.append((t.name, r.flavor, pool))
+                elif t.op in ("and", "or"):
+                    for m in t.members:
+                        if m.op == "named":
+                            specs.append((m.name, r.flavor, pool))
+                        elif m.op != "not":
+                            found.flag("unmappedConstruct", where,
+                                       f"target part {format_expr(m)} has no direct mapping")
+                elif t.op == "restriction":
+                    found.flag("unmappedConstruct", where,
+                               f"nested restriction target {format_expr(t)} has no direct mapping")
+            from_restriction = bool(specs)
+            if not specs and p.range in entity_ids:
+                specs.append((p.range, None, None))
+            specs = [spec for spec in specs if spec[0] in entity_ids]
+            if not specs:
+                continue
+            exclusive = {target for target, flavor, _ in specs if flavor == ONLY}
+            pool_of: dict[str, str] = {}
+            for target, _, pool in specs:
+                if pool is not None:
+                    pool_of.setdefault(target, pool)
+            pool_size = Counter(pool_of.values())
+
+            mult = _bounded(index, found, site, p.name)
+            for target in dict.fromkeys(spec[0] for spec in specs):
+                pool = pool_of.get(target)
+                group_id = (f"con:{pool}:{site}:{p.name}"
+                            if pool is not None and pool_size[pool] >= 2 else None)
+                rid = relationship_id(p.name, site, target)
+                relationships[rid] = Relationship(
+                    rid, p.name, entity_ids[site], entity_ids[target], MANY, mult,
+                    exclusive=target in exclusive, group_id=group_id)
+                if target in exclusive:
+                    found.flag("exclusiveRelation", rid,
+                               f"universal restriction on {site}.{p.name} "
+                               f"admits only {target} targets")
+                if (from_restriction and p.range is not None
+                        and p.range != target
+                        and p.range not in index.ancestors(target)
+                        and target not in index.ancestors(p.range)):
+                    found.notes.append(
+                        f"property {p.name}: declared range {p.range} is "
+                        f"unrelated to restriction target {target} on {site}")
+    return relationships
+
+
+def _dropped_properties(ont: Ontology, attributes: dict[str, list[Attribute]],
+                        relationships: dict[str, Relationship],
+                        found: _Findings) -> None:
+    mapped = {a.origin_property for attrs in attributes.values() for a in attrs}
+    mapped.update(rel.name for rel in relationships.values())
+    for p in ont.properties:
+        if p.name in mapped:
+            continue
+        if p.category == OBJECT:
+            found.flag("droppedProperty", p.name,
+                       "no relationship could be derived: the property needs a "
+                       "domain or restriction site and a resolvable target")
+        else:
+            found.flag("droppedProperty", p.name,
+                       "no attribute could be derived: the property has no domain "
+                       "and no class restricts it")
+
+
+def _whole_part(relationships: dict[str, Relationship],
+                found: _Findings) -> dict[str, Relationship]:
+    """Upgrade whole-part names to composition when the part joins nothing
+    else, to aggregation otherwise."""
+    participation: dict[str, int] = {}
+    for rel in relationships.values():
+        participation[rel.source_id] = participation.get(rel.source_id, 0) + 1
+        if rel.target_id != rel.source_id:
+            participation[rel.target_id] = participation.get(rel.target_id, 0) + 1
+    upgraded = dict(relationships)
+    for rid, rel in relationships.items():
+        token = normalize_token(rel.name)
+        if token not in _COMPOSITION_TOKENS:
+            continue
+        if rel.source_id == rel.target_id:
+            found.notes.append(f"{rid}: whole-part naming on a "
+                               "self-relationship ignored")
+            continue
+        if token in _WHOLE_AT_SOURCE:
+            whole, part = rel.source_id, rel.target_id
+        else:
+            whole, part = rel.target_id, rel.source_id
+        isolated = participation.get(part, 0) == 1
+        upgraded[rid] = replace(rel, kind=COMPOSITION if isolated else AGGREGATION,
+                                whole=whole)
+        if isolated:
+            found.flag("compositionCandidate", rid,
+                       f"name marks {part} as a part of {whole} and nothing "
+                       "else relates to the part")
+        else:
+            found.flag("aggregationCandidate", rid,
+                       f"name marks {part} as a part of {whole} but the part "
+                       "joins other relationships")
+    return upgraded
+
+
+def _constraints(ont: Ontology, union_groups: list[tuple[str, tuple[str, ...]]],
+                 relationships: dict[str, Relationship],
+                 entity_ids: dict[str, str],
+                 found: _Findings) -> tuple[SemanticConstraint, ...]:
+    """Union or-groups, relationship and/or groups and disjoint pairs, the
+    first constraint of each id kept."""
+    constraints: dict[str, SemanticConstraint] = {}
+    for subject, member_ids in union_groups:
+        cid = f"con:union:{subject}"
+        constraints.setdefault(cid, SemanticConstraint(cid, OR_GROUP, member_ids))
+    group_members: dict[str, list[str]] = {}
+    for rel in relationships.values():
+        if rel.group_id is not None:
+            group_members.setdefault(rel.group_id, []).append(rel.id)
+    for gid, members in group_members.items():
+        kind = AND_GROUP if gid.startswith("con:and:") else OR_GROUP
+        constraints[gid] = SemanticConstraint(gid, kind, tuple(sorted(members)))
+    for ax in ont.axioms:
+        if ax.kind != DISJOINT or ax.target.op != "named":
+            continue
+        a, b = ax.subject, ax.target.name
+        if a not in entity_ids or b not in entity_ids:
+            continue
+        if a == b:
+            found.notes.append(f"disjoint {a} {a}: self-disjointness ignored")
+            continue
+        lo, hi = sorted((a, b))
+        cid = f"con:disjoint:{lo}:{hi}"
+        constraints.setdefault(cid, SemanticConstraint(
+            cid, DISJOINT_GROUP, (entity_ids[lo], entity_ids[hi])))
+    return tuple(constraints.values())
+
+
+def _instances(ont: Ontology, entity_ids: dict[str, str],
+               found: _Findings) -> tuple[Instance, ...]:
+    instances: list[Instance] = []
+    for ind in ont.individuals:
+        site = f"individual {ind.name}"
+        type_ids: dict[str, None] = {}
+        for t in ind.types:
+            if t.op in ("named", "and"):
+                type_ids.update(dict.fromkeys(entity_ids[name]
+                                              for name in named_conjuncts(t)
+                                              if name in entity_ids))
+                for m in t.members:
+                    if m.op not in ("named", "and", "not"):
+                        found.flag("unmappedConstruct", site,
+                                   f"type part {format_expr(m)} has no direct mapping")
+            elif t.op != "not":
+                found.flag("unmappedConstruct", site,
+                           f"type {format_expr(t)} has no direct mapping")
+        instances.append(Instance(ind.name, tuple(sorted(type_ids))))
+    return tuple(instances)
+
+
+def _diagnostics(ont: Ontology, bww_report: BwwReport, config: TransformConfig,
+                 alias_map: dict[str, str] | None, import_report,
+                 found: _Findings) -> None:
+    if alias_map:
+        by_rep: dict[str, list[str]] = {}
+        for alias, rep in alias_map.items():
+            by_rep.setdefault(rep, []).append(alias)
+        for rep in sorted(by_rep):
+            found.flag("equivalenceCollapsed", rep,
+                       "absorbed equivalent class(es): " + ", ".join(sorted(by_rep[rep])))
+
+    for p in ont.properties:
+        if len(p.domains) >= 2:
+            found.flag("multiDomainProperty", p.name,
+                       "declared on several domains: " + ", ".join(p.domains))
+
+    for site, expr in outermost_complements(ont):
+        if site.startswith("individual ") and not config.include_instances:
+            continue
+        found.flag("unmappedConstruct", site,
+                   f"complement expression {format_expr(expr)} has no mapping")
+
+    if import_report is not None:
+        for entry in import_report.skipped:
+            found.flag("unmappedConstruct", entry.name,
+                       f"{entry.count} element(s) skipped at import, "
+                       f"first at {entry.first_location}")
+        found.notes.extend(import_report.notes)
+
+    for cls in ont.classes:
+        if bww_report.category_of(cls.name) == "thingSet":
+            found.flag("zeroPropertyEntity", cls.name,
+                       "no property reaches this entity; check whether it should stay")
+
+
 def transform(ont: Ontology, bww_report: BwwReport | None = None,
               config: TransformConfig | None = None,
               alias_map: dict[str, str] | None = None,
@@ -201,365 +513,43 @@ def transform(ont: Ontology, bww_report: BwwReport | None = None,
     if bww_report is None:
         bww_report = classify(ont, index)
 
-    flags: list[FlaggedItem] = []
-    notes: list[str] = []
-
-    def flag(kind: str, subject: str, detail: str) -> None:
-        flags.append(FlaggedItem(kind, subject, detail))
-
-    # ---- entity types
+    found = _Findings()
     entity_ids = {cls.name: entity_id(cls.name) for cls in ont.classes}
-
-    # ---- property attachment sites, in class declaration order per property
-    prop_sites: dict[str, list[str]] = {p.name: [] for p in ont.properties}
+    # property attachment sites, in class declaration order per property
+    sites: dict[str, list[str]] = {p.name: [] for p in ont.properties}
     for cls in ont.classes:
         for name in index.attached_properties(cls.name):
-            prop_sites[name].append(cls.name)
+            sites[name].append(cls.name)
 
-    def bounded(cls_name: str, prop_name: str) -> Multiplicity:
-        mult = merged_multiplicity(index, cls_name, prop_name)
-        if mult.unsatisfiable:
-            flag("unsatisfiableMultiplicity", f"{cls_name}.{prop_name}",
-                 f"merged bounds ({mult.lower}, {mult.upper}) cannot be met")
-        return mult
-
-    # ---- attributes
-    attributes: dict[str, list[Attribute]] = {c.name: [] for c in ont.classes}
-    mapped: dict[str, bool] = {p.name: False for p in ont.properties}
-    for p in ont.properties:
-        if p.category != DATATYPE:
-            continue
-        datatype = p.range if p.range in DATATYPES else "string"
-        for site in prop_sites[p.name]:
-            attributes[site].append(Attribute(p.name, datatype,
-                                              bounded(site, p.name), p.name))
-            mapped[p.name] = True
-
-    # ---- generalization candidates
-    candidates: list[tuple[str, str, str]] = []
-    union_groups: list[tuple[str, tuple[str, ...]]] = []
-
-    def add_candidate(sub: str, sup: str, source: str) -> None:
-        if sub in entity_ids and sup in entity_ids and sub != sup:
-            candidates.append((sub, sup, source))
-
-    def handle_conjunction(subject: str, expr, site: str, source: str) -> None:
-        for sup in named_conjuncts(expr):
-            add_candidate(subject, sup, source)
-
-        def sweep(e) -> None:
-            if e.op == "and":
-                for m in e.members:
-                    sweep(m)
-            elif e.op == "or":
-                flag("unmappedConstruct", site,
-                     f"union expression {format_expr(e)} has no direct mapping here")
-
-        sweep(expr)
-
-    def handle_equivalence(subject: str, expr, site: str, source: str) -> None:
-        if expr.op == "or":
-            member_ids = []
-            for m in expr.members:
-                if m.op == "named" and m.name in entity_ids:
-                    add_candidate(m.name, subject, "union membership")
-                    if entity_ids[m.name] not in member_ids:
-                        member_ids.append(entity_ids[m.name])
-                elif m.op not in ("named", "not"):
-                    flag("unmappedConstruct", site,
-                         f"union member {format_expr(m)} has no direct mapping")
-            if len(member_ids) >= 2:
-                union_groups.append((subject, tuple(sorted(member_ids))))
-            notes.append(f"{site}: union definition; members recorded as "
-                         f"subtypes of {subject}, review the or-group")
-        elif expr.op in ("named", "and", "restriction"):
-            handle_conjunction(subject, expr, site, source)
-        # complements are handled by the excess sweep
-
-    for ax in ont.axioms:
-        if ax.kind != SUBCLASS:
-            continue
-        site = f"axiom subclass {ax.subject}"
-        if ax.target.op == "or":
-            flag("unmappedConstruct", site,
-                 f"union supertype {format_expr(ax.target)} has no direct mapping")
-        elif ax.target.op in ("named", "and", "restriction"):
-            handle_conjunction(ax.subject, ax.target, site, "subclass axiom")
-    for ax in ont.axioms:
-        if ax.kind == SAME_CLASS:
-            handle_equivalence(ax.subject, ax.target,
-                               f"axiom same-class {ax.subject}", "equivalence axiom")
-    for cls in ont.classes:
-        if cls.definition is not None:
-            handle_equivalence(cls.name, cls.definition,
-                               f"class {cls.name} definition", "definition")
-
-    gen_sources, skipped = insert_generalizations(candidates)
-    notes.extend(skipped)
-    generalizations = tuple(Generalization(entity_ids[sub], entity_ids[sup])
-                            for sub, sup in gen_sources)
-    for (sub, sup), sources in gen_sources.items():
-        if len(sources) >= 2:
-            notes.append(f"generalization {sub} -> {sup} asserted more than "
-                         "one way: " + ", ".join(sources))
-
-    # ---- relationships
-    rel_order: list[str] = []
-    rel_map: dict[str, Relationship] = {}
-    group_members: dict[str, list[str]] = {}
-
-    for p in ont.properties:
-        if p.category != OBJECT:
-            continue
-        for site_cls in prop_sites[p.name]:
-            direct = [r for r in index.direct_restrictions(site_cls)
-                      if r.on_property == p.name and r.flavor in CLASS_FLAVORS]
-            where = f"restriction {site_cls}.{p.name}"
-            specs: list[tuple[str, str | None, str | None]] = []
-            for r in direct:
-                t = r.target
-                pool = "and" if r.flavor == SOME else None
-                if t.op == "named":
-                    specs.append((t.name, r.flavor, pool))
-                elif t.op == "and":
-                    for m in t.members:
-                        if m.op == "named":
-                            specs.append((m.name, r.flavor, pool))
-                        elif m.op != "not":
-                            flag("unmappedConstruct", where,
-                                 f"target part {format_expr(m)} has no direct mapping")
-                elif t.op == "or":
-                    for m in t.members:
-                        if m.op == "named":
-                            specs.append((m.name, r.flavor, "or"))
-                        elif m.op != "not":
-                            flag("unmappedConstruct", where,
-                                 f"target part {format_expr(m)} has no direct mapping")
-                elif t.op == "restriction":
-                    flag("unmappedConstruct", where,
-                         f"nested restriction target {format_expr(t)} has no direct mapping")
-            if not specs and p.range is not None and p.range in entity_ids:
-                specs.append((p.range, None, None))
-
-            order: list[str] = []
-            info: dict[str, dict] = {}
-            for target, flavor, pool in specs:
-                if target not in entity_ids:
-                    continue
-                if target not in order:
-                    order.append(target)
-                    info[target] = {"exclusive": False, "pool": None,
-                                    "from_restriction": False}
-                if flavor == ONLY:
-                    info[target]["exclusive"] = True
-                if flavor is not None:
-                    info[target]["from_restriction"] = True
-                if pool is not None and info[target]["pool"] is None:
-                    info[target]["pool"] = pool
-            if not order:
-                continue
-
-            mult = bounded(site_cls, p.name)
-            and_pool = [t for t in order if info[t]["pool"] == "and"]
-            or_pool = [t for t in order if info[t]["pool"] == "or"]
-            for target in order:
-                group_id = None
-                if info[target]["pool"] == "and" and len(and_pool) >= 2:
-                    group_id = f"con:and:{site_cls}:{p.name}"
-                elif info[target]["pool"] == "or" and len(or_pool) >= 2:
-                    group_id = f"con:or:{site_cls}:{p.name}"
-                rid = relationship_id(p.name, site_cls, target)
-                rel = Relationship(rid, p.name, entity_ids[site_cls],
-                                   entity_ids[target], MANY, mult,
-                                   exclusive=info[target]["exclusive"],
-                                   group_id=group_id)
-                if rid not in rel_map:
-                    rel_order.append(rid)
-                rel_map[rid] = rel
-                mapped[p.name] = True
-                if group_id is not None:
-                    group_members.setdefault(group_id, [])
-                    if rid not in group_members[group_id]:
-                        group_members[group_id].append(rid)
-                if rel.exclusive:
-                    flag("exclusiveRelation", rid,
-                         f"universal restriction on {site_cls}.{p.name} "
-                         f"admits only {target} targets")
-                if (info[target]["from_restriction"] and p.range is not None
-                        and p.range != target
-                        and p.range not in index.ancestors(target)
-                        and target not in index.ancestors(p.range)):
-                    notes.append(
-                        f"property {p.name}: declared range {p.range} is "
-                        f"unrelated to restriction target {target} on {site_cls}")
-
-    for p in ont.properties:
-        if mapped[p.name]:
-            continue
-        if p.category == OBJECT:
-            flag("droppedProperty", p.name,
-                 "no relationship could be derived: the property needs a "
-                 "domain or restriction site and a resolvable target")
-        else:
-            flag("droppedProperty", p.name,
-                 "no attribute could be derived: the property has no domain "
-                 "and no class restricts it")
-
-    # ---- whole-part upgrade
+    attributes = _attributes(ont, index, sites, found)
+    generalizations, union_groups = _generalizations(ont, index, entity_ids, found)
+    relationships = _relationships(ont, index, sites, entity_ids, found)
+    _dropped_properties(ont, attributes, relationships, found)
     if config.composition_heuristics:
-        participation: dict[str, int] = {}
-        for rid in rel_order:
-            rel = rel_map[rid]
-            participation[rel.source_id] = participation.get(rel.source_id, 0) + 1
-            if rel.target_id != rel.source_id:
-                participation[rel.target_id] = participation.get(rel.target_id, 0) + 1
-        for rid in rel_order:
-            rel = rel_map[rid]
-            token = normalize_token(rel.name)
-            if token not in _COMPOSITION_TOKENS:
-                continue
-            if rel.source_id == rel.target_id:
-                notes.append(f"{rel.id}: whole-part naming on a "
-                             "self-relationship ignored")
-                continue
-            if token in _WHOLE_AT_SOURCE:
-                whole, part = rel.source_id, rel.target_id
-            else:
-                whole, part = rel.target_id, rel.source_id
-            isolated = participation.get(part, 0) == 1
-            kind = COMPOSITION if isolated else AGGREGATION
-            rel_map[rid] = replace(rel, kind=kind, whole=whole)
-            if isolated:
-                flag("compositionCandidate", rid,
-                     f"name marks {part} as a part of {whole} and nothing "
-                     "else relates to the part")
-            else:
-                flag("aggregationCandidate", rid,
-                     f"name marks {part} as a part of {whole} but the part "
-                     "joins other relationships")
-
-    # ---- constraints
-    constraints: list[SemanticConstraint] = []
-    seen_constraint_ids: set[str] = set()
-    for subject, member_ids in union_groups:
-        cid = f"con:union:{subject}"
-        if cid not in seen_constraint_ids:
-            seen_constraint_ids.add(cid)
-            constraints.append(SemanticConstraint(cid, OR_GROUP, member_ids))
-    for gid, members in group_members.items():
-        if len(members) >= 2 and gid not in seen_constraint_ids:
-            seen_constraint_ids.add(gid)
-            kind = AND_GROUP if gid.startswith("con:and:") else OR_GROUP
-            constraints.append(SemanticConstraint(gid, kind, tuple(sorted(members))))
-    materialized_groups = {c.id for c in constraints}
-    for rid in rel_order:
-        rel = rel_map[rid]
-        if rel.group_id is not None and rel.group_id not in materialized_groups:
-            rel_map[rid] = replace(rel, group_id=None)
-
-    seen_pairs: set[tuple[str, str]] = set()
-    for ax in ont.axioms:
-        if ax.kind != DISJOINT or ax.target.op != "named":
-            continue
-        a, b = ax.subject, ax.target.name
-        if a not in entity_ids or b not in entity_ids:
-            continue
-        if a == b:
-            notes.append(f"disjoint {a} {a}: self-disjointness ignored")
-            continue
-        lo, hi = sorted((a, b))
-        if (lo, hi) in seen_pairs:
-            continue
-        seen_pairs.add((lo, hi))
-        constraints.append(SemanticConstraint(
-            f"con:disjoint:{lo}:{hi}", DISJOINT_GROUP,
-            (entity_ids[lo], entity_ids[hi])))
-
-    # ---- instances
-    instances: list[Instance] = []
+        relationships = _whole_part(relationships, found)
+    constraints = _constraints(ont, union_groups, relationships, entity_ids, found)
     if config.include_instances:
-        for ind in ont.individuals:
-            type_ids: list[str] = []
-            for t in ind.types:
-                if t.op in ("named", "and"):
-                    for name in named_conjuncts(t):
-                        if name in entity_ids and entity_ids[name] not in type_ids:
-                            type_ids.append(entity_ids[name])
-                    if t.op == "and":
-                        for m in t.members:
-                            if m.op not in ("named", "and", "not"):
-                                flag("unmappedConstruct", f"individual {ind.name}",
-                                     f"type part {format_expr(m)} has no direct mapping")
-                elif t.op != "not":
-                    flag("unmappedConstruct", f"individual {ind.name}",
-                         f"type {format_expr(t)} has no direct mapping")
-            instances.append(Instance(ind.name, tuple(sorted(type_ids))))
-    elif ont.individuals:
-        notes.append(f"{len(ont.individuals)} individual(s) excluded by "
-                     "configuration")
-
-    # ---- diagnostics
-    if alias_map:
-        by_rep: dict[str, list[str]] = {}
-        for alias, rep in alias_map.items():
-            by_rep.setdefault(rep, []).append(alias)
-        for rep in sorted(by_rep):
-            flag("equivalenceCollapsed", rep,
-                 "absorbed equivalent class(es): " + ", ".join(sorted(by_rep[rep])))
-
-    for p in ont.properties:
-        if len(p.domains) >= 2:
-            flag("multiDomainProperty", p.name,
-                 "declared on several domains: " + ", ".join(p.domains))
-
-    for site, sub in iter_subexpressions(ont):
-        if sub.op == "not":
-            if site.startswith("individual ") and not config.include_instances:
-                continue
-            flag("unmappedConstruct", site,
-                 f"complement expression {format_expr(sub)} has no mapping")
-
-    if import_report is not None:
-        for entry in import_report.skipped:
-            flag("unmappedConstruct", entry.name,
-                 f"{entry.count} element(s) skipped at import, "
-                 f"first at {entry.first_location}")
-        notes.extend(import_report.notes)
-
-    for cls in ont.classes:
-        if bww_report.category_of(cls.name) == "thingSet":
-            flag("zeroPropertyEntity", cls.name,
-                 "no property reaches this entity; check whether it should stay")
+        instances = _instances(ont, entity_ids, found)
+    else:
+        instances = ()
+        if ont.individuals:
+            found.notes.append(f"{len(ont.individuals)} individual(s) excluded "
+                               "by configuration")
+    _diagnostics(ont, bww_report, config, alias_map, import_report, found)
 
     entity_types = tuple(
         EntityType(entity_ids[cls.name], cls.name, cls.name,
                    bww_report.category_of(cls.name), cls.kind,
                    tuple(attributes[cls.name]))
         for cls in ont.classes)
-
     model = canonical_order(ConceptualModel(
         ont.name,
         entity_types=entity_types,
-        relationships=tuple(rel_map[rid] for rid in rel_order),
+        relationships=tuple(relationships.values()),
         generalizations=generalizations,
-        constraints=tuple(constraints),
-        instances=tuple(instances)))
-
-    unique_items: list[FlaggedItem] = []
-    seen_items: set[tuple[str, str, str]] = set()
-    for item in flags:
-        key = (item.kind, item.subject, item.detail)
-        if key not in seen_items:
-            seen_items.add(key)
-            unique_items.append(item)
-    unique_notes: list[str] = []
-    seen_notes: set[str] = set()
-    for note in notes:
-        if note not in seen_notes:
-            seen_notes.add(note)
-            unique_notes.append(note)
-
-    return model, ValidationReport(tuple(unique_items), tuple(unique_notes))
+        constraints=constraints,
+        instances=instances))
+    return model, found.report()
 
 
 def derive_model(ont: Ontology, config: TransformConfig | None = None,

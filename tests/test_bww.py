@@ -133,6 +133,10 @@ def oracle_category(o: Ontology, cls: str) -> tuple[str, int, int]:
             for sup in _conjunct_names(ax.target):
                 if sup in declared and sup != ax.subject:
                     edges[ax.subject].add(sup)
+            if ax.kind == SAME_CLASS and ax.target.op == "or":
+                for m in ax.target.members:
+                    if m.op == "named" and m.name in declared and m.name != ax.subject:
+                        edges[m.name].add(ax.subject)
 
     closure = {cls}
     frontier = [cls]

@@ -116,7 +116,8 @@ class TestGoldenArtifacts:
 
     @pytest.mark.parametrize("name, suffix", [
         (name, suffix)
-        for name in ("tambis-mini.cot", "protein.daml")
+        for name in ("tambis-mini.cot", "protein.daml", "review.cot",
+                     "excess.daml")
         for suffix in (".model.json", ".puml", ".dot", ".report.md",
                        ".bww.json")])
     def test_matches_golden_bytes(self, tmp_path, name, suffix):

@@ -14,7 +14,6 @@ from ont2cm.transform import (
     TransformConfig,
     derive_model,
     insert_generalizations,
-    transform,
 )
 from invariants import assert_model_invariants
 from strategies import ontologies
@@ -219,6 +218,20 @@ class TestGeneralizations:
         assert (con.kind, con.member_ids) == ("orGroup", ("et:DNA", "et:RNA"))
         assert any("union definition" in n for n in report.notes)
 
+    @pytest.mark.parametrize("statement", [
+        "same-class X or(A, B)", "defined-class X = or(A, B)"])
+    def test_union_members_inherit_from_the_subject(self, statement):
+        classes = "class A\nclass B\n"
+        if statement.startswith("same-class"):
+            classes += "class X\n"
+        model, report, grading, _ = derive_model(cot.parse(
+            f"ontology t\n{classes}{statement}\n"
+            "dataprop size domain X range integer\n"))
+        pairs = {(g.sub_id, g.super_id) for g in model.generalizations}
+        assert pairs == {("et:A", "et:X"), ("et:B", "et:X")}
+        assert grading.category_of("A") == grading.category_of("B") == "bwwClass"
+        assert report.by_kind("zeroPropertyEntity") == ()
+
     def test_union_supertype_in_subclass_axiom_is_flagged(self):
         model, report = from_text(
             "ontology t\nclass A\nclass B\nclass C\n"
@@ -338,6 +351,14 @@ class TestInstancesAndConstraints:
         complements = [i for i in report.by_kind("unmappedConstruct")
                        if "complement" in i.detail]
         assert len(complements) == 2
+
+    def test_only_the_outermost_complement_is_flagged(self):
+        depth = 200
+        inner = "not(" * (depth - 1) + "B" + ")" * (depth - 1)
+        _, report = from_text(f"ontology t\nclass A\nclass B\nsubclass A {inner}\n")
+        (flag,) = [i for i in report.by_kind("unmappedConstruct")
+                   if "complement" in i.detail]
+        assert flag.detail == f"complement expression {inner} has no mapping"
 
     def test_thing_set_entities_flagged(self):
         _, report = derive("rule1.cot")
