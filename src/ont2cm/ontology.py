@@ -8,8 +8,8 @@ and usable as dict keys.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
+from itertools import chain
 
 # Datatype names accepted for datatype-property ranges.
 DATATYPES = ("string", "integer", "decimal", "boolean", "date")
@@ -481,7 +481,8 @@ def collapse_equivalences(ont: Ontology) -> tuple[Ontology, dict[str, str]]:
     for ax in list(ont.axioms) + extra_axioms:
         subject = mapping.get(ax.subject, ax.subject)
         target = rename_expression(ax.target, mapping)
-        if target.op == "named" and target.name == subject:
+        if (target.op == "named" and target.name == subject
+                and ax.target.name != ax.subject):
             continue  # cycle edges vanish into the representative
         renamed = Axiom(ax.kind, subject, target)
         if renamed not in seen_axioms:
@@ -548,6 +549,35 @@ def _superclass_edges(ont: Ontology) -> list[tuple[str, str, str]]:
     return edges
 
 
+def _closures(supers: dict[str, list[str]]) -> dict[str, tuple[str, ...]]:
+    """Every class's transitive superclasses, self excluded, each once.
+
+    One pass over the condensation of `supers`: Tarjan emits a component
+    after every component it reaches, so a component's closure is its other
+    members, then its outside successors and their already-built closures.
+    """
+    closure: dict[str, tuple[str, ...]] = {}
+    for comp in _strongly_connected(supers):
+        if len(comp) == 1:
+            outside = supers[comp[0]]
+        else:
+            members = set(comp)
+            outside = [s for m in comp for s in supers[m] if s not in members]
+        if not outside:
+            tail = ()
+        elif len(outside) == 1:
+            tail = (outside[0],) + closure[outside[0]]
+        else:
+            tail = tuple(dict.fromkeys(
+                chain(outside, *map(closure.__getitem__, outside))))
+        if len(comp) == 1:
+            closure[comp[0]] = tail
+        else:
+            for m in comp:
+                closure[m] = tuple(x for x in comp if x != m) + tail
+    return closure
+
+
 class OntologyIndex:
     """The one answer to "what reaches class X" over a validated ontology.
 
@@ -574,30 +604,18 @@ class OntologyIndex:
             if ax.kind in (SUBCLASS, SAME_CLASS):
                 self._axioms_of.setdefault(ax.subject, []).append(ax)
         self.superclass_edges = _superclass_edges(ont)
-        self._supers: dict[str, list[str]] = {}
+        self._supers: dict[str, list[str]] = {name: [] for name in self._classes}
         for sub, sup, _ in self.superclass_edges:
-            self._supers.setdefault(sub, []).append(sup)
-        self._ancestors: dict[str, tuple[str, ...]] = {}
+            self._supers[sub].append(sup)
+        self._ancestors: dict[str, tuple[str, ...]] | None = None
 
     def ancestors(self, cls: str) -> tuple[str, ...]:
-        """Transitive superclasses in deterministic (BFS) order, excluding
-        the class itself. Cycle-safe."""
-        cached = self._ancestors.get(cls)
-        if cached is not None:
-            return cached
-        seen: list[str] = []
-        queue = deque(self._supers.get(cls, ()))
-        visited = {cls}
-        while queue:
-            nxt = queue.popleft()
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            seen.append(nxt)
-            queue.extend(self._supers.get(nxt, ()))
-        result = tuple(seen)
-        self._ancestors[cls] = result
-        return result
+        """Transitive superclasses in a deterministic order, excluding the
+        class itself. Cycle-safe. Every class's closure is built on the
+        first call."""
+        if self._ancestors is None:
+            self._ancestors = _closures(self._supers)
+        return self._ancestors.get(cls, ())
 
     def direct_restrictions(self, cls: str) -> list[Restriction]:
         """Restrictions asserted on the class itself: local ones, plus

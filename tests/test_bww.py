@@ -1,8 +1,12 @@
 """Concept grading, checked against an independent closure-based oracle."""
 
+from dataclasses import replace
+
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ont2cm import bww
+from ont2cm.emit import emit_bww_json
 from ont2cm.ontology import (
     DEFINED,
     SUBCLASS,
@@ -13,6 +17,8 @@ from ont2cm.ontology import (
     Ontology,
     PropertyDefinition,
     Restriction,
+    collapse_equivalences,
+    hoist_axiom_restrictions,
     intersection_of,
     named,
     restriction_expr,
@@ -94,6 +100,22 @@ class TestGrading:
         report = bww.classify(o)
         graded = {p.name: p.category for p in report.properties}
         assert graded == {"size": "intrinsic", "binds": "mutual"}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_declaration_order_does_not_matter(self, data):
+        o = data.draw(ontologies())
+        shuffled = replace(
+            o, classes=tuple(data.draw(st.permutations(o.classes))),
+            properties=tuple(data.draw(st.permutations(o.properties))),
+            axioms=tuple(data.draw(st.permutations(o.axioms))))
+
+        def graded(ontology):
+            # what `ont2cm classify` writes
+            collapsed, _ = collapse_equivalences(hoist_axiom_restrictions(ontology))
+            return emit_bww_json(bww.classify(collapsed))
+
+        assert graded(shuffled) == graded(o)
 
 
 # --------------------------------------------------------------------------

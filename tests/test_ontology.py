@@ -1,10 +1,12 @@
 """Core ontology model: validation, normalization, equivalence collapse and
 inherited-feature resolution."""
 
+from collections import deque
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ont2cm.ontology import (
     DEFINED,
@@ -289,6 +291,46 @@ def chain_fixture():
     )
 
 
+def reference_ancestors(index, cls):
+    """The per-class breadth-first search `ancestors` replaced, over the
+    index's own superclass edges."""
+    supers = {}
+    for sub, sup, _ in index.superclass_edges:
+        supers.setdefault(sub, []).append(sup)
+    seen = []
+    queue = deque(supers.get(cls, ()))
+    visited = {cls}
+    while queue:
+        nxt = queue.popleft()
+        if nxt in visited:
+            continue
+        visited.add(nxt)
+        seen.append(nxt)
+        queue.extend(supers.get(nxt, ()))
+    return set(seen)
+
+
+@st.composite
+def ontologies_with_cycles(draw):
+    """Generated ontologies plus planted same-class cycles and same-class
+    unions over their own classes."""
+    o = draw(ontologies())
+    names = [c.name for c in o.classes]
+    extra = []
+    if len(names) > 1:
+        for cycle in draw(st.lists(st.lists(st.sampled_from(names), min_size=2,
+                                            max_size=4, unique=True), max_size=2)):
+            extra += [Axiom(SAME_CLASS, a, named(b))
+                      for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+        for _ in range(draw(st.integers(0, 2))):
+            members = draw(st.lists(st.sampled_from(names), min_size=2,
+                                    max_size=3, unique=True))
+            extra.append(Axiom(SAME_CLASS, draw(st.sampled_from(names)),
+                               union_of(*map(named, members))))
+    axioms = list(o.axioms) + extra
+    return replace(o, axioms=tuple(draw(st.permutations(axioms))))
+
+
 class TestOntologyIndex:
     def test_attached_properties_domains_first_each_once(self):
         o = chain_fixture()
@@ -313,3 +355,36 @@ class TestOntologyIndex:
         index = OntologyIndex(o)
         assert set(index.ancestors("A")) == {"B"}
         assert set(index.ancestors("B")) == {"A"}
+
+    def test_cycle_under_a_diamond(self):
+        # Bottom < Left, Right < Top, and A = B = C (a same-class cycle,
+        # which is never collapsed) below Bottom
+        o = ont(classes=[ClassDefinition(n) for n in
+                         ("Top", "Left", "Right", "Bottom", "A", "B", "C")],
+                axioms=[Axiom(SUBCLASS, "Left", named("Top")),
+                        Axiom(SUBCLASS, "Right", named("Top")),
+                        Axiom(SUBCLASS, "Bottom", named("Left")),
+                        Axiom(SUBCLASS, "Bottom", named("Right")),
+                        Axiom(SAME_CLASS, "A", named("B")),
+                        Axiom(SAME_CLASS, "B", named("C")),
+                        Axiom(SAME_CLASS, "C", named("A")),
+                        Axiom(SUBCLASS, "A", named("Bottom"))])
+        index = OntologyIndex(o)
+        diamond = {"Bottom", "Left", "Right", "Top"}
+        for cls in ("A", "B", "C"):
+            above = index.ancestors(cls)
+            assert set(above) == {"A", "B", "C"} - {cls} | diamond
+            assert len(above) == 6
+        assert sorted(index.ancestors("Bottom")) == ["Left", "Right", "Top"]
+        assert index.ancestors("Left") == ("Top",)
+        assert index.ancestors("Top") == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ontologies_with_cycles())
+    def test_matches_per_class_search(self, o):
+        index = OntologyIndex(o)
+        for c in o.classes:
+            expected = reference_ancestors(index, c.name)
+            assert set(index.ancestors(c.name)) == expected, c.name
+            assert len(index.ancestors(c.name)) == len(expected), c.name
+

@@ -343,6 +343,15 @@ class TestInstancesAndConstraints:
         assert len(model.constraints) == 1
         assert any("self-disjointness ignored" in n for n in report.notes)
 
+    def test_self_disjointness_noted_beside_a_collapsed_cycle(self):
+        # disjoint P Q collapses into P and vanishes; disjoint X X stays
+        model, report = from_text(
+            "ontology t\nclass P\nclass Q\nclass X\n"
+            "subclass P Q\nsubclass Q P\ndisjoint P Q\ndisjoint X X\n")
+        assert model.constraints == ()
+        assert [n for n in report.notes if "disjoint" in n] == \
+            ["disjoint X X: self-disjointness ignored"]
+
     def test_complement_flagged_wherever_it_appears(self):
         _, report = from_text(
             "ontology t\nclass A\nclass B\n"
