@@ -3,7 +3,7 @@
 Concepts are graded by how much structure they actually carry: a bare set of
 things, a class held together by one common property, a kind with several,
 or a natural kind whose members are additionally bound by laws. Laws here
-are restrictions and disjointness assertions. Properties split into
+are restrictions and disjointness between two classes. Properties split into
 intrinsic ones (carried by a single thing, datatype-valued) and mutual ones
 (shared between things, object-valued).
 """
@@ -74,8 +74,10 @@ def classify(ont: Ontology, index: OntologyIndex | None = None) -> BwwReport:
 
     disjoint_mentions: dict[str, int] = {}
     for ax in ont.axioms:
-        if ax.kind == DISJOINT and ax.target.op == "named":
-            for side in {ax.subject, ax.target.name}:
+        # self-disjointness is no law; the transform notes it as ignored
+        if (ax.kind == DISJOINT and ax.target.op == "named"
+                and ax.target.name != ax.subject):
+            for side in (ax.subject, ax.target.name):
                 disjoint_mentions[side] = disjoint_mentions.get(side, 0) + 1
 
     # Per-class values read once, then unioned and summed over each

@@ -67,14 +67,6 @@ def named(name: str) -> ClassExpression:
     return ClassExpression("named", name=name)
 
 
-def intersection_of(*members: ClassExpression) -> ClassExpression:
-    return ClassExpression("and", members=tuple(members))
-
-
-def union_of(*members: ClassExpression) -> ClassExpression:
-    return ClassExpression("or", members=tuple(members))
-
-
 def restriction_expr(r: Restriction) -> ClassExpression:
     return ClassExpression("restriction", restriction=r)
 
@@ -368,16 +360,6 @@ def hoist_axiom_restrictions(ont: Ontology) -> Ontology:
     return replace(ont, classes=classes, axioms=tuple(kept))
 
 
-def _subclass_edges(ont: Ontology) -> dict[str, list[str]]:
-    """Directed edges sub -> super from subclass axioms with named targets."""
-    edges: dict[str, list[str]] = {c.name: [] for c in ont.classes}
-    for ax in ont.axioms:
-        if ax.kind == SUBCLASS and ax.target.op == "named":
-            if ax.subject in edges and ax.target.name in edges:
-                edges[ax.subject].append(ax.target.name)
-    return edges
-
-
 def _strongly_connected(edges: dict[str, list[str]]) -> list[list[str]]:
     """Iterative Tarjan; returns components in a deterministic order."""
     index: dict[str, int] = {}
@@ -428,17 +410,21 @@ def _strongly_connected(edges: dict[str, list[str]]) -> list[list[str]]:
 
 
 def collapse_equivalences(ont: Ontology) -> tuple[Ontology, dict[str, str]]:
-    """Collapse subclass cycles over named classes into a single
-    representative per cycle (the lexicographically least name).
+    """Collapse every cycle of superclass edges into a single representative
+    per strongly connected component (the lexicographically least name).
 
+    The edges are `_superclass_edges`, the ones grading and the
+    generalizations read. Each is a subsumption, so each cycle is an
+    equivalence, and the collapsed edges form the acyclic condensation.
     Returns the rewritten ontology and an alias map {alias: representative}.
-    same-class axioms with named targets are deliberately preserved; they
-    feed the generalization mapping, not the collapse. When there is nothing
-    to collapse the input is returned unchanged with an empty map.
+    When there is nothing to collapse the input is returned unchanged with
+    an empty map.
     """
-    components = _strongly_connected(_subclass_edges(ont))
+    supers: dict[str, list[str]] = {c.name: [] for c in ont.classes}
+    for sub, sup, _ in _superclass_edges(ont):
+        supers[sub].append(sup)
     mapping: dict[str, str] = {}
-    for comp in components:
+    for comp in _strongly_connected(supers):
         if len(comp) < 2:
             continue
         rep = comp[0]
@@ -512,6 +498,11 @@ def collapse_equivalences(ont: Ontology) -> tuple[Ontology, dict[str, str]]:
 
 # --------------------------------------------------------------------------
 # inherited-feature resolution
+
+
+# the sources a superclass edge can have, in the order notes list them
+EDGE_SOURCES = ("subclass axiom", "equivalence axiom", "union membership",
+                "definition")
 
 
 def _superclass_edges(ont: Ontology) -> list[tuple[str, str, str]]:

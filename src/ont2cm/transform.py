@@ -6,7 +6,8 @@ builds; every class becomes an entity type first:
     declare them as domain or restrict them directly
   - generalizations: `OntologyIndex.superclass_edges` (subclass/equivalence
     axioms, definition conjuncts, union members pointing at the defined
-    class), minus each edge that would close a cycle
+    class), each pair once; `collapse_equivalences` has already folded every
+    cycle of those edges, so they form no cycle
   - relationships: object properties become relationships at each class
     that is a domain or direct restriction site; targets come from that
     class's direct some/only restrictions, falling back to the declared
@@ -57,6 +58,7 @@ from .ontology import (
     DATATYPE,
     DATATYPES,
     DISJOINT,
+    EDGE_SOURCES,
     EXACTLY,
     MAX,
     MIN,
@@ -67,7 +69,6 @@ from .ontology import (
     SUBCLASS,
     Ontology,
     OntologyIndex,
-    _strongly_connected,
     collapse_equivalences,
     hoist_axiom_restrictions,
     named_conjuncts,
@@ -141,57 +142,6 @@ def merged_multiplicity(index: OntologyIndex, cls: str, prop: str) -> Multiplici
     return Multiplicity(lower, upper, unsatisfiable=unsatisfiable)
 
 
-def insert_generalizations(candidates: list[tuple[str, str, str]]
-                           ) -> tuple[dict[tuple[str, str], list[str]], list[str]]:
-    """Insert (sub, sup, source) candidates one by one, skipping each edge
-    that would close a cycle with the edges kept so far. Returns the sources
-    of each kept pair, in insertion order, and a note per skipped edge.
-
-    Only candidates whose ends share a strongly connected component of the
-    whole candidate graph can close a cycle, and every path between two
-    nodes of one component stays inside it. So the search for a closing
-    path runs only there, and only inside that component.
-    """
-    candidate_edges: dict[str, list[str]] = {}
-    for sub, sup, _ in candidates:
-        candidate_edges.setdefault(sub, []).append(sup)
-        candidate_edges.setdefault(sup, [])
-    component = {node: n
-                 for n, members in enumerate(_strongly_connected(candidate_edges))
-                 for node in members}
-
-    gen_edges: dict[str, set[str]] = {}
-    gen_sources: dict[tuple[str, str], list[str]] = {}
-    notes: list[str] = []
-
-    def reaches(start: str, goal: str) -> bool:
-        scope = component[start]
-        seen, stack = set(), [start]
-        while stack:
-            node = stack.pop()
-            if node == goal:
-                return True
-            for nxt in gen_edges.get(node, ()):
-                if nxt not in seen and component[nxt] == scope:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
-    for sub, sup, source in candidates:
-        pair = (sub, sup)
-        if pair in gen_sources:
-            if source not in gen_sources[pair]:
-                gen_sources[pair].append(source)
-            continue
-        if component[sub] == component[sup] and reaches(sup, sub):
-            notes.append(f"generalization {sub} -> {sup} skipped: "
-                         "it would close a cycle")
-            continue
-        gen_sources[pair] = [source]
-        gen_edges.setdefault(sub, set()).add(sup)
-    return gen_sources, notes
-
-
 class _Findings:
     """Review flags and notes as the stages raise them; the report keeps
     the first of each repeat."""
@@ -235,9 +185,10 @@ def _generalizations(ont: Ontology, index: OntologyIndex,
                      entity_ids: dict[str, str], found: _Findings
                      ) -> tuple[tuple[Generalization, ...],
                                 list[tuple[str, tuple[str, ...]]]]:
-    """Keep each superclass edge that closes no cycle. Also flag the unions
-    an edge cannot carry and collect the or-group of each union on the
-    right of a same-class axiom or a definition."""
+    """One generalization per superclass edge pair, noting the pairs
+    asserted more than one way. Also flag the unions an edge cannot carry
+    and collect the or-group of each union on the right of a same-class
+    axiom or a definition."""
     union_groups: list[tuple[str, tuple[str, ...]]] = []
 
     def conjunction(expr, site: str) -> None:
@@ -279,12 +230,14 @@ def _generalizations(ont: Ontology, index: OntologyIndex,
         if cls.definition is not None:
             equivalence(cls.name, cls.definition, f"class {cls.name} definition")
 
-    gen_sources, skipped = insert_generalizations(index.superclass_edges)
-    found.notes.extend(skipped)
+    gen_sources: dict[tuple[str, str], set[str]] = {}
+    for sub, sup, source in index.superclass_edges:
+        gen_sources.setdefault((sub, sup), set()).add(source)
     for (sub, sup), sources in gen_sources.items():
         if len(sources) >= 2:
-            found.notes.append(f"generalization {sub} -> {sup} asserted more "
-                               "than one way: " + ", ".join(sources))
+            found.notes.append(
+                f"generalization {sub} -> {sup} asserted more than one way: "
+                + ", ".join(sorted(sources, key=EDGE_SOURCES.index)))
     generalizations = tuple(Generalization(entity_ids[sub], entity_ids[sup])
                             for sub, sup in gen_sources)
     return generalizations, union_groups
@@ -504,8 +457,10 @@ def transform(ont: Ontology, bww_report: BwwReport | None = None,
               alias_map: dict[str, str] | None = None,
               import_report=None,
               index: OntologyIndex | None = None) -> tuple[ConceptualModel, ValidationReport]:
-    """Map a validated ontology to a conceptual model plus the review
-    report. Deterministic: equal inputs give equal outputs."""
+    """Map a validated, collapsed ontology to a conceptual model plus the
+    review report. Deterministic: equal inputs give equal outputs. A
+    superclass cycle left uncollapsed becomes a generalization cycle, which
+    `check_model` reports."""
     if config is None:
         config = TransformConfig()
     if index is None:

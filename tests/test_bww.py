@@ -14,15 +14,14 @@ from ont2cm.ontology import (
     DISJOINT,
     Axiom,
     ClassDefinition,
+    ClassExpression,
     Ontology,
     PropertyDefinition,
     Restriction,
     collapse_equivalences,
     hoist_axiom_restrictions,
-    intersection_of,
     named,
     restriction_expr,
-    union_of,
 )
 from strategies import ontologies
 
@@ -73,6 +72,14 @@ class TestGrading:
         report = bww.classify(with_disjoint)
         assert report.category_of("DNA") == "naturalKind"
         assert report.category_of("RNA") == "naturalKind"
+
+    def test_self_disjointness_is_no_law(self):
+        props = [PropertyDefinition("p", "datatype", domains=("X",)),
+                 PropertyDefinition("q", "datatype", domains=("X",))]
+        o = ont(classes=[ClassDefinition("X")], properties=props,
+                axioms=[Axiom(DISJOINT, "X", named("X"))])
+        entry = bww.classify(o).concept("X")
+        assert (entry.category, entry.law_count) == ("kind", 0)
 
     def test_inherited_properties_count(self):
         o = ont(classes=[ClassDefinition("Macromolecule"), ClassDefinition("Protein")],
@@ -189,7 +196,8 @@ def oracle_category(o: Ontology, cls: str) -> tuple[str, int, int]:
             prop_names.add(r.on_property)
             law_count += 1
     for ax in o.axioms:
-        if ax.kind == DISJOINT and cls in {ax.subject, ax.target.name}:
+        if (ax.kind == DISJOINT and ax.subject != ax.target.name
+                and cls in (ax.subject, ax.target.name)):
             law_count += 1
 
     declared_props = {p.name for p in o.properties}
@@ -221,12 +229,13 @@ class TestOracleAgreement:
         o = ont(
             classes=[ClassDefinition("DNA"), ClassDefinition("RNA"),
                      ClassDefinition("NucleicAcid", kind=DEFINED,
-                                     definition=union_of(named("DNA"), named("RNA"))),
+                                     definition=ClassExpression(
+                                         "or", members=(named("DNA"), named("RNA")))),
                      ClassDefinition("Enzyme", kind=DEFINED,
-                                     definition=intersection_of(
+                                     definition=ClassExpression("and", members=(
                                          named("NucleicAcid"),
                                          restriction_expr(Restriction(
-                                             "catalyses", "some", target=named("DNA")))))],
+                                             "catalyses", "some", target=named("DNA"))))))],
             properties=[PropertyDefinition("sequence", "datatype",
                                            domains=("NucleicAcid",)),
                         PropertyDefinition("catalyses", "object", range="DNA")])

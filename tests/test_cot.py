@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ont2cm import cot
 from ont2cm.ontology import (
@@ -11,11 +12,11 @@ from ont2cm.ontology import (
     DISJOINT,
     Axiom,
     ClassDefinition,
+    ClassExpression,
     Individual,
     Ontology,
     PropertyDefinition,
     Restriction,
-    intersection_of,
     named,
     restriction_expr,
     validate_ontology,
@@ -48,9 +49,9 @@ def test_parse_sample_document():
             ClassDefinition("Protein", local_restrictions=(
                 Restriction("binds", "min", count=1),)),
             ClassDefinition("DNA"),
-            ClassDefinition("Binder", kind=DEFINED, definition=intersection_of(
-                named("Protein"),
-                restriction_expr(Restriction("binds", "some", target=named("DNA"))))),
+            ClassDefinition("Binder", kind=DEFINED, definition=ClassExpression(
+                "and", members=(named("Protein"), restriction_expr(
+                    Restriction("binds", "some", target=named("DNA")))))),
         ),
         properties=(
             PropertyDefinition("binds", "object", domains=("Protein",), range="DNA"),
@@ -93,6 +94,15 @@ def test_forward_references_allowed():
     assert validate_ontology(o) == []
 
 
+# statement keywords, expression syntax and stray tokens, for random text
+COT_WORDS = [
+    "ontology", "class", "defined-class", "objprop", "dataprop", "subclass",
+    "same-class", "disjoint", "restriction", "individual", "type", "domain",
+    "range", "some", "only", "min", "max", "exactly", "and(", "or(", "not(",
+    "restriction(", "(", ")", ",", "=", "#", "\n", "A", "B", "p", "0", "7",
+    "-1", "1e3"]
+
+
 class TestErrors:
     @pytest.mark.parametrize("text,line,fragment", [
         ("class A\n", 1, "missing ontology header"),
@@ -121,6 +131,18 @@ class TestErrors:
         with pytest.raises(cot.ParseError) as exc:
             cot.parse("ontology t\nclass A junk\n")
         assert (exc.value.line, exc.value.column) == (2, 9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.sampled_from(["", "ontology t\n"]), st.one_of(
+        st.text(max_size=60),
+        st.lists(st.one_of(st.sampled_from(COT_WORDS), st.text(max_size=3)),
+                 max_size=40).map(" ".join))).map("".join))
+    def test_any_text_parses_or_raises_parse_error(self, text):
+        try:
+            result = cot.parse(text)
+        except cot.ParseError:
+            return
+        assert isinstance(result, Ontology)
 
 
 class TestRoundTrip:

@@ -4,9 +4,11 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ont2cm import cot
-from ont2cm.damlxml import DamlImportError, import_daml
+from ont2cm.damlxml import DamlImportError, ImportReport, import_daml
 from ont2cm.ontology import (
     DATATYPE,
     DEFINED,
@@ -414,3 +416,36 @@ class TestErrors:
     def test_raises(self, text, fragment):
         with pytest.raises(DamlImportError, match=fragment):
             import_daml(text)
+
+
+@st.composite
+def mutated_protein_daml(draw):
+    """protein.daml after one to four random deletions, duplications and
+    insertions of short spans."""
+    text = (FIXTURES / "protein.daml").read_text()
+    pieces = st.sampled_from(["<", ">", "/", '"', "=", " ", "#", "x",
+                              "rdf:resource", "rdf:about", "daml:Class",
+                              "daml:Restriction", "rdfs:subClassOf",
+                              "&amp;", "&bogus;", "<!--", "-->"])
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 40)))
+        op = draw(st.sampled_from(["delete", "duplicate", "insert"]))
+        if op == "delete":
+            text = text[:start] + text[end:]
+        elif op == "duplicate":
+            text = text[:end] + text[start:end] + text[end:]
+        else:
+            text = (text[:start] + "".join(draw(st.lists(pieces, max_size=4)))
+                    + text[start:])
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_protein_daml())
+def test_any_mutation_imports_or_raises_import_error(text):
+    try:
+        report = import_daml(text)
+    except DamlImportError:
+        return
+    assert isinstance(report, ImportReport)

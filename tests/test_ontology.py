@@ -15,6 +15,7 @@ from ont2cm.ontology import (
     DISJOINT,
     Axiom,
     ClassDefinition,
+    ClassExpression,
     Individual,
     Ontology,
     OntologyIndex,
@@ -24,7 +25,6 @@ from ont2cm.ontology import (
     hoist_axiom_restrictions,
     named,
     restriction_expr,
-    union_of,
     validate_ontology,
 )
 from strategies import ontologies, subclass_graphs
@@ -82,7 +82,8 @@ class TestValidate:
 
     def test_disjoint_target_must_be_named(self):
         o = ont(classes=[ClassDefinition("A"), ClassDefinition("B")],
-                axioms=[Axiom(DISJOINT, "A", union_of(named("A"), named("B")))])
+                axioms=[Axiom(DISJOINT, "A", ClassExpression(
+                    "or", members=(named("A"), named("B"))))])
         kinds = {d.kind for d in validate_ontology(o)}
         assert kinds == {"malformedExpression"}
 
@@ -130,13 +131,59 @@ class TestHoist:
 # equivalence collapse, checked against a brute-force reachability oracle
 
 
-def subclass_edge_map(o):
+def conjunct_names(expr):
+    if expr.op == "named":
+        return {expr.name}
+    if expr.op == "and":
+        return {n for m in expr.members for n in conjunct_names(m)}
+    return set()
+
+
+def superclass_edge_map(o):
+    """sub -> {sup} for every subsumption the document states: the named
+    conjuncts of subclass targets, of same-class targets and of definitions;
+    a union on the right of a same-class axiom or a definition points each
+    named member at the subject instead."""
     edges = {c.name: set() for c in o.classes}
-    for ax in o.axioms:
-        if ax.kind == SUBCLASS and ax.target.op == "named":
-            if ax.subject in edges and ax.target.name in edges:
-                edges[ax.subject].add(ax.target.name)
+
+    def add(sub, sup):
+        if sub in edges and sup in edges:
+            edges[sub].add(sup)
+
+    stated = [(ax.subject, ax.target, ax.kind == SAME_CLASS)
+              for ax in o.axioms if ax.kind in (SUBCLASS, SAME_CLASS)]
+    stated += [(c.name, c.definition, True)
+               for c in o.classes if c.definition is not None]
+    for subject, expr, both_ways in stated:
+        if both_ways and expr.op == "or":
+            for m in expr.members:
+                if m.op == "named":
+                    add(m.name, subject)
+        for sup in conjunct_names(expr):
+            add(subject, sup)
     return edges
+
+
+@st.composite
+def ontologies_with_cycles(draw):
+    """Generated ontologies plus planted same-class cycles and same-class
+    unions over their own classes."""
+    o = draw(ontologies())
+    names = [c.name for c in o.classes]
+    extra = []
+    if len(names) > 1:
+        for cycle in draw(st.lists(st.lists(st.sampled_from(names), min_size=2,
+                                            max_size=4, unique=True), max_size=2)):
+            extra += [Axiom(SAME_CLASS, a, named(b))
+                      for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+        for _ in range(draw(st.integers(0, 2))):
+            members = draw(st.lists(st.sampled_from(names), min_size=2,
+                                    max_size=3, unique=True))
+            extra.append(Axiom(SAME_CLASS, draw(st.sampled_from(names)),
+                               ClassExpression("or", members=tuple(
+                                   map(named, members)))))
+    axioms = list(o.axioms) + extra
+    return replace(o, axioms=tuple(draw(st.permutations(axioms))))
 
 
 def reachable_from(edges, start):
@@ -153,7 +200,7 @@ def reachable_from(edges, start):
 
 def oracle_alias_map(o):
     """Mutual-reachability equivalence classes; alias -> least member."""
-    edges = subclass_edge_map(o)
+    edges = superclass_edge_map(o)
     reach = {name: reachable_from(edges, name) for name in edges}
     mapping = {}
     for a in edges:
@@ -231,22 +278,43 @@ class TestCollapse:
         assert collapsed is o
         assert mapping == {}
 
-    def test_same_class_axioms_do_not_collapse(self):
+    def test_same_class_pair_closing_a_cycle_collapses(self):
         o = ont(classes=[ClassDefinition("A"), ClassDefinition("B")],
                 axioms=[Axiom(SAME_CLASS, "A", named("B")),
                         Axiom(SAME_CLASS, "B", named("A"))])
         collapsed, mapping = collapse_equivalences(o)
+        assert mapping == {"B": "A"}
+        assert [c.name for c in collapsed.classes] == ["A"]
+        assert collapsed.axioms == ()
+
+    def test_lone_same_class_axiom_does_not_collapse(self):
+        o = ont(classes=[ClassDefinition("A"), ClassDefinition("B")],
+                axioms=[Axiom(SAME_CLASS, "A", named("B"))])
+        collapsed, mapping = collapse_equivalences(o)
         assert mapping == {}
-        assert len(collapsed.classes) == 2
+        assert collapsed is o
+        assert OntologyIndex(o).superclass_edges == [
+            ("A", "B", "equivalence axiom")]
+
+    def test_cycle_through_a_union_member_and_a_conjunct_collapses(self):
+        # Cell = or(DNA, Gene) makes DNA a subclass of Cell; the intersection
+        # target makes Cell a subclass of DNA
+        o = ont(classes=[ClassDefinition(n) for n in ("Cell", "DNA", "Gene")],
+                axioms=[Axiom(SAME_CLASS, "Cell", ClassExpression(
+                            "or", members=(named("DNA"), named("Gene")))),
+                        Axiom(SUBCLASS, "Cell", ClassExpression(
+                            "and", members=(named("DNA"), named("Gene"))))])
+        _, mapping = collapse_equivalences(o)
+        assert mapping == {"DNA": "Cell", "Gene": "Cell"}
 
     @settings(max_examples=200, deadline=None)
-    @given(subclass_graphs())
+    @given(st.one_of(subclass_graphs(), ontologies_with_cycles()))
     def test_alias_map_matches_reachability_oracle(self, o):
         _, mapping = collapse_equivalences(o)
         assert mapping == oracle_alias_map(o)
 
     @settings(max_examples=200, deadline=None)
-    @given(subclass_graphs())
+    @given(st.one_of(subclass_graphs(), ontologies_with_cycles()))
     def test_collapsed_graph_is_acyclic_and_idempotent(self, o):
         collapsed, _ = collapse_equivalences(o)
         assert oracle_alias_map(collapsed) == {}
@@ -310,27 +378,6 @@ def reference_ancestors(index, cls):
     return set(seen)
 
 
-@st.composite
-def ontologies_with_cycles(draw):
-    """Generated ontologies plus planted same-class cycles and same-class
-    unions over their own classes."""
-    o = draw(ontologies())
-    names = [c.name for c in o.classes]
-    extra = []
-    if len(names) > 1:
-        for cycle in draw(st.lists(st.lists(st.sampled_from(names), min_size=2,
-                                            max_size=4, unique=True), max_size=2)):
-            extra += [Axiom(SAME_CLASS, a, named(b))
-                      for a, b in zip(cycle, cycle[1:] + cycle[:1])]
-        for _ in range(draw(st.integers(0, 2))):
-            members = draw(st.lists(st.sampled_from(names), min_size=2,
-                                    max_size=3, unique=True))
-            extra.append(Axiom(SAME_CLASS, draw(st.sampled_from(names)),
-                               union_of(*map(named, members))))
-    axioms = list(o.axioms) + extra
-    return replace(o, axioms=tuple(draw(st.permutations(axioms))))
-
-
 class TestOntologyIndex:
     def test_attached_properties_domains_first_each_once(self):
         o = chain_fixture()
@@ -358,7 +405,7 @@ class TestOntologyIndex:
 
     def test_cycle_under_a_diamond(self):
         # Bottom < Left, Right < Top, and A = B = C (a same-class cycle,
-        # which is never collapsed) below Bottom
+        # which the index sees uncollapsed) below Bottom
         o = ont(classes=[ClassDefinition(n) for n in
                          ("Top", "Left", "Right", "Bottom", "A", "B", "C")],
                 axioms=[Axiom(SUBCLASS, "Left", named("Top")),

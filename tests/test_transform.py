@@ -1,20 +1,17 @@
 """Transformation engine: golden models for each mapping rule, mechanism
 unit tests, and the model invariants over generated ontologies."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ont2cm import cot
-from ont2cm.emit import emit_model_json
+from ont2cm.emit import emit_dot, emit_model_json, emit_plantuml, emit_report
 from ont2cm.model import AGGREGATION, ASSOCIATION, COMPOSITION, Multiplicity
-from ont2cm.transform import (
-    TransformConfig,
-    derive_model,
-    insert_generalizations,
-)
+from ont2cm.transform import TransformConfig, derive_model
 from invariants import assert_model_invariants
 from strategies import ontologies
 
@@ -240,13 +237,15 @@ class TestGeneralizations:
         assert any(i.kind == "unmappedConstruct"
                    for i in report.items if "union" in i.detail)
 
-    def test_cycle_closing_edge_skipped_with_note(self):
+    def test_cycle_closing_equivalence_collapses(self):
         model, report = from_text(
             "ontology t\nclass A\nclass B\n"
             "subclass B A\nsame-class A B\n")
-        (gen,) = model.generalizations
-        assert (gen.sub_id, gen.super_id) == ("et:B", "et:A")
-        assert any("would close a cycle" in n for n in report.notes)
+        assert [et.name for et in model.entity_types] == ["A"]
+        assert model.generalizations == ()
+        (flag,) = report.by_kind("equivalenceCollapsed")
+        assert (flag.subject, flag.detail) == (
+            "A", "absorbed equivalent class(es): B")
 
     def test_repeated_assertion_noted_once(self):
         _, report = from_text(
@@ -375,11 +374,62 @@ class TestInstancesAndConstraints:
         assert flag.subject == "Protein"
 
 
+def report_sections(text: str) -> list[tuple[str, ...]]:
+    """The report's header, then each section's lines sorted: note order
+    follows the document."""
+    sections = text.split("\n## ")
+    return [tuple(sections[0].splitlines())] + [
+        tuple(sorted(section.splitlines())) for section in sections[1:]]
+
+
+def artifacts(o):
+    model, report, _, _ = derive_model(o)
+    return (emit_model_json(model), emit_plantuml(model), emit_dot(model),
+            report_sections(emit_report(model, report)))
+
+
+def two_statements(first: str, second: str):
+    return cot.parse("ontology t\nclass A\nclass B\nclass Cell\nclass DNA\n"
+                     f"{first}\n{second}\n")
+
+
 class TestDeterminism:
     def test_same_input_same_output(self):
         first = derive("tambis-mini.cot")
         second = derive("tambis-mini.cot")
         assert first == second
+
+    @settings(max_examples=200, deadline=None)
+    @given(o=ontologies(), data=st.data())
+    # two cycles that do not go through subclass axioms alone, and one edge
+    # asserted two ways; without `data` the example is compared with its
+    # axioms reversed
+    @example(o=two_statements("same-class A B", "same-class B A"), data=None)
+    @example(o=two_statements("same-class B A", "same-class A B"), data=None)
+    @example(o=two_statements("subclass DNA Cell", "subclass Cell and(Cell, DNA)"),
+             data=None)
+    @example(o=two_statements("subclass Cell and(Cell, DNA)", "subclass DNA Cell"),
+             data=None)
+    @example(o=two_statements("same-class Cell or(A, B)", "same-class A Cell"),
+             data=None)
+    @example(o=two_statements("same-class A Cell", "same-class Cell or(A, B)"),
+             data=None)
+    def test_statement_order_does_not_matter(self, o, data):
+        if data is None:
+            shuffled = replace(o, axioms=o.axioms[::-1])
+        else:
+            shuffled = replace(
+                o, classes=tuple(data.draw(st.permutations(o.classes))),
+                properties=tuple(data.draw(st.permutations(o.properties))),
+                axioms=tuple(data.draw(st.permutations(o.axioms))))
+        assert artifacts(shuffled) == artifacts(o)
+
+    def test_lookups_raise_key_error_on_unknown_names(self):
+        model, _, grading, _ = derive_model(load("tambis-mini.cot"))
+        with pytest.raises(KeyError):
+            model.entity("et:Nothing")
+        with pytest.raises(KeyError):
+            grading.concept("Nothing")
 
     def test_tambis_mini_is_well_formed(self):
         o = load("tambis-mini.cot")
@@ -401,74 +451,3 @@ class TestInvariants:
     @given(ontologies())
     def test_transform_is_deterministic(self, o):
         assert derive_model(o) == derive_model(o)
-
-
-def reference_insert(candidates):
-    """The per-candidate search insert_generalizations replaced: before each
-    new edge sub -> sup, a depth-first search over every kept edge for a
-    path sup -> sub."""
-    gen_edges, gen_sources, notes = {}, {}, []
-
-    def reaches(start, goal):
-        seen, stack = set(), [start]
-        while stack:
-            node = stack.pop()
-            if node == goal:
-                return True
-            for nxt in gen_edges.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
-    for sub, sup, source in candidates:
-        pair = (sub, sup)
-        if pair in gen_sources:
-            if source not in gen_sources[pair]:
-                gen_sources[pair].append(source)
-            continue
-        if reaches(sup, sub):
-            notes.append(f"generalization {sub} -> {sup} skipped: "
-                         "it would close a cycle")
-            continue
-        gen_sources[pair] = [source]
-        gen_edges.setdefault(sub, set()).add(sup)
-    return gen_sources, notes
-
-
-NODES = ["A", "B", "C", "D", "E", "F", "G", "H"]
-SOURCES = ["subclass axiom", "equivalence axiom", "definition",
-           "union membership"]
-
-
-@st.composite
-def candidate_lists(draw):
-    """Random generalization candidates with planted cycles and repeated
-    pairs, in random order."""
-    pairs = draw(st.lists(
-        st.tuples(st.sampled_from(NODES), st.sampled_from(NODES))
-        .filter(lambda p: p[0] != p[1]), max_size=16))
-    for cycle in draw(st.lists(st.lists(st.sampled_from(NODES), min_size=2,
-                                        max_size=5, unique=True), max_size=3)):
-        pairs += zip(cycle, cycle[1:] + cycle[:1])
-    if pairs:
-        pairs += draw(st.lists(st.sampled_from(pairs), max_size=6))
-    return [(sub, sup, draw(st.sampled_from(SOURCES)))
-            for sub, sup in draw(st.permutations(pairs))]
-
-
-class TestGeneralizationInsertion:
-    @settings(max_examples=300, deadline=None)
-    @given(candidate_lists())
-    def test_matches_per_candidate_search(self, candidates):
-        kept, notes = insert_generalizations(candidates)
-        ref_kept, ref_notes = reference_insert(candidates)
-        assert list(kept.items()) == list(ref_kept.items())
-        assert notes == ref_notes
-
-    def test_lookups_raise_key_error_on_unknown_names(self):
-        model, _, grading, _ = derive_model(load("tambis-mini.cot"))
-        with pytest.raises(KeyError):
-            model.entity("et:Nothing")
-        with pytest.raises(KeyError):
-            grading.concept("Nothing")
