@@ -80,23 +80,11 @@ def classify(ont: Ontology, index: OntologyIndex | None = None) -> BwwReport:
             for side in (ax.subject, ax.target.name):
                 disjoint_mentions[side] = disjoint_mentions.get(side, 0) + 1
 
-    # Per-class values read once, then unioned and summed over each
-    # superclass closure.
-    attached: dict[str, tuple[str, ...]] = {}
-    restriction_count: dict[str, int] = {}
-    for cls in ont.classes:
-        attached[cls.name] = index.attached_properties(cls.name)
-        restriction_count[cls.name] = len(index.direct_restrictions(cls.name))
-
     concepts = []
     notes = []
     for cls in sorted(ont.classes, key=lambda c: c.name):
-        above = index.ancestors(cls.name)
-        property_count = len(set(attached[cls.name]).union(
-            *map(attached.__getitem__, above)))
-        law_count = (restriction_count[cls.name]
-                     + disjoint_mentions.get(cls.name, 0)
-                     + sum(map(restriction_count.__getitem__, above)))
+        property_count, law_count = index.reach(cls.name)
+        law_count += disjoint_mentions.get(cls.name, 0)
         concepts.append(ConceptClassification(
             cls.name, _categorize(property_count, law_count), property_count,
             law_count))

@@ -263,7 +263,8 @@ _SECTIONS = {
         "Relax one of the conflicting restrictions."),
     "equivalenceCollapsed": (
         "Collapsed equivalences",
-        "A subclass cycle made several classes mutually equivalent.",
+        "Axioms, definitions or union memberships closed a superclass cycle, "
+        "so its classes are mutually equivalent.",
         "Confirm the surviving name is the right one."),
     "multiDomainProperty": (
         "Multi-domain properties",

@@ -9,7 +9,7 @@ and usable as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import compress
 
 # Datatype names accepted for datatype-property ranges.
 DATATYPES = ("string", "integer", "decimal", "boolean", "date")
@@ -540,43 +540,32 @@ def _superclass_edges(ont: Ontology) -> list[tuple[str, str, str]]:
     return edges
 
 
-def _closures(supers: dict[str, list[str]]) -> dict[str, tuple[str, ...]]:
-    """Every class's transitive superclasses, self excluded, each once.
+# maps the digits of bin() to compress() selectors
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
-    One pass over the condensation of `supers`: Tarjan emits a component
-    after every component it reaches, so a component's closure is its other
-    members, then its outside successors and their already-built closures.
-    """
-    closure: dict[str, tuple[str, ...]] = {}
-    for comp in _strongly_connected(supers):
-        if len(comp) == 1:
-            outside = supers[comp[0]]
-        else:
-            members = set(comp)
-            outside = [s for m in comp for s in supers[m] if s not in members]
-        if not outside:
-            tail = ()
-        elif len(outside) == 1:
-            tail = (outside[0],) + closure[outside[0]]
-        else:
-            tail = tuple(dict.fromkeys(
-                chain(outside, *map(closure.__getitem__, outside))))
-        if len(comp) == 1:
-            closure[comp[0]] = tail
-        else:
-            for m in comp:
-                closure[m] = tuple(x for x in comp if x != m) + tail
-    return closure
+
+def _decode(bits: int, items: list):
+    """The items at the set positions of `bits`, lowest position first."""
+    return compress(items, bin(bits)[:1:-1].encode().translate(_BIT_SELECTORS))
 
 
 class OntologyIndex:
     """The one answer to "what reaches class X" over a validated ontology.
 
-    Three lookups: `ancestors` (the closure over `superclass_edges`),
-    `direct_restrictions` and `attached_properties` (what is asserted on a
-    class itself). What reaches a class is what is attached to it or to one
-    of its ancestors. The transformation draws its generalizations from the
-    same `superclass_edges` list.
+    Direct lookups: `direct_restrictions` and `attached_properties` (what is
+    asserted on a class itself). What reaches a class is what is attached
+    to it or to one of its ancestors: `ancestors` and `is_ancestor` (the
+    closure over `superclass_edges`), `reach` (how many properties and
+    restrictions) and `inherited_cardinalities`. The transformation draws
+    its generalizations from the same `superclass_edges` list.
+
+    The closure is held as bitsets (Ait-Kaci et al., 1989), built in one
+    pass over the condensation of the superclass graph (Nuutila, 1995). A
+    bit position goes only to what some class inherits: each class that is
+    a superclass, the properties attached to such classes and their
+    restriction occurrences, numbered in declaration order. A class's own
+    unshared features are counted, not numbered, so the bitsets stay as
+    short as the inherited part of the hierarchy.
     """
 
     def __init__(self, ont: Ontology):
@@ -595,18 +584,89 @@ class OntologyIndex:
             if ax.kind in (SUBCLASS, SAME_CLASS):
                 self._axioms_of.setdefault(ax.subject, []).append(ax)
         self.superclass_edges = _superclass_edges(ont)
-        self._supers: dict[str, list[str]] = {name: [] for name in self._classes}
+        supers: dict[str, list[str]] = {name: [] for name in self._classes}
         for sub, sup, _ in self.superclass_edges:
-            self._supers[sub].append(sup)
-        self._ancestors: dict[str, tuple[str, ...]] | None = None
+            supers[sub].append(sup)
+
+        # bit positions, in declaration order
+        inherited = {sup for sub, sup, _ in self.superclass_edges}
+        self._superclasses = [name for name in self._classes if name in inherited]
+        self._class_bit = {name: 1 << pos
+                           for pos, name in enumerate(self._superclasses)}
+        self._property_bit: dict[str, int] = {}
+        self._occurrences: list[Restriction] = []
+        own_occurrences: dict[str, int] = {}
+        # the occurrence bits of the cardinality restrictions on each property
+        self._cardinality_mask: dict[str, int] = {}
+        for name in self._superclasses:
+            for prop in self.attached_properties(name):
+                self._property_bit.setdefault(prop, 1 << len(self._property_bit))
+            restrictions = self.direct_restrictions(name)
+            first = len(self._occurrences)
+            own_occurrences[name] = ((1 << len(restrictions)) - 1) << first
+            for pos, r in enumerate(restrictions, first):
+                if r.flavor in CARDINALITY_FLAVORS:
+                    self._cardinality_mask[r.on_property] = (
+                        self._cardinality_mask.get(r.on_property, 0) | 1 << pos)
+            self._occurrences.extend(restrictions)
+
+        # Each class gets its component's bits: every member's own bits OR
+        # the bits of every outside successor. Tarjan emits a component
+        # after every component it reaches, so those are already built. A
+        # class whose bits are all zero keeps no entries.
+        self._ancestor_bits: dict[str, int] = {}
+        self._property_bits: dict[str, int] = {}
+        self._occurrence_bits: dict[str, int] = {}
+        for comp in _strongly_connected(supers):
+            ancestor_bits = property_bits = occurrence_bits = 0
+            for member in comp:
+                ancestor_bits |= self._class_bit.get(member, 0)
+                occurrence_bits |= own_occurrences.get(member, 0)
+                for prop in self.attached_properties(member):
+                    property_bits |= self._property_bit.get(prop, 0)
+                for sup in supers[member]:
+                    # a fellow member is not built yet, and its own bits
+                    # are ORed in above
+                    ancestor_bits |= self._ancestor_bits.get(sup, 0)
+                    property_bits |= self._property_bits.get(sup, 0)
+                    occurrence_bits |= self._occurrence_bits.get(sup, 0)
+            if ancestor_bits | property_bits | occurrence_bits:
+                for member in comp:
+                    self._ancestor_bits[member] = ancestor_bits
+                    self._property_bits[member] = property_bits
+                    self._occurrence_bits[member] = occurrence_bits
 
     def ancestors(self, cls: str) -> tuple[str, ...]:
-        """Transitive superclasses in a deterministic order, excluding the
-        class itself. Cycle-safe. Every class's closure is built on the
-        first call."""
-        if self._ancestors is None:
-            self._ancestors = _closures(self._supers)
-        return self._ancestors.get(cls, ())
+        """Transitive superclasses in declaration order, excluding the class
+        itself, each once. Decoded from the bitsets on every call."""
+        bits = self._ancestor_bits.get(cls, 0) & ~self._class_bit.get(cls, 0)
+        return tuple(_decode(bits, self._superclasses))
+
+    def is_ancestor(self, sup: str, cls: str) -> bool:
+        """True if `sup` is a transitive superclass of `cls`, not itself."""
+        return sup != cls and bool(
+            self._ancestor_bits.get(cls, 0) & self._class_bit.get(sup, 0))
+
+    def reach(self, cls: str) -> tuple[int, int]:
+        """How many distinct declared properties, and how many restriction
+        occurrences, are attached to or asserted on the class or one of
+        its ancestors."""
+        # a superclass's own features all have bits; any other class's
+        # features without one are counted here
+        properties = self._property_bits.get(cls, 0).bit_count() + sum(
+            1 for prop in self.attached_properties(cls)
+            if prop not in self._property_bit)
+        restrictions = self._occurrence_bits.get(cls, 0).bit_count()
+        if cls not in self._class_bit:
+            restrictions += len(self.direct_restrictions(cls))
+        return properties, restrictions
+
+    def inherited_cardinalities(self, cls: str, prop: str) -> list[Restriction]:
+        """The cardinality restrictions on `prop` asserted on the class's
+        ancestors, for a class that asserts none on `prop` itself."""
+        hits = (self._occurrence_bits.get(cls, 0)
+                & self._cardinality_mask.get(prop, 0))
+        return list(_decode(hits, self._occurrences))
 
     def direct_restrictions(self, cls: str) -> list[Restriction]:
         """Restrictions asserted on the class itself: local ones, plus

@@ -129,9 +129,7 @@ def merged_multiplicity(index: OntologyIndex, cls: str, prop: str) -> Multiplici
     picked = [r for r in index.direct_restrictions(cls)
               if r.on_property == prop and r.flavor in CARDINALITY_FLAVORS]
     if not picked:
-        for sup in index.ancestors(cls):
-            picked.extend(r for r in index.direct_restrictions(sup)
-                          if r.on_property == prop and r.flavor in CARDINALITY_FLAVORS)
+        picked = index.inherited_cardinalities(cls, prop)
     lower, upper = 0, None
     for r in picked:
         if r.flavor in (MIN, EXACTLY):
@@ -300,8 +298,8 @@ def _relationships(ont: Ontology, index: OntologyIndex,
                                f"admits only {target} targets")
                 if (from_restriction and p.range is not None
                         and p.range != target
-                        and p.range not in index.ancestors(target)
-                        and target not in index.ancestors(p.range)):
+                        and not index.is_ancestor(p.range, target)
+                        and not index.is_ancestor(target, p.range)):
                     found.notes.append(
                         f"property {p.name}: declared range {p.range} is "
                         f"unrelated to restriction target {target} on {site}")

@@ -4,16 +4,48 @@ unit tests, and the model invariants over generated ontologies."""
 from dataclasses import replace
 from pathlib import Path
 
+import json
+import re
+
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ont2cm import cot
-from ont2cm.emit import emit_dot, emit_model_json, emit_plantuml, emit_report
-from ont2cm.model import AGGREGATION, ASSOCIATION, COMPOSITION, Multiplicity
-from ont2cm.transform import TransformConfig, derive_model
+from ont2cm.emit import (
+    emit_bww_json,
+    emit_dot,
+    emit_model_json,
+    emit_plantuml,
+    emit_report,
+)
+from ont2cm.model import (
+    AGGREGATION,
+    ASSOCIATION,
+    COMPOSITION,
+    Multiplicity,
+    check_model,
+)
+from ont2cm.ontology import (
+    CARDINALITY_FLAVORS,
+    EXACTLY,
+    MAX,
+    MIN,
+    OBJECT,
+    SOME,
+    SUBCLASS,
+    Axiom,
+    ClassDefinition,
+    Ontology,
+    OntologyIndex,
+    PropertyDefinition,
+    Restriction,
+    named,
+)
+from ont2cm.transform import TransformConfig, derive_model, merged_multiplicity
 from invariants import assert_model_invariants
-from strategies import ontologies
+from strategies import CLASS_POOL, PROP_POOL, ontologies
+from test_ontology import ontologies_with_cycles, reference_ancestors
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -393,6 +425,40 @@ def two_statements(first: str, second: str):
                      f"{first}\n{second}\n")
 
 
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+
+
+def rename_text(text: str, mapping: dict[str, str]) -> str:
+    """Every identifier in `text` renamed through `mapping` at once."""
+    return _IDENTIFIER.sub(lambda m: mapping.get(m[0], m[0]), text)
+
+
+def canonical(value, rename):
+    """A JSON value with every string passed through `rename` and every
+    list sorted, so that lists compare as multisets."""
+    if isinstance(value, str):
+        return rename(value)
+    if isinstance(value, list):
+        return tuple(sorted((canonical(v, rename) for v in value), key=repr))
+    if isinstance(value, dict):
+        return tuple((k, canonical(v, rename)) for k, v in sorted(value.items()))
+    return value
+
+
+def model_facts(o, rename=lambda text: text):
+    """The model JSON and the grading JSON of `o`, names passed through
+    `rename`, in a form blind to the order of their entries."""
+    model, _, grading, _ = derive_model(o)
+    doc = json.loads(emit_model_json(model))
+    for con in doc["constraints"]:
+        # a disjoint pair's id lists its classes in name order
+        con["id"] = con["id"].split(":")
+    grades = json.loads(emit_bww_json(grading))
+    for key in ("concepts", "properties"):
+        grades[key] = {rename(name): v for name, v in grades[key].items()}
+    return canonical(doc, rename), canonical(grades, rename)
+
+
 class TestDeterminism:
     def test_same_input_same_output(self):
         first = derive("tambis-mini.cot")
@@ -424,6 +490,20 @@ class TestDeterminism:
                 axioms=tuple(data.draw(st.permutations(o.axioms))))
         assert artifacts(shuffled) == artifacts(o)
 
+    @settings(max_examples=100, deadline=None)
+    @given(o=ontologies(), data=st.data())
+    def test_renaming_does_not_matter(self, o, data):
+        # a collapsed cycle keeps its least name, so renaming may pick
+        # another representative
+        assume(not derive_model(o)[3])
+        # the whole-part heuristic reads property names, so those stay
+        plain = [p for p in PROP_POOL if p not in ("has_part", "part_of")]
+        mapping = dict(zip(CLASS_POOL, data.draw(st.permutations(CLASS_POOL))))
+        mapping.update(zip(plain, data.draw(st.permutations(plain))))
+        renamed = cot.parse(rename_text(cot.serialize(o), mapping))
+        assert model_facts(renamed) == model_facts(
+            o, lambda text: rename_text(text, mapping))
+
     def test_lookups_raise_key_error_on_unknown_names(self):
         model, _, grading, _ = derive_model(load("tambis-mini.cot"))
         with pytest.raises(KeyError):
@@ -451,3 +531,78 @@ class TestInvariants:
     @given(ontologies())
     def test_transform_is_deterministic(self, o):
         assert derive_model(o) == derive_model(o)
+
+
+# --------------------------------------------------------------------------
+# the index's bitset lookups against the searches they replaced
+
+
+def reference_multiplicity(index, above, cls, prop):
+    """`merged_multiplicity` folding each ancestor's direct restrictions in
+    turn; `above` is the class's `reference_ancestors`."""
+    def cardinalities(name):
+        return [r for r in index.direct_restrictions(name)
+                if r.on_property == prop and r.flavor in CARDINALITY_FLAVORS]
+
+    picked = cardinalities(cls)
+    if not picked:
+        for sup in above:
+            picked.extend(cardinalities(sup))
+    lower, upper = 0, None
+    for r in picked:
+        if r.flavor in (MIN, EXACTLY):
+            lower = max(lower, r.count)
+        if r.flavor in (MAX, EXACTLY):
+            upper = r.count if upper is None else min(upper, r.count)
+    return Multiplicity(lower, upper,
+                        unsatisfiable=upper is not None and lower > upper)
+
+
+class TestIndexAgainstReferences:
+    @settings(max_examples=200, deadline=None)
+    @given(ontologies_with_cycles())
+    def test_bitset_lookups_match_per_ancestor_references(self, o):
+        # uncollapsed, so cycle co-members inherit from each other
+        index = OntologyIndex(o)
+        names = [c.name for c in o.classes]
+        for cls in names:
+            above = reference_ancestors(index, cls)
+            for p in o.properties:
+                assert merged_multiplicity(index, cls, p.name) == \
+                    reference_multiplicity(index, above, cls, p.name), (cls, p.name)
+            # the range test in `_relationships`, for every (range, target)
+            for sup in names:
+                assert index.is_ancestor(sup, cls) == (sup in above), (sup, cls)
+
+
+def chain(names: list[str]) -> Ontology:
+    """The benchmark's deep-chain shape: names[k] is the class at depth k, a
+    subclass of names[k-1]; it owns its own property, restricted `some`
+    towards the next class (wrapping round) and `min 1`."""
+    classes, properties, axioms = [], [], []
+    for k, name in enumerate(names):
+        prop, target = f"p{k:05d}", names[(k + 1) % len(names)]
+        classes.append(ClassDefinition(name, local_restrictions=(
+            Restriction(prop, SOME, target=named(target)),
+            Restriction(prop, MIN, count=1))))
+        properties.append(PropertyDefinition(prop, OBJECT, domains=(name,),
+                                             range=target))
+        if k:
+            axioms.append(Axiom(SUBCLASS, name, named(names[k - 1])))
+    return Ontology("chain", classes=tuple(classes),
+                    properties=tuple(properties), axioms=tuple(axioms))
+
+
+class TestScale:
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_5000_level_chain(self, mirrored):
+        n = 5000
+        # mirrored, every superclass's name sorts after its subclass's
+        names = [f"C{n - 1 - k if mirrored else k:05d}" for k in range(n)]
+        model, _, grading, _ = derive_model(chain(names))
+        assert check_model(model) == []
+        assert len(model.generalizations) == n - 1
+        for k, name in enumerate(names):
+            concept = grading.concept(name)
+            assert (concept.property_count, concept.law_count) == \
+                (k + 1, 2 * (k + 1)), name
