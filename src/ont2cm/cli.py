@@ -128,13 +128,15 @@ def _validated(ontology: Ontology) -> int:
 
 
 def _write(out: str, filename: str, text: str) -> None:
+    """Artifacts are UTF-8 whatever the locale, on standard output too."""
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
         return
     directory = Path(out)
     directory.mkdir(parents=True, exist_ok=True)
     target = directory / filename
-    target.write_text(text)
+    target.write_bytes(text.encode("utf-8"))
     _info(f"wrote {target}")
 
 

@@ -22,7 +22,7 @@ Forward references are allowed, so statements may arrive in any order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .ontology import (
     CARDINALITY_FLAVORS,
@@ -62,30 +62,25 @@ class ParseError(ValueError):
         self.message = message
 
 
-@dataclass
-class _Token:
-    text: str
-    line: int
-    column: int
-
-
 _EOL = "end of line"
 
 
 class _Cursor:
-    """Token stream for a single statement line."""
+    """Token stream for a single statement line; a token is its regex match."""
 
     def __init__(self, line_no: int, text: str):
         self.line = line_no
-        self.tokens = [_Token(m.group(), line_no, m.start() + 1)
-                       for m in _TOKEN_RE.finditer(text)]
+        self.tokens = list(_TOKEN_RE.finditer(text))
         self.pos = 0
         self.width = len(text)
 
-    def peek(self) -> _Token | None:
+    def error(self, tok: re.Match, message: str) -> ParseError:
+        return ParseError(self.line, tok.start() + 1, message)
+
+    def peek(self) -> re.Match | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self, expected: str) -> _Token:
+    def next(self, expected: str) -> re.Match:
         tok = self.peek()
         if tok is None:
             raise ParseError(self.line, self.width + 1,
@@ -95,44 +90,38 @@ class _Cursor:
 
     def name(self, what: str = "a name") -> str:
         tok = self.next(what)
-        if not _NAME_RE.match(tok.text):
-            raise ParseError(tok.line, tok.column,
-                             f"expected {what}, got {tok.text!r}")
-        return tok.text
+        if not _NAME_RE.match(tok[0]):
+            raise self.error(tok, f"expected {what}, got {tok[0]!r}")
+        return tok[0]
 
     def integer(self) -> int:
         tok = self.next("an integer")
-        if not _INT_RE.match(tok.text):
-            raise ParseError(tok.line, tok.column,
-                             f"expected an integer, got {tok.text!r}")
-        return int(tok.text)
+        if not _INT_RE.match(tok[0]):
+            raise self.error(tok, f"expected an integer, got {tok[0]!r}")
+        return int(tok[0])
 
     def literal(self, text: str) -> None:
         tok = self.next(repr(text))
-        if tok.text != text:
-            raise ParseError(tok.line, tok.column,
-                             f"expected {text!r}, got {tok.text!r}")
+        if tok[0] != text:
+            raise self.error(tok, f"expected {text!r}, got {tok[0]!r}")
 
     def at(self, text: str) -> bool:
         tok = self.peek()
-        return tok is not None and tok.text == text
+        return tok is not None and tok[0] == text
 
     def done(self) -> None:
         tok = self.peek()
         if tok is not None:
-            raise ParseError(tok.line, tok.column,
-                             f"unexpected {tok.text!r} after statement")
+            raise self.error(tok, f"unexpected {tok[0]!r} after statement")
 
 
 def _parse_expr(cur: _Cursor, depth: int = 1) -> ClassExpression:
     tok = cur.next("a class expression")
-    if not _NAME_RE.match(tok.text):
-        raise ParseError(tok.line, tok.column,
-                         f"expected a class expression, got {tok.text!r}")
+    head = tok[0]
+    if not _NAME_RE.match(head):
+        raise cur.error(tok, f"expected a class expression, got {head!r}")
     if depth > MAX_NESTING:
-        raise ParseError(tok.line, tok.column,
-                         f"expression nested deeper than {MAX_NESTING} levels")
-    head = tok.text
+        raise cur.error(tok, f"expression nested deeper than {MAX_NESTING} levels")
     if head in ("and", "or") and cur.at("("):
         cur.literal("(")
         members = [_parse_expr(cur, depth + 1)]
@@ -141,8 +130,7 @@ def _parse_expr(cur: _Cursor, depth: int = 1) -> ClassExpression:
             members.append(_parse_expr(cur, depth + 1))
         cur.literal(")")
         if len(members) < 2:
-            raise ParseError(tok.line, tok.column,
-                             f"{head}() needs at least 2 members")
+            raise cur.error(tok, f"{head}() needs at least 2 members")
         return ClassExpression(head, members=tuple(members))
     if head == "not" and cur.at("("):
         cur.literal("(")
@@ -161,16 +149,15 @@ def _parse_expr(cur: _Cursor, depth: int = 1) -> ClassExpression:
     return named(head)
 
 
-def _restriction_body(cur: _Cursor, prop: str, flavor_tok: _Token,
+def _restriction_body(cur: _Cursor, prop: str, flavor_tok: re.Match,
                      depth: int) -> Restriction:
     """The target expression or count after a restriction's flavor."""
-    flavor = flavor_tok.text
+    flavor = flavor_tok[0]
     if flavor in CLASS_FLAVORS:
         return Restriction(prop, flavor, target=_parse_expr(cur, depth))
     if flavor in CARDINALITY_FLAVORS:
         return Restriction(prop, flavor, count=cur.integer())
-    raise ParseError(flavor_tok.line, flavor_tok.column,
-                     f"unknown restriction flavor {flavor!r}")
+    raise cur.error(flavor_tok, f"unknown restriction flavor {flavor!r}")
 
 
 def _parse_property(cur: _Cursor, category: str) -> PropertyDefinition:
@@ -209,15 +196,14 @@ def parse(text: str) -> Ontology:
             continue
         cur = _Cursor(line_no, line)
         keyword_tok = cur.next("a statement keyword")
-        keyword = keyword_tok.text
+        keyword = keyword_tok[0]
         if ontology_name is None and keyword != "ontology":
-            raise ParseError(keyword_tok.line, keyword_tok.column,
-                             "missing ontology header before first statement")
+            raise cur.error(keyword_tok,
+                            "missing ontology header before first statement")
 
         if keyword == "ontology":
             if ontology_name is not None:
-                raise ParseError(keyword_tok.line, keyword_tok.column,
-                                 "duplicate ontology header")
+                raise cur.error(keyword_tok, "duplicate ontology header")
             ontology_name = cur.name("an ontology name")
             cur.done()
         elif keyword == "class":
@@ -262,8 +248,7 @@ def parse(text: str) -> Ontology:
             cur.done()
             individuals.append(Individual(name, types=tuple(types)))
         else:
-            raise ParseError(keyword_tok.line, keyword_tok.column,
-                             f"unknown statement keyword {keyword!r}")
+            raise cur.error(keyword_tok, f"unknown statement keyword {keyword!r}")
 
     if ontology_name is None:
         raise ParseError(1, 1, "missing ontology header")

@@ -9,6 +9,7 @@ note, keeping the imported ontology free of dangling references.
 
 from __future__ import annotations
 
+import functools
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -43,9 +44,14 @@ _RDF_ABOUT = f"{{{_RDF}}}about"
 _RDF_ID = f"{{{_RDF}}}ID"
 _RDF_RESOURCE = f"{{{_RDF}}}resource"
 
-_CARDINALITY_TAGS = {"cardinality": "exactly", "minCardinality": "min",
-                     "maxCardinality": "max", "cardinalityQ": "exactly",
-                     "minCardinalityQ": "min", "maxCardinalityQ": "max"}
+_CLASS_TAGS = ("daml:Class", "rdfs:Class")
+_BOOLEAN_TAGS = ("daml:intersectionOf", "daml:unionOf", "daml:complementOf")
+_CARDINALITY_TAGS = {"daml:cardinality": "exactly", "daml:minCardinality": "min",
+                     "daml:maxCardinality": "max", "daml:cardinalityQ": "exactly",
+                     "daml:minCardinalityQ": "min", "daml:maxCardinalityQ": "max"}
+# the same constraints as attributes of a daml:Restriction
+_CARDINALITY_ATTRS = {f"{{{_DAML}}}{tag.removeprefix('daml:')}": flavor
+                      for tag, flavor in _CARDINALITY_TAGS.items()}
 
 
 # Deepest element nesting below rdf:RDF a document may use. Every descent
@@ -84,15 +90,13 @@ class ImportReport:
         return sum(entry.count for entry in self.skipped)
 
 
-def _split(tag: str) -> tuple[str, str]:
-    if tag.startswith("{"):
-        uri, _, local = tag[1:].partition("}")
-        return uri, local
-    return "", tag
-
-
+@functools.cache
 def _prefixed(tag: str) -> str:
-    uri, local = _split(tag)
+    """`{uri}local` as `prefix:local` in the four known namespaces, else
+    the bare local name, which then has no colon."""
+    if not tag.startswith("{"):
+        return tag
+    uri, _, local = tag[1:].partition("}")
     prefix = _PREFIXES.get(uri)
     return f"{prefix}:{local}" if prefix else local
 
@@ -121,18 +125,16 @@ def _local_name(uri: str) -> str:
 
 class _Importer:
     def __init__(self):
+        # declarations are kept in insertion order, which is output order
         self.ontology_name: str | None = None
-        self.class_order: list[str] = []
         self.definitions: dict[str, ClassExpression | None] = {}
-        self.prop_order: list[str] = []
         self.props: dict[str, dict] = {}
         self.axioms: list[Axiom] = []
-        self.ind_order: list[str] = []
         self.ind_types: dict[str, list[ClassExpression]] = {}
         self.translated: dict[str, int] = {}
-        self.skipped: dict[str, list] = {}
+        # element name -> (count, location of the first one)
+        self.skipped: dict[str, tuple[int, str]] = {}
         self.notes: dict[str, None] = {}  # insertion-ordered set
-        self._renames: set[str] = set()
 
     # ---- bookkeeping
 
@@ -145,23 +147,13 @@ class _Importer:
 
     def skip_tree(self, el, path: str) -> None:
         name = _prefixed(el.tag)
-        entry = self.skipped.setdefault(name, [0, path])
-        entry[0] += 1
-        for child, cpath in _child_paths(el, path):
-            self.skip_tree(child, cpath)
+        count, first = self.skipped.get(name, (0, path))
+        self.skipped[name] = (count + 1, first)
+        self.skip_children(el, path)
 
     def skip_children(self, el, path: str) -> None:
         for child, cpath in _child_paths(el, path):
             self.skip_tree(child, cpath)
-
-    def _apply_journal(self, journal) -> None:
-        for op, payload, path in journal:
-            if op == "t":
-                self.translated[payload] = self.translated.get(payload, 0) + 1
-            elif op == "s":
-                self.skip_tree(payload, path)
-            else:
-                self.note(payload)
 
     # ---- naming
 
@@ -169,8 +161,7 @@ class _Importer:
         name = re.sub(r"[^A-Za-z0-9_-]", "_", raw)
         if not name or not re.match(r"[A-Za-z_]", name[0]):
             name = "_" + name
-        if name != raw and raw not in self._renames:
-            self._renames.add(raw)
+        if name != raw:
             self.note(f"name {raw!r} adjusted to {name!r}")
         return name
 
@@ -188,125 +179,109 @@ class _Importer:
 
     # ---- declarations
 
-    def declare_class(self, name: str) -> None:
-        if name not in self.definitions:
-            self.class_order.append(name)
-            self.definitions[name] = None
-
     def declare_property(self, name: str, category: str) -> dict:
         if name not in self.props:
-            self.prop_order.append(name)
             self.props[name] = {"category": category, "domains": [], "range": None}
         elif self.props[name]["category"] != category:
             self.note(f"property {name} declared with conflicting categories; "
                       f"keeping {self.props[name]['category']}")
         return self.props[name]
 
-    # ---- class expressions (journal-buffered so failures roll back)
+    # ---- class expressions (parse_expr_entry rolls back a failed one)
 
-    def _expr(self, el, path: str, journal) -> ClassExpression:
-        uri, local = _split(el.tag)
+    def _expr(self, el, path: str) -> ClassExpression:
         tag = _prefixed(el.tag)
-        if (uri, local) in ((_DAML, "Class"), (_RDFS, "Class")):
+        if tag in _CLASS_TAGS:
             name = self.name_of(el)
-            journal.append(("t", tag, path))
+            self.tally(el)
             if name is not None:
-                for child, cpath in _child_paths(el, path):
-                    journal.append(("s", child, cpath))
+                self.skip_children(el, path)
                 return named(name)
             expr = None
             for child, cpath in _child_paths(el, path):
-                curi, clocal = _split(child.tag)
-                if expr is None and curi == _DAML and clocal in (
-                        "intersectionOf", "unionOf", "complementOf"):
-                    expr = self._expr(child, cpath, journal)
+                ctag = _prefixed(child.tag)
+                if expr is None and ctag in _BOOLEAN_TAGS:
+                    expr = self._expr(child, cpath)
                 else:
-                    raise _Unmappable(
-                        f"class expression content {_prefixed(child.tag)}")
+                    raise _Unmappable(f"class expression content {ctag}")
             if expr is None:
                 raise _Unmappable("anonymous class without an expression")
             return expr
-        if uri == _DAML and local in ("intersectionOf", "unionOf"):
-            journal.append(("t", tag, path))
-            members = []
-            for child, cpath in _child_paths(el, path):
-                members.append(self._expr(child, cpath, journal))
+        if tag in ("daml:intersectionOf", "daml:unionOf"):
+            self.tally(el)
+            members = [self._expr(child, cpath)
+                       for child, cpath in _child_paths(el, path)]
             if not members:
                 raise DamlImportError(f"{tag} at {path} has no members")
             if len(members) == 1:
-                journal.append(("n", f"single-member {tag} at {path} unwrapped",
-                                path))
+                self.note(f"single-member {tag} at {path} unwrapped")
                 return members[0]
-            op = "and" if local == "intersectionOf" else "or"
+            op = "and" if tag == "daml:intersectionOf" else "or"
             return ClassExpression(op, members=tuple(members))
-        if uri == _DAML and local == "complementOf":
-            journal.append(("t", tag, path))
+        if tag == "daml:complementOf":
+            self.tally(el)
             resource = el.attrib.get(_RDF_RESOURCE)
             if resource is not None:
-                for child, cpath in _child_paths(el, path):
-                    journal.append(("s", child, cpath))
+                self.skip_children(el, path)
                 return ClassExpression("not", members=(named(self.ref(resource)),))
-            members = [self._expr(child, cpath, journal)
+            members = [self._expr(child, cpath)
                        for child, cpath in _child_paths(el, path)]
             if len(members) != 1:
                 raise DamlImportError(
                     f"complementOf at {path} needs exactly one member")
             return ClassExpression("not", members=(members[0],))
-        if (uri, local) == (_DAML, "Restriction"):
-            return self._restriction(el, path, journal)
+        if tag == "daml:Restriction":
+            return self._restriction(el, path)
         raise _Unmappable(f"class expression {tag}")
 
-    def _restriction(self, el, path: str, journal) -> ClassExpression:
+    def _restriction(self, el, path: str) -> ClassExpression:
         on_property: str | None = None
         parts: list[Restriction] = []
         pending: list[tuple] = []
 
-        for key, flavor in _CARDINALITY_TAGS.items():
-            attr = el.attrib.get(f"{{{_DAML}}}{key}")
-            if attr is not None:
-                pending.append(("count", flavor, attr, path))
+        for attr, flavor in _CARDINALITY_ATTRS.items():
+            value = el.attrib.get(attr)
+            if value is not None:
+                pending.append(("count", flavor, value, path))
 
         for child, cpath in _child_paths(el, path):
-            curi, clocal = _split(child.tag)
-            if (curi, clocal) == (_DAML, "onProperty"):
+            tag = _prefixed(child.tag)
+            if tag == "daml:onProperty":
                 resource = child.attrib.get(_RDF_RESOURCE)
                 if resource is None:
                     raise DamlImportError(
                         f"onProperty at {cpath} lacks rdf:resource")
                 on_property = self.ref(resource)
-                journal.append(("t", _prefixed(child.tag), cpath))
-                for g, gpath in _child_paths(child, cpath):
-                    journal.append(("s", g, gpath))
-            elif curi == _DAML and clocal in ("hasClass", "toClass"):
-                journal.append(("t", _prefixed(child.tag), cpath))
-                flavor = "some" if clocal == "hasClass" else "only"
+                self.tally(child)
+                self.skip_children(child, cpath)
+            elif tag in ("daml:hasClass", "daml:toClass"):
+                self.tally(child)
+                flavor = "some" if tag == "daml:hasClass" else "only"
                 resource = child.attrib.get(_RDF_RESOURCE)
                 if resource is not None:
-                    for g, gpath in _child_paths(child, cpath):
-                        journal.append(("s", g, gpath))
+                    self.skip_children(child, cpath)
                     pending.append(("class", flavor, named(self.ref(resource)),
                                     cpath))
                     continue
-                targets = [self._expr(g, gpath, journal)
+                targets = [self._expr(g, gpath)
                            for g, gpath in _child_paths(child, cpath)]
                 if len(targets) != 1:
-                    raise DamlImportError(
-                        f"{clocal} at {cpath} needs exactly one target")
+                    raise DamlImportError(f"{tag.removeprefix('daml:')} at "
+                                          f"{cpath} needs exactly one target")
                 pending.append(("class", flavor, targets[0], cpath))
-            elif curi == _DAML and clocal in _CARDINALITY_TAGS:
-                journal.append(("t", _prefixed(child.tag), cpath))
-                for g, gpath in _child_paths(child, cpath):
-                    journal.append(("s", g, gpath))
-                pending.append(("count", _CARDINALITY_TAGS[clocal],
+            elif tag in _CARDINALITY_TAGS:
+                self.tally(child)
+                self.skip_children(child, cpath)
+                pending.append(("count", _CARDINALITY_TAGS[tag],
                                 (child.text or "").strip(), cpath))
-            elif (curi, clocal) == (_DAML, "hasValue"):
+            elif tag == "daml:hasValue":
                 raise _Unmappable("hasValue restriction")
             else:
-                journal.append(("s", child, cpath))
+                self.skip_tree(child, cpath)
 
         if on_property is None:
             raise DamlImportError(f"Restriction at {path} lacks onProperty")
-        journal.append(("t", _prefixed(el.tag), path))
+        self.tally(el)
 
         for kind, flavor, value, vpath in pending:
             if kind == "class":
@@ -326,28 +301,33 @@ class _Importer:
                                members=tuple(restriction_expr(p) for p in parts))
 
     def parse_expr_entry(self, el, path: str, where: str) -> ClassExpression | None:
-        journal: list[tuple] = []
+        """The expression `el` denotes, or None when it has no counterpart:
+        then `el` is skipped whole and the census and notes read as if the
+        expression had never been walked."""
+        translated, skipped = dict(self.translated), dict(self.skipped)
+        noted = len(self.notes)
         try:
-            expr = self._expr(el, path, journal)
+            return self._expr(el, path)
         except _Unmappable as reason:
+            self.translated, self.skipped = translated, skipped
+            while len(self.notes) > noted:
+                self.notes.popitem()
             self.skip_tree(el, path)
             self.note(f"{where}: {reason} skipped")
             return None
-        self._apply_journal(journal)
-        return expr
 
     # ---- top-level elements
 
     def class_element(self, el, path: str, name: str) -> None:
         self.tally(el)
-        self.declare_class(name)
+        self.definitions.setdefault(name)
         for child, cpath in _child_paths(el, path):
-            curi, clocal = _split(child.tag)
-            if (curi, clocal) == (_RDFS, "subClassOf"):
-                self._axiom_child(SUBCLASS, name, child, cpath)
-            elif curi == _DAML and clocal in ("sameClassAs", "equivalentTo"):
+            tag = _prefixed(child.tag)
+            if tag == "rdfs:subClassOf":
+                self._axiom_child(name, child, cpath)
+            elif tag in ("daml:sameClassAs", "daml:equivalentTo"):
                 self._equivalence_child(name, child, cpath)
-            elif (curi, clocal) == (_DAML, "disjointWith"):
+            elif tag == "daml:disjointWith":
                 resource = child.attrib.get(_RDF_RESOURCE)
                 if resource is None:
                     self.skip_tree(child, cpath)
@@ -357,8 +337,7 @@ class _Importer:
                     self.skip_children(child, cpath)
                     self.axioms.append(
                         Axiom(DISJOINT, name, named(self.ref(resource))))
-            elif curi == _DAML and clocal in ("intersectionOf", "unionOf",
-                                              "complementOf"):
+            elif tag in _BOOLEAN_TAGS:
                 expr = self.parse_expr_entry(child, cpath, f"class {name}")
                 if expr is not None:
                     self._attach_definition(name, expr)
@@ -373,21 +352,21 @@ class _Importer:
                       "equivalence axiom")
             self.axioms.append(Axiom(SAME_CLASS, name, expr))
 
-    def _axiom_child(self, kind: str, subject: str, child, cpath: str) -> None:
+    def _axiom_child(self, subject: str, child, cpath: str) -> None:
         resource = child.attrib.get(_RDF_RESOURCE)
         self.tally(child)
         if resource is not None:
             self.skip_children(child, cpath)
-            self.axioms.append(Axiom(kind, subject, named(self.ref(resource))))
+            self.axioms.append(Axiom(SUBCLASS, subject, named(self.ref(resource))))
             return
         found = False
         for g, gpath in _child_paths(child, cpath):
             expr = self.parse_expr_entry(g, gpath, f"class {subject}")
             if expr is not None:
-                self.axioms.append(Axiom(kind, subject, expr))
+                self.axioms.append(Axiom(SUBCLASS, subject, expr))
                 found = True
         if not found:
-            self.note(f"class {subject}: {_prefixed(child.tag)} carried no "
+            self.note(f"class {subject}: rdfs:subClassOf carried no "
                       "usable class expression")
 
     def _equivalence_child(self, name: str, child, cpath: str) -> None:
@@ -411,15 +390,15 @@ class _Importer:
         self.tally(el)
         record = self.declare_property(name, category)
         for child, cpath in _child_paths(el, path):
-            curi, clocal = _split(child.tag)
+            tag = _prefixed(child.tag)
             resource = child.attrib.get(_RDF_RESOURCE)
-            if (curi, clocal) == (_RDFS, "domain") and resource is not None:
+            if tag == "rdfs:domain" and resource is not None:
                 self.tally(child)
                 self.skip_children(child, cpath)
                 domain = self.ref(resource)
                 if domain not in record["domains"]:
                     record["domains"].append(domain)
-            elif (curi, clocal) == (_RDFS, "range") and resource is not None:
+            elif tag == "rdfs:range" and resource is not None:
                 self._range_child(name, record, child, cpath, resource)
             else:
                 self.skip_tree(child, cpath)
@@ -460,16 +439,12 @@ class _Importer:
             self.note("individual without a name skipped")
             return
         self.tally(el)
-        if name not in self.ind_types:
-            self.ind_order.append(name)
-            self.ind_types[name] = []
-        types = self.ind_types[name]
+        types = self.ind_types.setdefault(name, [])
         if type_name is not None and named(type_name) not in types:
             types.append(named(type_name))
         for child, cpath in _child_paths(el, path):
-            curi, clocal = _split(child.tag)
             resource = child.attrib.get(_RDF_RESOURCE)
-            if (curi, clocal) == (_RDF, "type") and resource is not None:
+            if _prefixed(child.tag) == "rdf:type" and resource is not None:
                 self.tally(child)
                 self.skip_children(child, cpath)
                 ref = named(self.ref(resource))
@@ -479,46 +454,42 @@ class _Importer:
                 self.skip_tree(child, cpath)
 
     def top_level(self, el, path: str) -> None:
-        uri, local = _split(el.tag)
-        if (uri, local) == (_DAML, "Ontology"):
+        tag = _prefixed(el.tag)
+        if tag == "daml:Ontology":
             self.tally(el)
             name = self.name_of(el)
             if name is not None and self.ontology_name is None:
                 self.ontology_name = name
-            for child, cpath in _child_paths(el, path):
-                self.skip_tree(child, cpath)
-        elif (uri, local) in ((_DAML, "Class"), (_RDFS, "Class")):
+            self.skip_children(el, path)
+        elif tag in _CLASS_TAGS:
             name = self.name_of(el)
             if name is None:
                 self.skip_tree(el, path)
                 self.note("anonymous top-level class skipped")
             else:
                 self.class_element(el, path, name)
-        elif (uri, local) == (_DAML, "Restriction"):
+        elif tag == "daml:Restriction":
             self.skip_tree(el, path)
             self.note("top-level anonymous Restriction skipped")
-        elif (uri, local) == (_DAML, "ObjectProperty"):
+        elif tag == "daml:ObjectProperty":
             self.property_element(el, path, OBJECT)
-        elif (uri, local) == (_DAML, "DatatypeProperty"):
+        elif tag == "daml:DatatypeProperty":
             self.property_element(el, path, DATATYPE)
-        elif (uri, local) in ((_DAML, "Property"), (_RDF, "Property")):
+        elif tag in ("daml:Property", "rdf:Property"):
             name = self.name_of(el)
             if name is not None:
                 self.note(f"untyped property {name} treated as an object property")
             self.property_element(el, path, OBJECT)
-        elif uri == _DAML and local in ("TransitiveProperty", "UniqueProperty",
-                                        "UnambiguousProperty"):
-            self.skip_tree(el, path)
-        elif (uri, local) == (_RDF, "Description"):
-            if any(_split(c.tag) == (_RDF, "type") and _RDF_RESOURCE in c.attrib
+        elif tag == "rdf:Description":
+            if any(_prefixed(c.tag) == "rdf:type" and _RDF_RESOURCE in c.attrib
                    for c in el):
                 self.individual_element(el, path, None)
             else:
                 self.skip_tree(el, path)
                 self.note("rdf:Description without a type skipped")
-        elif uri not in (_DAML, _RDF, _RDFS, _XSD) and (
-                _RDF_ABOUT in el.attrib or _RDF_ID in el.attrib):
-            self.individual_element(el, path, self.sanitize(local))
+        elif ":" not in tag and (_RDF_ABOUT in el.attrib or _RDF_ID in el.attrib):
+            # a typed node outside the known namespaces: an individual
+            self.individual_element(el, path, self.sanitize(tag))
         else:
             self.skip_tree(el, path)
 
@@ -556,7 +527,7 @@ class _Importer:
 
         for name in ref_classes:
             if name not in self.definitions:
-                self.declare_class(name)
+                self.definitions[name] = None
                 self.note(f"class {name} referenced but never declared; "
                           "declared automatically")
         for name in ref_properties:
@@ -566,19 +537,16 @@ class _Importer:
                           "never declared; assumed to be an object property")
 
         classes = tuple(
-            ClassDefinition(name,
-                            kind=DEFINED if self.definitions[name] is not None
-                            else PRIMITIVE,
-                            definition=self.definitions[name])
-            for name in self.class_order)
+            ClassDefinition(name, kind=PRIMITIVE if expr is None else DEFINED,
+                            definition=expr)
+            for name, expr in self.definitions.items())
         properties = tuple(
-            PropertyDefinition(name, self.props[name]["category"],
-                               domains=tuple(self.props[name]["domains"]),
-                               range=self.props[name]["range"])
-            for name in self.prop_order)
-        individuals = tuple(
-            Individual(name, types=tuple(self.ind_types[name]))
-            for name in self.ind_order)
+            PropertyDefinition(name, record["category"],
+                               domains=tuple(record["domains"]),
+                               range=record["range"])
+            for name, record in self.props.items())
+        individuals = tuple(Individual(name, types=tuple(types))
+                            for name, types in self.ind_types.items())
 
         ontology = Ontology(self.ontology_name or source_name or "imported",
                             classes=classes, properties=properties,
@@ -597,7 +565,7 @@ def import_daml(text: str, source_name: str | None = None) -> ImportReport:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         raise DamlImportError(f"malformed XML: {exc}") from exc
-    if _split(root.tag) != (_RDF, "RDF"):
+    if _prefixed(root.tag) != "rdf:RDF":
         raise DamlImportError("root element must be rdf:RDF")
     importer = _Importer()
     for child, path in _child_paths(root, "rdf:RDF"):

@@ -143,10 +143,7 @@ def _member_label(model: ConceptualModel, relationships: dict[str, Relationship]
         source = model.entity(r.source_id).name
         target = model.entity(r.target_id).name
         return f"{r.name}({source}, {target})"
-    try:
-        return model.entity(member_id).name
-    except KeyError:
-        return member_id
+    return model.entity(member_id).name
 
 
 _CONSTRAINT_LABELS = {AND_GROUP: "and", DISJOINT_GROUP: "disjoint"}

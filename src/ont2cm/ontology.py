@@ -505,6 +505,38 @@ EDGE_SOURCES = ("subclass axiom", "equivalence axiom", "union membership",
                 "definition")
 
 
+def _asserted(ont: Ontology) -> tuple[dict[str, list[Restriction]],
+                                      dict[str, tuple[str, ...]]]:
+    """Per class, the restrictions asserted on it and the declared
+    properties attached to it; see `OntologyIndex.direct_restrictions` and
+    `OntologyIndex.attached_properties`."""
+    declared = {p.name for p in ont.properties}
+    # names of the properties declaring each class a domain
+    domains_of: dict[str, list[str]] = {}
+    for p in ont.properties:
+        for d in p.domains:
+            domains_of.setdefault(d, []).append(p.name)
+    # subclass/same-class axioms by subject, in document order
+    axioms_of: dict[str, list[Axiom]] = {}
+    for ax in ont.axioms:
+        if ax.kind in (SUBCLASS, SAME_CLASS):
+            axioms_of.setdefault(ax.subject, []).append(ax)
+    direct: dict[str, list[Restriction]] = {}
+    attached: dict[str, tuple[str, ...]] = {}
+    for cls in ont.classes:
+        restrictions = list(cls.local_restrictions)
+        if cls.definition is not None:
+            restrictions.extend(conjunct_restrictions(cls.definition))
+        for ax in axioms_of.get(cls.name, ()):
+            restrictions.extend(conjunct_restrictions(ax.target))
+        direct[cls.name] = restrictions
+        names = dict.fromkeys(domains_of.get(cls.name, ()))
+        names.update(dict.fromkeys(r.on_property for r in restrictions
+                                   if r.on_property in declared))
+        attached[cls.name] = tuple(names)
+    return direct, attached
+
+
 def _superclass_edges(ont: Ontology) -> list[tuple[str, str, str]]:
     """Every (sub, sup, source) edge the document asserts, in order: the
     named conjuncts of subclass axioms, then of same-class axioms, then of
@@ -569,28 +601,15 @@ class OntologyIndex:
     """
 
     def __init__(self, ont: Ontology):
-        self._classes = {c.name: c for c in ont.classes}
-        self._declared = {p.name for p in ont.properties}
-        # names of the properties declaring each class a domain
-        self._domains_of: dict[str, list[str]] = {}
-        for p in ont.properties:
-            for d in p.domains:
-                self._domains_of.setdefault(d, []).append(p.name)
-        self._direct_restrictions: dict[str, list[Restriction]] = {}
-        self._attached: dict[str, tuple[str, ...]] = {}
-        # subclass/same-class axioms by subject, in document order
-        self._axioms_of: dict[str, list[Axiom]] = {}
-        for ax in ont.axioms:
-            if ax.kind in (SUBCLASS, SAME_CLASS):
-                self._axioms_of.setdefault(ax.subject, []).append(ax)
+        self._direct_restrictions, self._attached = _asserted(ont)
         self.superclass_edges = _superclass_edges(ont)
-        supers: dict[str, list[str]] = {name: [] for name in self._classes}
+        supers: dict[str, list[str]] = {name: [] for name in self._attached}
         for sub, sup, _ in self.superclass_edges:
             supers[sub].append(sup)
 
         # bit positions, in declaration order
         inherited = {sup for sub, sup, _ in self.superclass_edges}
-        self._superclasses = [name for name in self._classes if name in inherited]
+        self._superclasses = [name for name in self._attached if name in inherited]
         self._class_bit = {name: 1 << pos
                            for pos, name in enumerate(self._superclasses)}
         self._property_bit: dict[str, int] = {}
@@ -672,28 +691,10 @@ class OntologyIndex:
         """Restrictions asserted on the class itself: local ones, plus
         restriction conjuncts of its subclass/same-class axiom targets and of
         its definition."""
-        cached = self._direct_restrictions.get(cls)
-        if cached is not None:
-            return cached
-        definition = self._classes[cls]
-        out = list(definition.local_restrictions)
-        if definition.definition is not None:
-            out.extend(conjunct_restrictions(definition.definition))
-        for ax in self._axioms_of.get(cls, ()):
-            out.extend(conjunct_restrictions(ax.target))
-        self._direct_restrictions[cls] = out
-        return out
+        return self._direct_restrictions[cls]
 
     def attached_properties(self, cls: str) -> tuple[str, ...]:
         """Names of the declared properties attached to the class itself,
         each once: those naming it as a domain, then those its direct
         restrictions constrain."""
-        cached = self._attached.get(cls)
-        if cached is not None:
-            return cached
-        names = dict.fromkeys(self._domains_of.get(cls, ()))
-        names.update(dict.fromkeys(
-            r.on_property for r in self.direct_restrictions(cls)
-            if r.on_property in self._declared))
-        result = self._attached[cls] = tuple(names)
-        return result
+        return self._attached[cls]

@@ -450,21 +450,16 @@ def _diagnostics(ont: Ontology, bww_report: BwwReport, config: TransformConfig,
                        "no property reaches this entity; check whether it should stay")
 
 
-def transform(ont: Ontology, bww_report: BwwReport | None = None,
+def transform(ont: Ontology, *, bww_report: BwwReport, index: OntologyIndex,
               config: TransformConfig | None = None,
               alias_map: dict[str, str] | None = None,
-              import_report=None,
-              index: OntologyIndex | None = None) -> tuple[ConceptualModel, ValidationReport]:
+              import_report=None) -> tuple[ConceptualModel, ValidationReport]:
     """Map a validated, collapsed ontology to a conceptual model plus the
-    review report. Deterministic: equal inputs give equal outputs. A
-    superclass cycle left uncollapsed becomes a generalization cycle, which
-    `check_model` reports."""
+    review report, given the ontology's index and its grading. Deterministic:
+    equal inputs give equal outputs. A superclass cycle left uncollapsed
+    becomes a generalization cycle, which `check_model` reports."""
     if config is None:
         config = TransformConfig()
-    if index is None:
-        index = OntologyIndex(ont)
-    if bww_report is None:
-        bww_report = classify(ont, index)
 
     found = _Findings()
     entity_ids = {cls.name: entity_id(cls.name) for cls in ont.classes}

@@ -1,6 +1,9 @@
 """Exit codes, artifact layout, and stream discipline of the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +53,10 @@ class TestTransform:
         code = run("transform", str(FIXTURES / "rule1.cot"), "--emit", "svg")
         assert code == 1
         assert "unknown emit format" in capsys.readouterr().err
+
+    def test_empty_emit_list_is_usage_error(self, capsys):
+        assert run("transform", str(FIXTURES / "rule1.cot"), "--emit", ",") == 1
+        assert "at least one format" in capsys.readouterr().err
 
     def test_validation_defects_exit_2(self, tmp_path, capsys):
         code = run("transform", str(FIXTURES / "dangling.cot"),
@@ -224,6 +231,16 @@ class TestImport:
         assert cot.parse(captured.out) == direct.ontology
         assert "18 element(s) translated" in captured.err
 
+    def test_prints_its_notes(self, tmp_path, capsys):
+        source = tmp_path / "untyped.daml"
+        source.write_text(
+            '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
+            'xmlns:daml="http://www.daml.org/2001/03/daml+oil#">'
+            '<daml:Property rdf:about="#relates"/></rdf:RDF>')
+        assert run("import", str(source), "--out", str(tmp_path)) == 0
+        assert "note: untyped property relates treated as an object " \
+            "property\n" in capsys.readouterr().err
+
     def test_writes_cot_file(self, tmp_path):
         assert run("import", str(FIXTURES / "excess.daml"),
                    "--out", str(tmp_path)) == 0
@@ -249,3 +266,35 @@ class TestInvocation:
     def test_version(self, capsys):
         assert run("--version") == 0
         assert capsys.readouterr().out.startswith("ont2cm ")
+
+
+class TestEncoding:
+    """Artifacts are UTF-8 bytes whatever the locale says."""
+
+    def transform(self, tmp_path, out, env):
+        source = tmp_path / "proteine.daml"
+        source.write_text(
+            '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
+            'xmlns:daml="http://www.daml.org/2001/03/daml+oil#">'
+            '<daml:Class rdf:about="#Protéine"/></rdf:RDF>', encoding="utf-8")
+        src = str(Path(__file__).parents[1] / "src")
+        return subprocess.run(
+            [sys.executable, "-m", "ont2cm.cli", "transform", str(source),
+             "--out", out, "--emit", "report"],
+            env={**os.environ, **env, "PYTHONPATH": src}, capture_output=True)
+
+    def test_ascii_locale_writes_utf8(self, tmp_path):
+        # an empty PYTHONIOENCODING counts as unset, so an inherited one
+        # cannot mask the locale
+        ascii_env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+                     "PYTHONUTF8": "0", "PYTHONIOENCODING": ""}
+        utf8 = self.transform(tmp_path, str(tmp_path / "utf8"), {"PYTHONUTF8": "1"})
+        assert utf8.returncode == 0, utf8.stderr
+        expected = (tmp_path / "utf8" / "proteine.report.md").read_bytes()
+        assert "name 'Protéine' adjusted".encode("utf-8") in expected
+        to_file = self.transform(tmp_path, str(tmp_path / "c"), ascii_env)
+        assert to_file.returncode == 0, to_file.stderr
+        assert (tmp_path / "c" / "proteine.report.md").read_bytes() == expected
+        to_stdout = self.transform(tmp_path, "-", ascii_env)
+        assert to_stdout.returncode == 0, to_stdout.stderr
+        assert to_stdout.stdout == expected

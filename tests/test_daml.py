@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ont2cm import cot
-from ont2cm.damlxml import DamlImportError, ImportReport, import_daml
+from ont2cm.damlxml import (
+    MAX_DEPTH,
+    DamlImportError,
+    ImportReport,
+    SkippedEntry,
+    import_daml,
+)
 from ont2cm.ontology import (
     DATATYPE,
     DEFINED,
@@ -341,12 +347,95 @@ class TestConstructs:
         assert len(report.ontology.properties) == 1
         assert report.ontology.properties[0].domains == ("A", "B")
 
+    def test_skipped_expression_leaves_no_trace_but_its_skip(self):
+        # the adjusted name and the census of the walk into the expression
+        # roll back: none of it reaches the imported ontology
+        report = import_daml(doc(
+            '<daml:Class rdf:about="#A"><rdfs:subClassOf><daml:intersectionOf>'
+            '<daml:Class rdf:about="#amino.acid"/>'
+            '<daml:Restriction><daml:onProperty rdf:resource="#p"/>'
+            '<daml:hasValue rdf:resource="#v"/></daml:Restriction>'
+            '</daml:intersectionOf></rdfs:subClassOf></daml:Class>'))
+        assert [c.name for c in report.ontology.classes] == ["A"]
+        assert report.ontology.axioms == ()
+        assert report.notes == (
+            "class A: hasValue restriction skipped",
+            "class A: rdfs:subClassOf carried no usable class expression")
+        assert dict(report.translated) == {"daml:Class": 1,
+                                           "rdfs:subClassOf": 1}
+        where = "rdf:RDF/daml:Class[1]/rdfs:subClassOf[1]/daml:intersectionOf[1]"
+        assert report.skipped == (
+            SkippedEntry("daml:Class", 1, where + "/daml:Class[1]"),
+            SkippedEntry("daml:Restriction", 1, where + "/daml:Restriction[1]"),
+            SkippedEntry("daml:hasValue", 1,
+                         where + "/daml:Restriction[1]/daml:hasValue[1]"),
+            SkippedEntry("daml:intersectionOf", 1, where),
+            SkippedEntry("daml:onProperty", 1,
+                         where + "/daml:Restriction[1]/daml:onProperty[1]"))
+
+    def test_name_adjusted_again_after_a_skip_is_noted_where_imported(self):
+        report = import_daml(doc(
+            '<daml:Class rdf:about="#A"><rdfs:subClassOf><daml:Restriction>'
+            '<daml:onProperty rdf:resource="#has.part"/>'
+            '<daml:hasValue rdf:resource="#v"/></daml:Restriction>'
+            '</rdfs:subClassOf></daml:Class>'
+            '<daml:ObjectProperty rdf:about="#has.part"/>'))
+        assert report.notes == (
+            "class A: hasValue restriction skipped",
+            "class A: rdfs:subClassOf carried no usable class expression",
+            "name 'has.part' adjusted to 'has_part'")
+
+    def test_notes_inside_an_expression_follow_document_order(self):
+        report = import_daml(doc(
+            '<daml:Class rdf:about="#A"><daml:unionOf><daml:intersectionOf>'
+            '<daml:Class rdf:about="#B"/></daml:intersectionOf>'
+            '<daml:Class rdf:about="#x.y"/></daml:unionOf></daml:Class>'))
+        assert report.notes[:2] == (
+            "single-member daml:intersectionOf at "
+            "rdf:RDF/daml:Class[1]/daml:unionOf[1]/daml:intersectionOf[1] "
+            "unwrapped",
+            "name 'x.y' adjusted to 'x_y'")
+
     def test_awkward_uri_characters_sanitized(self):
         report = import_daml(doc(
             '<daml:Class rdf:about="#amino.acid"/>'))
         assert report.ontology.classes[0].name == "amino_acid"
         assert any("adjusted" in n for n in report.notes)
 
+
+XSD = "http://www.w3.org/2001/XMLSchema#"
+
+# importer branches that skip or adjust something, each with the note it leaves
+BRANCHES = [
+    ('<daml:ObjectProperty><rdfs:domain rdf:resource="#A"/>'
+     '</daml:ObjectProperty>', "anonymous property element skipped"),
+    ('<rdf:Description><rdf:type rdf:resource="#A"/></rdf:Description>',
+     "individual without a name skipped"),
+    ('<daml:Class><rdfs:subClassOf rdf:resource="#B"/></daml:Class>',
+     "anonymous top-level class skipped"),
+    ('<daml:Restriction><daml:onProperty rdf:resource="#p"/>'
+     '<daml:hasClass rdf:resource="#B"/></daml:Restriction>',
+     "top-level anonymous Restriction skipped"),
+    ('<daml:ObjectProperty rdf:about="#p"/><daml:DatatypeProperty rdf:about="#p">'
+     f'<rdfs:range rdf:resource="{XSD}string"/></daml:DatatypeProperty>',
+     "property p declared with conflicting categories; keeping object"),
+    ('<daml:ObjectProperty rdf:about="#p"><rdfs:range rdf:resource="#A"/>'
+     '<rdfs:range rdf:resource="#B"/></daml:ObjectProperty>',
+     "property p: extra range ignored"),
+    (f'<daml:DatatypeProperty rdf:about="#m"><rdfs:range rdf:resource="{XSD}string"/>'
+     f'<rdfs:range rdf:resource="{XSD}integer"/></daml:DatatypeProperty>',
+     "property m: extra range ignored"),
+    ('<daml:Class rdf:about="#A"><daml:disjointWith>'
+     '<daml:Class rdf:about="#B"/></daml:disjointWith></daml:Class>',
+     "class A: non-named disjointWith skipped"),
+    ('<daml:Class rdf:about="#A"><daml:unionOf><daml:Class rdf:about="#B"/>'
+     '<daml:Class rdf:about="#C"/></daml:unionOf><daml:sameClassAs>'
+     '<daml:Class rdf:about="#D"/></daml:sameClassAs></daml:Class>',
+     "class A: extra definition kept as an equivalence axiom"),
+    ('<daml:Class rdf:about="#A"><rdfs:subClassOf><daml:Class>'
+     '<rdfs:label>x</rdfs:label></daml:Class></rdfs:subClassOf></daml:Class>',
+     "class A: class expression content rdfs:label skipped"),
+]
 
 SNIPPETS = [
     '<daml:Class rdf:about="#A"><daml:oneOf><daml:Thing rdf:about="#x"/>'
@@ -363,7 +452,12 @@ SNIPPETS = [
     '<daml:DatatypeProperty rdf:about="#m"><rdfs:range '
     'rdf:resource="http://www.w3.org/2001/XMLSchema#integer"/>'
     '<daml:samePropertyAs rdf:resource="#n"/></daml:DatatypeProperty>',
-]
+] + [body for body, _ in BRANCHES]
+
+
+@pytest.mark.parametrize("body, note", BRANCHES)
+def test_branch_leaves_its_note(body, note):
+    assert note in import_daml(doc(body)).notes
 
 
 @pytest.mark.parametrize("body", SNIPPETS)
@@ -416,6 +510,15 @@ class TestErrors:
     def test_raises(self, text, fragment):
         with pytest.raises(DamlImportError, match=fragment):
             import_daml(text)
+
+    def test_first_offence_in_document_order_is_reported(self):
+        deep = "<x>" * MAX_DEPTH + "</x>" * MAX_DEPTH
+        with pytest.raises(DamlImportError, match="nested deeper than"):
+            import_daml(doc(
+                '<daml:Class rdf:about="#A"><rdfs:subClassOf>'
+                f'<daml:intersectionOf><daml:Class rdf:about="#B">{deep}'
+                '</daml:Class><daml:Restriction/></daml:intersectionOf>'
+                '</rdfs:subClassOf></daml:Class>'))
 
 
 @st.composite

@@ -100,6 +100,25 @@ class TestCheckModel:
          "danglingReference"),
         (ConceptualModel("m", instances=(Instance("x", ("et:A",)),)),
          "danglingReference"),
+        (ConceptualModel("m", entity_types=(
+            et("A", attributes=(Attribute("x", "string",
+                                          Multiplicity(-1, 1), "x"),)),)),
+         "badMultiplicity"),
+        (ConceptualModel("m", entity_types=(et("A"), et("B")),
+                         generalizations=(Generalization("et:A", "et:B"),
+                                          Generalization("et:A", "et:B"))),
+         "duplicateId"),
+        (ConceptualModel("m", entity_types=(et("A"),),
+                         generalizations=(Generalization("et:A", "et:B"),)),
+         "danglingReference"),
+        (ConceptualModel("m", entity_types=(et("A"), et("B")),
+                         constraints=(SemanticConstraint(
+                             "con:x", "xorGroup", ("et:A", "et:B")),)),
+         "badConstraint"),
+        (ConceptualModel("m", entity_types=(et("A"),),
+                         instances=(Instance("x", ("et:A",)),
+                                    Instance("x", ("et:A",)))),
+         "duplicateName"),
     ])
     def test_defect_detected(self, model, kind):
         assert kind in {d.kind for d in check_model(model)}

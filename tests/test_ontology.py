@@ -395,6 +395,13 @@ class TestOntologyIndex:
         assert index.attached_properties("Enzyme") == ("catalyses",)
         assert index.attached_properties("Gene") == ("mass", "catalyses")
 
+    def test_lookups_raise_key_error_on_undeclared_names(self):
+        index = OntologyIndex(chain_fixture())
+        with pytest.raises(KeyError):
+            index.direct_restrictions("Nothing")
+        with pytest.raises(KeyError):
+            index.attached_properties("Nothing")
+
     def test_cyclic_graph_terminates(self):
         o = ont(classes=[ClassDefinition("A"), ClassDefinition("B")],
                 axioms=[Axiom(SUBCLASS, "A", named("B")),
