@@ -1,13 +1,14 @@
 """Command line front end.
 
 Exit codes: 0 success (a nonempty review report is still success), 1 input
-could not be read or parsed, 2 the ontology has validation defects, 3 the
-produced model failed its own consistency check.
+could not be read or parsed or an artifact not written, 2 the ontology has
+validation defects, 3 the produced model failed its own consistency check.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -41,8 +42,8 @@ class _UsageError(Exception):
     pass
 
 
-class _InputError(Exception):
-    pass
+class _Error(Exception):
+    """Reported as one `error:` line; exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,19 +106,19 @@ def _load(path_text: str, fmt: str | None) -> tuple[Ontology, ImportReport | Non
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror or exc}")
+        raise _Error(f"cannot read {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
-        raise _InputError(f"{path}: not UTF-8 text: {exc}")
+        raise _Error(f"{path}: not UTF-8 text: {exc}")
     if fmt == "damlxml":
         try:
             report = import_daml(text, source_name=path.stem)
         except DamlImportError as exc:
-            raise _InputError(f"{path}: {exc}")
+            raise _Error(f"{path}: {exc}")
         return report.ontology, report
     try:
         return parse(text), None
     except ParseError as exc:
-        raise _InputError(f"{path}: {exc}")
+        raise _Error(f"{path}: {exc}")
 
 
 def _validated(ontology: Ontology) -> int:
@@ -129,14 +130,19 @@ def _validated(ontology: Ontology) -> int:
 
 def _write(out: str, filename: str, text: str) -> None:
     """Artifacts are UTF-8 whatever the locale, on standard output too."""
-    if out == "-":
-        sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
-        return
-    directory = Path(out)
-    directory.mkdir(parents=True, exist_ok=True)
-    target = directory / filename
-    target.write_bytes(text.encode("utf-8"))
+    target = "standard output" if out == "-" else Path(out) / filename
+    try:
+        if out == "-":
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode("utf-8"))
+            sys.stdout.buffer.flush()
+            return
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(text.encode("utf-8"))
+    except OSError as exc:
+        if out == "-":  # the buffer keeps the bytes; the flush at exit must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _Error(f"cannot write {exc.filename or target}: {exc.strerror or exc}")
     _info(f"wrote {target}")
 
 
@@ -243,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         _info(str(exc))
         return 1
-    except _InputError as exc:
+    except _Error as exc:
         _info(f"error: {exc}")
         return 1
 

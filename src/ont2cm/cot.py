@@ -190,7 +190,9 @@ def parse(text: str) -> Ontology:
     axioms: list[Axiom] = []
     individuals: list[Individual] = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # only \n, \r\n and \r end a line (str.splitlines also splits at \f, \x85...)
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue

@@ -3,6 +3,10 @@
 All output is deterministic: no timestamps, no environment-dependent
 content, collections in canonical order. Emitting the same model twice
 gives byte-identical text.
+
+The model and grading JSON are written from fixed templates, one f-string
+per record, and equal json.dumps(doc, indent=2) + "\n" of the dict shape
+parse_model_json reads, as tests/test_emit.py checks against json.dumps.
 """
 
 from __future__ import annotations
@@ -31,70 +35,63 @@ from .transform import FLAG_KINDS, ValidationReport
 # model JSON
 
 
-def _mult_to_json(m: Multiplicity) -> dict:
-    out = {"lower": m.lower, "upper": "*" if m.upper is None else m.upper}
-    if m.unsatisfiable:
-        out["unsatisfiable"] = True
-    return out
-
-
 def _mult_from_json(data: dict) -> Multiplicity:
     upper = data["upper"]
     return Multiplicity(data["lower"], None if upper == "*" else upper,
                         unsatisfiable=data.get("unsatisfiable", False))
 
 
+_str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps calls
+
+
+def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """Items in json.dumps(indent=2) layout, the closing bracket at `pad`."""
+    inner = ",\n  " + pad
+    return (f"{brackets[0]}\n  {pad}{inner.join(items)}\n{pad}{brackets[1]}"
+            if items else brackets)
+
+
+def _mult_json(m: Multiplicity, pad: str) -> str:
+    upper = '"*"' if m.upper is None else m.upper
+    flag = f',\n{pad}  "unsatisfiable": true' if m.unsatisfiable else ""
+    return f'{{\n{pad}  "lower": {m.lower},\n{pad}  "upper": {upper}{flag}\n{pad}}}'
+
+
 def emit_model_json(model: ConceptualModel) -> str:
-    doc = {
-        "name": model.name,
-        "entityTypes": [
-            {
-                "id": et.id,
-                "name": et.name,
-                "originClass": et.origin_class,
-                "bww": et.bww,
-                "definitionKind": et.definition_kind,
-                "attributes": [
-                    {
-                        "name": a.name,
-                        "datatype": a.datatype,
-                        "multiplicity": _mult_to_json(a.multiplicity),
-                        "originProperty": a.origin_property,
-                    }
-                    for a in et.attributes
-                ],
-            }
-            for et in model.entity_types
-        ],
-        "relationships": [
-            {
-                "id": r.id,
-                "name": r.name,
-                "sourceId": r.source_id,
-                "targetId": r.target_id,
-                "sourceMult": _mult_to_json(r.source_mult),
-                "targetMult": _mult_to_json(r.target_mult),
-                "exclusive": r.exclusive,
-                "kind": r.kind,
-                "whole": r.whole,
-                "groupId": r.group_id,
-            }
-            for r in model.relationships
-        ],
-        "generalizations": [
-            {"subId": g.sub_id, "superId": g.super_id}
-            for g in model.generalizations
-        ],
-        "constraints": [
-            {"id": c.id, "kind": c.kind, "memberIds": list(c.member_ids)}
-            for c in model.constraints
-        ],
-        "instances": [
-            {"name": i.name, "typeIds": list(i.type_ids)}
-            for i in model.instances
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    # each record list is freed once its array is laid out
+    entity_types = _block([
+        f'{{\n      "id": {_str(et.id)},\n      "name": {_str(et.name)},\n'
+        f'      "originClass": {_str(et.origin_class)},\n      "bww": {_str(et.bww)},\n'
+        f'      "definitionKind": {_str(et.definition_kind)},\n      "attributes": ' + _block([
+            f'{{\n          "name": {_str(a.name)},\n          "datatype": {_str(a.datatype)},\n'
+            f'          "multiplicity": {_mult_json(a.multiplicity, " " * 10)},\n'
+            f'          "originProperty": {_str(a.origin_property)}\n        }}'
+            for a in et.attributes], " " * 6) + "\n    }"
+        for et in model.entity_types], "  ")
+    relationships = _block([
+        f'{{\n      "id": {_str(r.id)},\n      "name": {_str(r.name)},\n'
+        f'      "sourceId": {_str(r.source_id)},\n      "targetId": {_str(r.target_id)},\n'
+        f'      "sourceMult": {_mult_json(r.source_mult, " " * 6)},\n'
+        f'      "targetMult": {_mult_json(r.target_mult, " " * 6)},\n'
+        f'      "exclusive": {"true" if r.exclusive else "false"},\n'
+        f'      "kind": {_str(r.kind)},\n'
+        f'      "whole": {"null" if r.whole is None else _str(r.whole)},\n'
+        f'      "groupId": {"null" if r.group_id is None else _str(r.group_id)}\n    }}'
+        for r in model.relationships], "  ")
+    generalizations = _block([
+        f'{{\n      "subId": {_str(g.sub_id)},\n      "superId": {_str(g.super_id)}\n    }}'
+        for g in model.generalizations], "  ")
+    constraints = _block([
+        f'{{\n      "id": {_str(c.id)},\n      "kind": {_str(c.kind)},\n      "memberIds": '
+        f'{_block([_str(m) for m in c.member_ids], " " * 6)}\n    }}'
+        for c in model.constraints], "  ")
+    instances = _block([
+        f'{{\n      "name": {_str(i.name)},\n'
+        f'      "typeIds": {_block([_str(t) for t in i.type_ids], " " * 6)}\n    }}'
+        for i in model.instances], "  ")
+    return (f'{{\n  "name": {_str(model.name)},\n  "entityTypes": {entity_types},\n'
+            f'  "relationships": {relationships},\n  "generalizations": {generalizations},\n'
+            f'  "constraints": {constraints},\n  "instances": {instances}\n}}\n')
 
 
 def parse_model_json(text: str) -> ConceptualModel:
@@ -303,18 +300,14 @@ def emit_report(model: ConceptualModel, report: ValidationReport) -> str:
 
 
 def emit_bww_json(report: BwwReport) -> str:
-    doc = {
-        "concepts": {
-            c.name: {
-                "category": c.category,
-                "propertyCount": c.property_count,
-                "lawCount": c.law_count,
-            }
-            for c in report.concepts
-        },
-        "properties": {
-            p.name: {"category": p.category} for p in report.properties
-        },
-        "notes": list(report.notes),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    # by way of a dict, so a repeated name keeps its first position and last entry
+    concepts = _block([
+        f'{_str(name)}: {{\n      "category": {_str(c.category)},\n'
+        f'      "propertyCount": {c.property_count},\n      "lawCount": {c.law_count}\n    }}'
+        for name, c in {c.name: c for c in report.concepts}.items()], "  ", "{}")
+    properties = _block([
+        f'{_str(name)}: {{\n      "category": {_str(p.category)}\n    }}'
+        for name, p in {p.name: p for p in report.properties}.items()], "  ", "{}")
+    notes = _block([_str(n) for n in report.notes], "  ")
+    return (f'{{\n  "concepts": {concepts},\n  "properties": {properties},\n'
+            f'  "notes": {notes}\n}}\n')

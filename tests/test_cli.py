@@ -153,6 +153,48 @@ class TestClassify:
         assert run("classify", str(FIXTURES / "dangling.cot")) == 2
 
 
+class TestUnwritableOutput:
+    """An artifact that cannot be written is one error line and exit 1."""
+
+    def test_out_names_a_regular_file(self, tmp_path, capsys):
+        regular = tmp_path / "notes.txt"
+        regular.write_text("keep\n")
+        code = run("transform", str(FIXTURES / "rule1.cot"),
+                   "--out", str(regular))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot write {regular}: " in err
+        assert "Traceback" not in err
+        assert regular.read_text() == "keep\n"
+
+    def test_artifact_path_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "rule1.bww.json").mkdir()
+        code = run("classify", str(FIXTURES / "rule1.cot"),
+                   "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot write {tmp_path / 'rule1.bww.json'}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_standard_output_full(self, unbuffered):
+        # buffered, the unwritten bytes would fail the flush at exit again
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ont2cm.cli", "classify",
+                 str(FIXTURES / "rule1.cot"), "--out", "-"],
+                env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot write standard output: ")
+        assert proc.stderr.count("\n") == 1
+
+
 class TestCheck:
     def test_clean_ontology(self, capsys):
         assert run("check", str(FIXTURES / "tambis-mini.cot")) == 0

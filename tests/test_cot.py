@@ -132,6 +132,23 @@ class TestErrors:
             cot.parse("ontology t\nclass A junk\n")
         assert (exc.value.line, exc.value.column) == (2, 9)
 
+    # str.splitlines ends a line at each of these; the format does not
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                      "\x85", "\u2028", "\u2029"])
+    def test_only_newlines_end_a_line(self, char):
+        text = f"ontology x\n# note {char} here\nclass A\n"
+        assert cot.parse(text).classes == (ClassDefinition("A"),)
+        with pytest.raises(cot.ParseError) as exc:
+            cot.parse(text + "class !\n")
+        assert (exc.value.line, exc.value.column) == (4, 7)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_line_ends(self, newline):
+        text = newline.join(["ontology x", "class A", "", "class !", ""])
+        with pytest.raises(cot.ParseError) as exc:
+            cot.parse(text)
+        assert exc.value.line == 4
+
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(st.sampled_from(["", "ontology t\n"]), st.one_of(
         st.text(max_size=60),

@@ -1,12 +1,16 @@
 """Emitters: JSON round-trips, diagram text, review report layout."""
 
+import json
+import tracemalloc
 from pathlib import Path
 from textwrap import dedent
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ont2cm import cot, emit, transform
+from ont2cm.bww import BwwReport, ConceptClassification, PropertyClassification
 from ont2cm.emit import (
     emit_bww_json,
     emit_dot,
@@ -14,6 +18,16 @@ from ont2cm.emit import (
     emit_plantuml,
     emit_report,
     parse_model_json,
+)
+from ont2cm.model import (
+    Attribute,
+    ConceptualModel,
+    EntityType,
+    Generalization,
+    Instance,
+    Multiplicity,
+    Relationship,
+    SemanticConstraint,
 )
 from ont2cm.transform import derive_model
 from strategies import ontologies
@@ -195,3 +209,135 @@ class TestDeterminism:
         assert emit_dot(model).rstrip().endswith("}")
         assert emit_report(model, report).startswith("# Specialist")
         assert emit_bww_json(grading).startswith("{")
+
+
+# --------------------------------------------------------------------------
+# the JSON writers against the stdlib encoder
+
+
+def mult_doc(m):
+    out = {"lower": m.lower, "upper": "*" if m.upper is None else m.upper}
+    if m.unsatisfiable:
+        out["unsatisfiable"] = True
+    return out
+
+
+def model_doc(model):
+    """The dict whose json.dumps(indent=2) the model JSON is."""
+    return {
+        "name": model.name,
+        "entityTypes": [
+            {"id": et.id, "name": et.name, "originClass": et.origin_class,
+             "bww": et.bww, "definitionKind": et.definition_kind,
+             "attributes": [
+                 {"name": a.name, "datatype": a.datatype,
+                  "multiplicity": mult_doc(a.multiplicity),
+                  "originProperty": a.origin_property}
+                 for a in et.attributes]}
+            for et in model.entity_types],
+        "relationships": [
+            {"id": r.id, "name": r.name, "sourceId": r.source_id,
+             "targetId": r.target_id, "sourceMult": mult_doc(r.source_mult),
+             "targetMult": mult_doc(r.target_mult), "exclusive": r.exclusive,
+             "kind": r.kind, "whole": r.whole, "groupId": r.group_id}
+            for r in model.relationships],
+        "generalizations": [{"subId": g.sub_id, "superId": g.super_id}
+                            for g in model.generalizations],
+        "constraints": [{"id": c.id, "kind": c.kind,
+                         "memberIds": list(c.member_ids)}
+                        for c in model.constraints],
+        "instances": [{"name": i.name, "typeIds": list(i.type_ids)}
+                      for i in model.instances],
+    }
+
+
+def grading_doc(report):
+    """The dict whose json.dumps(indent=2) the grading JSON is."""
+    return {
+        "concepts": {c.name: {"category": c.category,
+                              "propertyCount": c.property_count,
+                              "lawCount": c.law_count}
+                     for c in report.concepts},
+        "properties": {p.name: {"category": p.category}
+                       for p in report.properties},
+        "notes": list(report.notes),
+    }
+
+
+# quotes, backslashes, control characters, non-ASCII, astral characters
+# and lone surrogates, and any code point at all
+texts = st.one_of(
+    st.text(st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\x85",
+                             "é", "\u2028", "\U0001F600", "\ud800", "\udfff",
+                             "A"]), max_size=6),
+    st.text(st.characters(exclude_categories=()), max_size=6))
+# a small pool too, so names repeat
+names = st.one_of(texts, st.sampled_from(["A", "B", "é"]))
+counts = st.integers(-3, 2**70)
+multiplicities = st.builds(Multiplicity, counts, st.none() | counts,
+                           st.booleans())
+id_lists = st.lists(names, max_size=3).map(tuple)
+models = st.builds(
+    ConceptualModel, texts,
+    st.lists(st.builds(EntityType, names, names, names, names, names,
+                       st.lists(st.builds(Attribute, names, names,
+                                          multiplicities, names),
+                                max_size=2).map(tuple)),
+             max_size=3).map(tuple),
+    st.lists(st.builds(Relationship, names, names, names, names,
+                       multiplicities, multiplicities,
+                       exclusive=st.booleans(), kind=names,
+                       whole=st.none() | names,
+                       group_id=st.none() | names),
+             max_size=3).map(tuple),
+    st.lists(st.builds(Generalization, names, names), max_size=2).map(tuple),
+    st.lists(st.builds(SemanticConstraint, names, names, id_lists),
+             max_size=2).map(tuple),
+    st.lists(st.builds(Instance, names, id_lists), max_size=2).map(tuple))
+gradings = st.builds(
+    BwwReport,
+    st.lists(st.builds(ConceptClassification, names, names, counts, counts),
+             max_size=6).map(tuple),
+    st.lists(st.builds(PropertyClassification, names, names),
+             max_size=6).map(tuple),
+    st.lists(texts, max_size=4).map(tuple))
+
+
+class TestJsonOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(models)
+    def test_model_json_is_json_dumps(self, model):
+        assert emit_model_json(model) == \
+            json.dumps(model_doc(model), indent=2) + "\n"
+
+    @settings(max_examples=500, deadline=None)
+    @given(gradings)
+    def test_bww_json_is_json_dumps(self, report):
+        assert emit_bww_json(report) == \
+            json.dumps(grading_doc(report), indent=2) + "\n"
+
+
+class TestJsonMemory:
+    def test_peak_stays_under_four_times_the_output(self):
+        # the wide-flat shape: many entity types, two relationships each;
+        # the indent=2 json.dumps encoder peaks near nine times its output
+        one = Multiplicity(1, 1)
+        entity_types, relationships = [], []
+        for n in range(2500):
+            name, other = f"Concept{n:04d}", f"Concept{(n + 1) % 2500:04d}"
+            entity_types.append(EntityType(
+                f"et:{name}", name, name, "bwwClass", "primitive",
+                (Attribute(f"label{n}", "string", one, f"label{n}"),)))
+            for prop in ("binds", "regulates"):
+                relationships.append(Relationship(
+                    f"rel:{prop}:{name}:{other}", prop, f"et:{name}",
+                    f"et:{other}", Multiplicity(0), one))
+        model = ConceptualModel("flat", tuple(entity_types),
+                                tuple(relationships))
+        tracemalloc.start()
+        try:
+            text = emit_model_json(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text)
