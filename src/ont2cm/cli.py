@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success (a nonempty review report is still success), 1 input
-could not be read or parsed or an artifact not written, 2 the ontology has
-validation defects, 3 the produced model failed its own consistency check.
+could not be read or parsed or an artifact not written (then none of the
+run's artifacts is left), 2 the ontology has validation defects, 3 the
+produced model failed its own consistency check.
 """
 
 from __future__ import annotations
@@ -128,22 +129,33 @@ def _validated(ontology: Ontology) -> int:
     return len(defects)
 
 
-def _write(out: str, filename: str, text: str) -> None:
-    """Artifacts are UTF-8 whatever the locale, on standard output too."""
-    target = "standard output" if out == "-" else Path(out) / filename
+def _write(out: str, artifacts: dict[str, bytes]) -> None:
+    """Write each {filename: bytes} artifact into the directory `out`, or
+    the one artifact to standard output when `out` is "-". All or none: if
+    one cannot be written, those this call wrote are removed again.
+    Callers encode artifacts as UTF-8 whatever the locale."""
+    target = "standard output" if out == "-" else Path(out)
+    written: list[Path] = []
     try:
         if out == "-":
             sys.stdout.flush()
-            sys.stdout.buffer.write(text.encode("utf-8"))
+            sys.stdout.buffer.write(*artifacts.values())
             sys.stdout.buffer.flush()
             return
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(text.encode("utf-8"))
+        target.mkdir(parents=True, exist_ok=True)
+        for filename, data in artifacts.items():
+            target = Path(out) / filename
+            with target.open("wb") as f:
+                written.append(target)  # truncated now, so removed on failure
+                f.write(data)
     except OSError as exc:
         if out == "-":  # the buffer keeps the bytes; the flush at exit must not fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        for path in written:
+            path.unlink(missing_ok=True)
         raise _Error(f"cannot write {exc.filename or target}: {exc.strerror or exc}")
-    _info(f"wrote {target}")
+    for path in written:
+        _info(f"wrote {path}")
 
 
 def _emit_list(raw: str) -> list[str]:
@@ -190,8 +202,10 @@ def _cmd_transform(args) -> int:
         "dot": lambda: emit_dot(model),
         "report": lambda: emit_report(model, report),
     }
-    for kind in kinds:
-        _write(args.out, stem + _SUFFIXES[kind], rendered[kind]())
+    # every artifact is rendered before any is written; each is held as
+    # bytes, so the text is freed before the next one is rendered
+    _write(args.out, {stem + _SUFFIXES[kind]: rendered[kind]().encode("utf-8")
+                      for kind in kinds})
     return 0
 
 
@@ -202,8 +216,8 @@ def _cmd_classify(args) -> int:
     hoisted = hoist_axiom_restrictions(ontology)
     collapsed, _ = collapse_equivalences(hoisted)
     grading = classify(collapsed)
-    _write(args.out, Path(args.input).stem + ".bww.json",
-           emit_bww_json(grading))
+    _write(args.out, {Path(args.input).stem + ".bww.json":
+                      emit_bww_json(grading).encode("utf-8")})
     return 0
 
 
@@ -223,7 +237,8 @@ def _cmd_import(args) -> int:
           f"translated, {report.skipped_total()} skipped")
     for note in report.notes:
         _info(f"note: {note}")
-    _write(args.out, Path(args.input).stem + ".cot", serialize(ontology))
+    _write(args.out, {Path(args.input).stem + ".cot":
+                      serialize(ontology).encode("utf-8")})
     return 0
 
 

@@ -9,7 +9,7 @@ and usable as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import chain, compress
 
 # Datatype names accepted for datatype-property ranges.
 DATATYPES = ("string", "integer", "decimal", "boolean", "date")
@@ -143,30 +143,12 @@ def rename_restriction(r: Restriction, mapping: dict[str, str]) -> Restriction:
     return r if target is r.target else replace(r, target=target)
 
 
-def named_conjuncts(expr: ClassExpression) -> list[str]:
-    """Named classes at the top level of an expression, flattening nested
-    intersections. For a bare named term this is the name itself."""
-    if expr.op == "named":
-        return [expr.name]
-    if expr.op == "and":
-        out: list[str] = []
-        for m in expr.members:
-            out.extend(named_conjuncts(m))
-        return out
-    return []
-
-
-def conjunct_restrictions(expr: ClassExpression) -> list[Restriction]:
-    """Restrictions at the top level of an expression (again flattening
-    nested intersections)."""
-    if expr.op == "restriction":
-        return [expr.restriction]
-    if expr.op == "and":
-        out: list[Restriction] = []
-        for m in expr.members:
-            out.extend(conjunct_restrictions(m))
-        return out
-    return []
+def conjuncts(expr: ClassExpression) -> list[ClassExpression]:
+    """The terms of an intersection, nested intersections flattened; any
+    other expression is its own single term."""
+    if expr.op != "and":
+        return [expr]
+    return [term for m in expr.members for term in conjuncts(m)]
 
 
 def walk_expressions(ont: Ontology):
@@ -505,6 +487,25 @@ EDGE_SOURCES = ("subclass axiom", "equivalence axiom", "union membership",
                 "definition")
 
 
+def superclass_statements(ont: Ontology):
+    """Yield (kind, subject, expression, source) for every statement that
+    makes one class a subclass of another: subclass axioms, then same-class
+    axioms, then definitions (kind "definition"), each in document order.
+    The source is one of `EDGE_SOURCES`. A union on the right of a
+    same-class axiom or a definition is a "union membership": its named
+    members are subclasses of the subject. Any other statement makes the
+    subject a subclass of each named term of `conjuncts(expression)`."""
+    axioms = ((kind, ax.subject, ax.target) for kind in (SUBCLASS, SAME_CLASS)
+              for ax in ont.axioms if ax.kind == kind)
+    definitions = (("definition", c.name, c.definition)
+                   for c in ont.classes if c.definition is not None)
+    sources = {SUBCLASS: "subclass axiom", SAME_CLASS: "equivalence axiom",
+               "definition": "definition"}
+    for kind, subject, expr in chain(axioms, definitions):
+        union = expr.op == "or" and kind != SUBCLASS
+        yield kind, subject, expr, "union membership" if union else sources[kind]
+
+
 def _asserted(ont: Ontology) -> tuple[dict[str, list[Restriction]],
                                       dict[str, tuple[str, ...]]]:
     """Per class, the restrictions asserted on it and the declared
@@ -516,19 +517,20 @@ def _asserted(ont: Ontology) -> tuple[dict[str, list[Restriction]],
     for p in ont.properties:
         for d in p.domains:
             domains_of.setdefault(d, []).append(p.name)
-    # subclass/same-class axioms by subject, in document order
-    axioms_of: dict[str, list[Axiom]] = {}
+    # subclass/same-class axiom targets by subject, in document order
+    targets_of: dict[str, list[ClassExpression]] = {}
     for ax in ont.axioms:
         if ax.kind in (SUBCLASS, SAME_CLASS):
-            axioms_of.setdefault(ax.subject, []).append(ax)
+            targets_of.setdefault(ax.subject, []).append(ax.target)
     direct: dict[str, list[Restriction]] = {}
     attached: dict[str, tuple[str, ...]] = {}
     for cls in ont.classes:
         restrictions = list(cls.local_restrictions)
+        stated = targets_of.get(cls.name, [])
         if cls.definition is not None:
-            restrictions.extend(conjunct_restrictions(cls.definition))
-        for ax in axioms_of.get(cls.name, ()):
-            restrictions.extend(conjunct_restrictions(ax.target))
+            stated = [cls.definition, *stated]
+        restrictions.extend(t.restriction for expr in stated
+                            for t in conjuncts(expr) if t.op == "restriction")
         direct[cls.name] = restrictions
         names = dict.fromkeys(domains_of.get(cls.name, ()))
         names.update(dict.fromkeys(r.on_property for r in restrictions
@@ -538,37 +540,18 @@ def _asserted(ont: Ontology) -> tuple[dict[str, list[Restriction]],
 
 
 def _superclass_edges(ont: Ontology) -> list[tuple[str, str, str]]:
-    """Every (sub, sup, source) edge the document asserts, in order: the
-    named conjuncts of subclass axioms, then of same-class axioms, then of
-    class definitions. A union on the right of a same-class axiom or a
-    definition instead makes each named member a subclass of the subject.
-    Self-edges are left out; an edge asserted twice is listed twice."""
+    """Every (sub, sup, source) edge of `superclass_statements`, in its
+    order. Self-edges are left out; an edge asserted twice is listed
+    twice."""
     declared = {c.name for c in ont.classes}
     edges: list[tuple[str, str, str]] = []
-
-    def add(sub: str, sup: str, source: str) -> None:
-        if sub in declared and sup in declared and sub != sup:
-            edges.append((sub, sup, source))
-
-    def equivalence(subject: str, expr: ClassExpression, source: str) -> None:
-        if expr.op == "or":
-            for m in expr.members:
-                if m.op == "named":
-                    add(m.name, subject, "union membership")
-        else:
-            for sup in named_conjuncts(expr):
-                add(subject, sup, source)
-
-    for ax in ont.axioms:
-        if ax.kind == SUBCLASS:
-            for sup in named_conjuncts(ax.target):
-                add(ax.subject, sup, "subclass axiom")
-    for ax in ont.axioms:
-        if ax.kind == SAME_CLASS:
-            equivalence(ax.subject, ax.target, "equivalence axiom")
-    for cls in ont.classes:
-        if cls.definition is not None:
-            equivalence(cls.name, cls.definition, "definition")
+    for _, subject, expr, source in superclass_statements(ont):
+        union = source == "union membership"
+        for term in expr.members if union else conjuncts(expr):
+            if term.op == "named":
+                sub, sup = (term.name, subject) if union else (subject, term.name)
+                if sub in declared and sup in declared and sub != sup:
+                    edges.append((sub, sup, source))
     return edges
 
 

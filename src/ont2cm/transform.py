@@ -4,10 +4,9 @@
 builds; every class becomes an entity type first:
   - attributes: datatype properties become attributes at the classes that
     declare them as domain or restrict them directly
-  - generalizations: `OntologyIndex.superclass_edges` (subclass/equivalence
-    axioms, definition conjuncts, union members pointing at the defined
-    class), each pair once; `collapse_equivalences` has already folded every
-    cycle of those edges, so they form no cycle
+  - generalizations: `OntologyIndex.superclass_edges`, each pair once;
+    `collapse_equivalences` has already folded every cycle of those edges,
+    so they form no cycle. Unions these edges cannot carry are flagged
   - relationships: object properties become relationships at each class
     that is a domain or direct restriction site; targets come from that
     class's direct some/only restrictions, falling back to the declared
@@ -21,6 +20,12 @@ builds; every class becomes an entity type first:
   - instances: individuals become instances linked to their named types
   - diagnostics: collapsed equivalences, multi-domain properties,
     complements, import skips and entities no property reaches
+
+Every stage takes an intersection apart with `ontology.conjuncts`, nested
+intersections flattened, and walks the superclass statements with
+`ontology.superclass_statements`, as the index does. A named term is a
+superclass, a relationship target or an instance type; a union term is
+flagged. A union's own members are read one level deep, named ones only.
 
 Anything that cannot be carried over is flagged for specialist review
 rather than silently dropped.
@@ -65,14 +70,13 @@ from .ontology import (
     OBJECT,
     ONLY,
     SOME,
-    SAME_CLASS,
-    SUBCLASS,
     Ontology,
     OntologyIndex,
     collapse_equivalences,
     hoist_axiom_restrictions,
-    named_conjuncts,
+    conjuncts,
     outermost_complements,
+    superclass_statements,
 )
 
 # whole-part tokens, compared after normalize_token
@@ -188,45 +192,28 @@ def _generalizations(ont: Ontology, index: OntologyIndex,
     and collect the or-group of each union on the right of a same-class
     axiom or a definition."""
     union_groups: list[tuple[str, tuple[str, ...]]] = []
-
-    def conjunction(expr, site: str) -> None:
-        if expr.op == "and":
+    for kind, subject, expr, source in superclass_statements(ont):
+        site = (f"class {subject} definition" if kind == "definition"
+                else f"axiom {kind} {subject}")
+        if source == "union membership":
             for m in expr.members:
-                conjunction(m, site)
+                if m.op not in ("named", "not"):
+                    found.flag("unmappedConstruct", site,
+                               f"union member {format_expr(m)} has no direct mapping")
+            member_ids = {entity_ids[m.name] for m in expr.members
+                          if m.op == "named" and m.name in entity_ids}
+            if len(member_ids) >= 2:
+                union_groups.append((subject, tuple(sorted(member_ids))))
+            found.notes.append(f"{site}: union definition; members recorded as "
+                               f"subtypes of {subject}, review the or-group")
         elif expr.op == "or":
             found.flag("unmappedConstruct", site,
-                       f"union expression {format_expr(expr)} has no direct mapping here")
-
-    def equivalence(subject: str, expr, site: str) -> None:
-        if expr.op != "or":
-            conjunction(expr, site)
-            return
-        for m in expr.members:
-            if m.op not in ("named", "not"):
-                found.flag("unmappedConstruct", site,
-                           f"union member {format_expr(m)} has no direct mapping")
-        member_ids = {entity_ids[m.name] for m in expr.members
-                      if m.op == "named" and m.name in entity_ids}
-        if len(member_ids) >= 2:
-            union_groups.append((subject, tuple(sorted(member_ids))))
-        found.notes.append(f"{site}: union definition; members recorded as "
-                           f"subtypes of {subject}, review the or-group")
-
-    for ax in ont.axioms:
-        if ax.kind != SUBCLASS:
-            continue
-        site = f"axiom subclass {ax.subject}"
-        if ax.target.op == "or":
-            found.flag("unmappedConstruct", site,
-                       f"union supertype {format_expr(ax.target)} has no direct mapping")
+                       f"union supertype {format_expr(expr)} has no direct mapping")
         else:
-            conjunction(ax.target, site)
-    for ax in ont.axioms:
-        if ax.kind == SAME_CLASS:
-            equivalence(ax.subject, ax.target, f"axiom same-class {ax.subject}")
-    for cls in ont.classes:
-        if cls.definition is not None:
-            equivalence(cls.name, cls.definition, f"class {cls.name} definition")
+            for term in conjuncts(expr):
+                if term.op == "or":
+                    found.flag("unmappedConstruct", site, f"union expression "
+                               f"{format_expr(term)} has no direct mapping here")
 
     gen_sources: dict[tuple[str, str], set[str]] = {}
     for sub, sup, source in index.superclass_edges:
@@ -257,19 +244,18 @@ def _relationships(ont: Ontology, index: OntologyIndex,
                 if r.on_property != p.name or r.flavor not in CLASS_FLAVORS:
                     continue
                 t = r.target
-                pool = "or" if t.op == "or" else "and" if r.flavor == SOME else None
-                if t.op == "named":
-                    specs.append((t.name, r.flavor, pool))
-                elif t.op in ("and", "or"):
-                    for m in t.members:
-                        if m.op == "named":
-                            specs.append((m.name, r.flavor, pool))
-                        elif m.op != "not":
-                            found.flag("unmappedConstruct", where,
-                                       f"target part {format_expr(m)} has no direct mapping")
-                elif t.op == "restriction":
+                if t.op == "restriction":
                     found.flag("unmappedConstruct", where,
                                f"nested restriction target {format_expr(t)} has no direct mapping")
+                    continue
+                pool = "or" if t.op == "or" else "and" if r.flavor == SOME else None
+                # a union's members one level down; anything else's conjuncts
+                for term in t.members if t.op == "or" else conjuncts(t):
+                    if term.op == "named":
+                        specs.append((term.name, r.flavor, pool))
+                    elif term.op != "not":
+                        found.flag("unmappedConstruct", where,
+                                   f"target part {format_expr(term)} has no direct mapping")
             from_restriction = bool(specs)
             if not specs and p.range in entity_ids:
                 specs.append((p.range, None, None))
@@ -400,17 +386,14 @@ def _instances(ont: Ontology, entity_ids: dict[str, str],
         site = f"individual {ind.name}"
         type_ids: dict[str, None] = {}
         for t in ind.types:
-            if t.op in ("named", "and"):
-                type_ids.update(dict.fromkeys(entity_ids[name]
-                                              for name in named_conjuncts(t)
-                                              if name in entity_ids))
-                for m in t.members:
-                    if m.op not in ("named", "and", "not"):
-                        found.flag("unmappedConstruct", site,
-                                   f"type part {format_expr(m)} has no direct mapping")
-            elif t.op != "not":
-                found.flag("unmappedConstruct", site,
-                           f"type {format_expr(t)} has no direct mapping")
+            what = "type part" if t.op == "and" else "type"
+            for term in conjuncts(t):
+                if term.op == "named":
+                    if term.name in entity_ids:
+                        type_ids[entity_ids[term.name]] = None
+                elif term.op != "not":
+                    found.flag("unmappedConstruct", site,
+                               f"{what} {format_expr(term)} has no direct mapping")
         instances.append(Instance(ind.name, tuple(sorted(type_ids))))
     return tuple(instances)
 

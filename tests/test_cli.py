@@ -1,5 +1,6 @@
 """Exit codes, artifact layout, and stream discipline of the CLI."""
 
+import errno
 import json
 import os
 import subprocess
@@ -175,6 +176,49 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert f"error: cannot write {tmp_path / 'rule1.bww.json'}: " in err
         assert "Traceback" not in err
+
+    def test_failed_transform_leaves_no_artifact(self, tmp_path, capsys):
+        # the model JSON is written before the PlantUML file fails
+        (tmp_path / "rule1.puml").mkdir()
+        code = run("transform", str(FIXTURES / "rule1.cot"),
+                   "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] \
+            == [f"error: cannot write {tmp_path / 'rule1.puml'}: Is a directory"]
+        assert "wrote" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rule1.puml"]
+
+    def test_partly_written_artifact_removed(self, tmp_path, monkeypatch, capsys):
+        # the disk fills halfway through the PlantUML file
+        class HalfFull:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        real_open = Path.open
+
+        def open_(path, mode="r", *args, **kwargs):
+            f = real_open(path, mode, *args, **kwargs)
+            return HalfFull(f) if path.name == "rule1.puml" else f
+
+        monkeypatch.setattr(Path, "open", open_)
+        code = run("transform", str(FIXTURES / "rule1.cot"),
+                   "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot write {tmp_path / 'rule1.puml'}: " \
+            f"{os.strerror(errno.ENOSPC)}" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")

@@ -1,6 +1,7 @@
 """Transformation engine: golden models for each mapping rule, mechanism
 unit tests, and the model invariants over generated ontologies."""
 
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,11 +37,13 @@ from ont2cm.ontology import (
     SUBCLASS,
     Axiom,
     ClassDefinition,
+    ClassExpression,
     Ontology,
     OntologyIndex,
     PropertyDefinition,
     Restriction,
     named,
+    restriction_expr,
 )
 from ont2cm.transform import TransformConfig, derive_model, merged_multiplicity
 from invariants import assert_model_invariants
@@ -137,6 +140,19 @@ class TestRelationships:
         assert con.kind == "andGroup"
         assert con.member_ids == ("rel:p:A:B", "rel:p:A:C")
         assert all(r.group_id == con.id for r in model.relationships)
+
+    @pytest.mark.parametrize("target", ["and(C, D, A)", "and(C, and(D, A))"])
+    def test_intersection_target_forms_one_and_group(self, target):
+        model, report = from_text(
+            "ontology t\nclass A\nclass B\nclass C\nclass D\nobjprop q\n"
+            f"restriction B q some {target}\n")
+        ids = ("rel:q:B:A", "rel:q:B:C", "rel:q:B:D")
+        assert tuple(r.id for r in model.relationships) == ids
+        (con,) = model.constraints
+        assert (con.id, con.kind, con.member_ids) == ("con:and:B:q", "andGroup", ids)
+        assert all(r.group_id == con.id for r in model.relationships)
+        assert not any("target part" in i.detail
+                       for i in report.by_kind("unmappedConstruct"))
 
     def test_union_target_forms_or_group(self):
         model, _ = from_text(
@@ -345,6 +361,17 @@ class TestInstancesAndConstraints:
         assert inst.type_ids == ("et:A", "et:B")
         assert report.by_kind("unmappedConstruct") == ()
 
+    @pytest.mark.parametrize("type_expr", ["and(A, B, or(C, D))",
+                                           "and(A, and(B, or(C, D)))"])
+    def test_union_part_of_an_intersection_type_flagged(self, type_expr):
+        model, report = from_text(
+            "ontology t\nclass A\nclass B\nclass C\nclass D\n"
+            f"individual i type {type_expr}\n")
+        (inst,) = model.instances
+        assert inst.type_ids == ("et:A", "et:B")
+        assert [(i.subject, i.detail) for i in report.by_kind("unmappedConstruct")] \
+            == [("individual i", "type part or(C, D) has no direct mapping")]
+
     def test_union_typed_instance_flagged_not_linked(self):
         model, report = from_text(
             "ontology t\nclass A\nclass B\n"
@@ -531,6 +558,63 @@ class TestInvariants:
     @given(ontologies())
     def test_transform_is_deterministic(self, o):
         assert derive_model(o) == derive_model(o)
+
+
+def rewrite_intersections(o: Ontology, rewrite) -> Ontology:
+    """`o` with every intersection replaced by `rewrite(members)`, its
+    members rewritten first."""
+    def expr(e):
+        if e.op == "named":
+            return e
+        if e.op == "restriction":
+            return restriction_expr(restriction(e.restriction))
+        members = tuple(expr(m) for m in e.members)
+        return rewrite(members) if e.op == "and" else ClassExpression(e.op, members=members)
+
+    def restriction(r):
+        return r if r.target is None else replace(r, target=expr(r.target))
+
+    return replace(
+        o,
+        classes=tuple(replace(c, definition=c.definition and expr(c.definition),
+                              local_restrictions=tuple(map(restriction, c.local_restrictions)))
+                      for c in o.classes),
+        axioms=tuple(replace(ax, target=expr(ax.target)) for ax in o.axioms),
+        individuals=tuple(replace(i, types=tuple(map(expr, i.types)))
+                          for i in o.individuals))
+
+
+def flat_and(members):
+    return ClassExpression("and", members=tuple(
+        t for m in members for t in (m.members if m.op == "and" else (m,))))
+
+
+def right_nested_and(members):
+    """and(a, b, c, ...) as and(a, and(b, and(c, ...)))."""
+    nested = ClassExpression("and", members=members[-2:])
+    for m in reversed(members[:-2]):
+        nested = ClassExpression("and", members=(m, nested))
+    return nested
+
+
+def intersection_facts(o: Ontology):
+    model, report, grading, _ = derive_model(o)
+    return (emit_model_json(model), emit_bww_json(grading),
+            Counter(i.kind for i in report.items))
+
+
+class TestIntersectionNesting:
+    @settings(max_examples=200, deadline=None)
+    @given(ontologies())
+    @example(cot.parse("ontology t\nclass A\nclass B\nclass C\nclass D\nobjprop q\n"
+                       "restriction B q some and(C, D, A)\n"
+                       "individual i type and(A, B, or(C, D))\n"))
+    def test_nesting_an_intersection_changes_nothing(self, o):
+        # flattened first, so that nesting is one-to-one and no two flag
+        # details that differ before it are equal after it
+        flat = rewrite_intersections(o, flat_and)
+        nested = rewrite_intersections(flat, right_nested_and)
+        assert intersection_facts(nested) == intersection_facts(flat)
 
 
 # --------------------------------------------------------------------------
