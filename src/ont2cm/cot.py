@@ -17,11 +17,20 @@ Forward references are allowed, so statements may arrive in any order.
     EXPR = NAME | and(EXPR, EXPR, ...) | or(EXPR, EXPR, ...) | not(EXPR)
          | restriction(PROPERTY, some|only, EXPR)
          | restriction(PROPERTY, min|max|exactly, INT)
+
+Most lines have one of a few fixed shapes: `class N`, a property with its
+domains and range, a restriction whose target is a name or a count, a
+subclass, same-class or disjoint axiom between two names, and an individual
+of one named type. Such a line is matched whole by one pattern and builds
+its statement from the groups. Every other line, and every line before the
+header, goes through the token cursor. Both ways give the same statement,
+and a line the cursor rejects raises the same ParseError either way.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import replace
 
 from .ontology import (
@@ -44,8 +53,9 @@ from .ontology import (
     restriction_expr,
 )
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*|\d+|[(),=]|\S")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
+_NAME = r"[A-Za-z_][A-Za-z0-9_-]*"
+_TOKEN_RE = re.compile(rf"{_NAME}|\d+|[(),=]|\S")
+_NAME_RE = re.compile(rf"{_NAME}\Z")
 _INT_RE = re.compile(r"\d+\Z")
 
 # Deepest expression nesting a document may use; a bare name is depth 1.
@@ -63,6 +73,14 @@ class ParseError(ValueError):
 
 
 _EOL = "end of line"
+
+
+def _count(line: int, column: int, digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(line, column, "integer longer than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 class _Cursor:
@@ -98,7 +116,7 @@ class _Cursor:
         tok = self.next("an integer")
         if not _INT_RE.match(tok[0]):
             raise self.error(tok, f"expected an integer, got {tok[0]!r}")
-        return int(tok[0])
+        return _count(self.line, tok.start() + 1, tok[0])
 
     def literal(self, text: str) -> None:
         tok = self.next(repr(text))
@@ -177,6 +195,114 @@ def _parse_property(cur: _Cursor, category: str) -> PropertyDefinition:
     return PropertyDefinition(name, category, domains=tuple(domains), range=rng)
 
 
+# A shape's builder interns every word it keeps, so the ontology holds each
+# name and keyword once however many statements repeat it.
+_intern = sys.intern
+
+
+def _restriction_shape(m: re.Match, line: int) -> tuple[str, Restriction]:
+    if m[3] is not None:
+        r = Restriction(_intern(m[2]), _intern(m[3]), target=named(_intern(m[4])))
+    else:
+        r = Restriction(_intern(m[2]), _intern(m[5]),
+                        count=_count(line, m.start(6) + 1, m[6]))
+    return _intern(m[1]), r
+
+
+def _property_shape(m: re.Match, line: int) -> PropertyDefinition:
+    domains = tuple(map(_intern, _NAMES_RE.findall(m[3]))) if m[3] else ()
+    return PropertyDefinition(_intern(m[2]),
+                              OBJECT if m[1] == "objprop" else DATATYPE,
+                              domains=domains,
+                              range=None if m[4] is None else _intern(m[4]))
+
+
+# The fixed statement shapes, each a whole line: `\s` is what the token
+# regex skips and _N is one name token. A match builds the statement the
+# cursor would build from the same line.
+_N = f"({_NAME})"
+_NAMES_RE = re.compile(_NAME)
+_SHAPES = (
+    (re.compile(rf"\s*restriction\s+{_N}\s+{_N}\s+"
+                rf"(?:(some|only)\s+{_N}|(min|max|exactly)\s+(\d+))\s*\Z"),
+     _restriction_shape),
+    (re.compile(rf"\s*(objprop|dataprop)\s+{_N}"
+                rf"(?:\s+domain\s+({_NAME}(?:\s*,\s*{_NAME})*))?"
+                rf"(?:\s+range\s+{_N})?\s*\Z"),
+     _property_shape),
+    (re.compile(rf"\s*class\s+{_N}\s*\Z"),
+     lambda m, line: ClassDefinition(_intern(m[1]))),
+    (re.compile(rf"\s*(subclass|same-class|disjoint)\s+{_N}\s+{_N}\s*\Z"),
+     lambda m, line: Axiom(_intern(m[1]), _intern(m[2]), named(_intern(m[3])))),
+    (re.compile(rf"\s*individual\s+{_N}\s+type\s+{_N}\s*\Z"),
+     lambda m, line: Individual(_intern(m[1]), types=(named(_intern(m[2])),))),
+)
+
+
+def _statement(line_no: int, line: str, after_header: bool):
+    """The statement on one line: the ontology name of a header, a
+    (class name, Restriction) pair for a restriction statement, else the
+    ClassDefinition, PropertyDefinition, Axiom or Individual it declares."""
+    if after_header:
+        for shape, build in _SHAPES:
+            m = shape.match(line)
+            if m is not None:
+                return build(m, line_no)
+    cur = _Cursor(line_no, line)
+    keyword_tok = cur.next("a statement keyword")
+    keyword = keyword_tok[0]
+    if not after_header and keyword != "ontology":
+        raise cur.error(keyword_tok,
+                        "missing ontology header before first statement")
+
+    if keyword == "ontology":
+        if after_header:
+            raise cur.error(keyword_tok, "duplicate ontology header")
+        name = cur.name("an ontology name")
+        cur.done()
+        return name
+    if keyword == "class":
+        name = cur.name("a class name")
+        cur.done()
+        return ClassDefinition(name)
+    if keyword == "defined-class":
+        name = cur.name("a class name")
+        cur.literal("=")
+        expr = _parse_expr(cur)
+        cur.done()
+        return ClassDefinition(name, kind=DEFINED, definition=expr)
+    if keyword == "objprop":
+        return _parse_property(cur, OBJECT)
+    if keyword == "dataprop":
+        return _parse_property(cur, DATATYPE)
+    if keyword in (SUBCLASS, SAME_CLASS):
+        subject = cur.name("a class name")
+        expr = _parse_expr(cur)
+        cur.done()
+        return Axiom(keyword, subject, expr)
+    if keyword == DISJOINT:
+        first = cur.name("a class name")
+        second = cur.name("a class name")
+        cur.done()
+        return Axiom(DISJOINT, first, named(second))
+    if keyword == "restriction":
+        cls = cur.name("a class name")
+        prop = cur.name("a property name")
+        r = _restriction_body(cur, prop, cur.next("a restriction flavor"), 1)
+        cur.done()
+        return cls, r
+    if keyword == "individual":
+        name = cur.name("an individual name")
+        cur.literal("type")
+        types = [_parse_expr(cur)]
+        while cur.at(","):
+            cur.literal(",")
+            types.append(_parse_expr(cur))
+        cur.done()
+        return Individual(name, types=tuple(types))
+    raise cur.error(keyword_tok, f"unknown statement keyword {keyword!r}")
+
+
 def parse(text: str) -> Ontology:
     """Parse a document into an Ontology. Raises ParseError with the line
     and column of the first offending token. No validation beyond syntax:
@@ -196,61 +322,21 @@ def parse(text: str) -> Ontology:
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        cur = _Cursor(line_no, line)
-        keyword_tok = cur.next("a statement keyword")
-        keyword = keyword_tok[0]
-        if ontology_name is None and keyword != "ontology":
-            raise cur.error(keyword_tok,
-                            "missing ontology header before first statement")
-
-        if keyword == "ontology":
-            if ontology_name is not None:
-                raise cur.error(keyword_tok, "duplicate ontology header")
-            ontology_name = cur.name("an ontology name")
-            cur.done()
-        elif keyword == "class":
-            name = cur.name("a class name")
-            cur.done()
-            class_index[name] = len(classes)
-            classes.append(ClassDefinition(name))
-        elif keyword == "defined-class":
-            name = cur.name("a class name")
-            cur.literal("=")
-            expr = _parse_expr(cur)
-            cur.done()
-            class_index[name] = len(classes)
-            classes.append(ClassDefinition(name, kind=DEFINED, definition=expr))
-        elif keyword == "objprop":
-            properties.append(_parse_property(cur, OBJECT))
-        elif keyword == "dataprop":
-            properties.append(_parse_property(cur, DATATYPE))
-        elif keyword in (SUBCLASS, SAME_CLASS):
-            subject = cur.name("a class name")
-            expr = _parse_expr(cur)
-            cur.done()
-            axioms.append(Axiom(keyword, subject, expr))
-        elif keyword == DISJOINT:
-            first = cur.name("a class name")
-            second = cur.name("a class name")
-            cur.done()
-            axioms.append(Axiom(DISJOINT, first, named(second)))
-        elif keyword == "restriction":
-            cls = cur.name("a class name")
-            prop = cur.name("a property name")
-            r = _restriction_body(cur, prop, cur.next("a restriction flavor"), 1)
-            cur.done()
-            pending_restrictions.setdefault(cls, []).append(r)
-        elif keyword == "individual":
-            name = cur.name("an individual name")
-            cur.literal("type")
-            types = [_parse_expr(cur)]
-            while cur.at(","):
-                cur.literal(",")
-                types.append(_parse_expr(cur))
-            cur.done()
-            individuals.append(Individual(name, types=tuple(types)))
+        stmt = _statement(line_no, line, ontology_name is not None)
+        kind = type(stmt)
+        if kind is tuple:
+            pending_restrictions.setdefault(stmt[0], []).append(stmt[1])
+        elif kind is ClassDefinition:
+            class_index[stmt.name] = len(classes)
+            classes.append(stmt)
+        elif kind is PropertyDefinition:
+            properties.append(stmt)
+        elif kind is Axiom:
+            axioms.append(stmt)
+        elif kind is Individual:
+            individuals.append(stmt)
         else:
-            raise cur.error(keyword_tok, f"unknown statement keyword {keyword!r}")
+            ontology_name = stmt
 
     if ontology_name is None:
         raise ParseError(1, 1, "missing ontology header")

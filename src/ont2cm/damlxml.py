@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -59,6 +60,9 @@ _CARDINALITY_ATTRS = {f"{{{_DAML}}}{tag.removeprefix('daml:')}": flavor
 # the recursion of the expression parser and of the skip ledger.
 MAX_DEPTH = 200
 
+_UNSAFE_RE = re.compile(r"[^A-Za-z0-9_-]")
+_NAME_START_RE = re.compile(r"[A-Za-z_]")
+
 
 class DamlImportError(ValueError):
     pass
@@ -101,18 +105,36 @@ def _prefixed(tag: str) -> str:
     return f"{prefix}:{local}" if prefix else local
 
 
-def _child_paths(el, path: str):
+# Where an element is: (parent's locator, tag, ordinal among the parent's
+# children with that tag, depth below rdf:RDF). _where formats it as the
+# path text only for the errors, notes and skip entries that read it.
+_Loc = tuple
+_ROOT: _Loc = (None, "rdf:RDF", 0, 0)
+
+
+def _where(loc: _Loc) -> str:
+    """`rdf:RDF/daml:Class[2]/rdfs:subClassOf[1]` for a locator."""
+    steps = []
+    while loc[0] is not None:
+        loc, tag, ordinal, _ = loc
+        steps.append(f"{tag}[{ordinal}]")
+    steps.append(loc[1])
+    return "/".join(reversed(steps))
+
+
+def _child_paths(el, loc: _Loc):
+    depth = loc[3] + 1
     counts: dict[str, int] = {}
     for child in el:
         if not isinstance(child.tag, str):
             continue
         tag = _prefixed(child.tag)
-        counts[tag] = counts.get(tag, 0) + 1
-        child_path = f"{path}/{tag}[{counts[tag]}]"
-        if child_path.count("/") > MAX_DEPTH:
-            raise DamlImportError(
-                f"element nested deeper than {MAX_DEPTH} levels at {child_path}")
-        yield child, child_path
+        counts[tag] = ordinal = counts.get(tag, 0) + 1
+        child_loc = (loc, tag, ordinal, depth)
+        if depth > MAX_DEPTH:
+            raise DamlImportError(f"element nested deeper than {MAX_DEPTH} "
+                                  f"levels at {_where(child_loc)}")
+        yield child, child_loc
 
 
 def _local_name(uri: str) -> str:
@@ -132,8 +154,8 @@ class _Importer:
         self.axioms: list[Axiom] = []
         self.ind_types: dict[str, list[ClassExpression]] = {}
         self.translated: dict[str, int] = {}
-        # element name -> (count, location of the first one)
-        self.skipped: dict[str, tuple[int, str]] = {}
+        # element name -> (count, locator of the first one)
+        self.skipped: dict[str, tuple[int, _Loc]] = {}
         self.notes: dict[str, None] = {}  # insertion-ordered set
 
     # ---- bookkeeping
@@ -145,25 +167,26 @@ class _Importer:
         name = _prefixed(el.tag)
         self.translated[name] = self.translated.get(name, 0) + 1
 
-    def skip_tree(self, el, path: str) -> None:
+    def skip_tree(self, el, path: _Loc) -> None:
         name = _prefixed(el.tag)
         count, first = self.skipped.get(name, (0, path))
         self.skipped[name] = (count + 1, first)
         self.skip_children(el, path)
 
-    def skip_children(self, el, path: str) -> None:
+    def skip_children(self, el, path: _Loc) -> None:
         for child, cpath in _child_paths(el, path):
             self.skip_tree(child, cpath)
 
     # ---- naming
 
     def sanitize(self, raw: str) -> str:
-        name = re.sub(r"[^A-Za-z0-9_-]", "_", raw)
-        if not name or not re.match(r"[A-Za-z_]", name[0]):
+        name = _UNSAFE_RE.sub("_", raw)
+        if not _NAME_START_RE.match(name):
             name = "_" + name
         if name != raw:
             self.note(f"name {raw!r} adjusted to {name!r}")
-        return name
+        # one string per name however often the document refers to it
+        return sys.intern(name)
 
     def name_of(self, el) -> str | None:
         raw = el.attrib.get(_RDF_ABOUT) or el.attrib.get(_RDF_ID)
@@ -189,7 +212,7 @@ class _Importer:
 
     # ---- class expressions (parse_expr_entry rolls back a failed one)
 
-    def _expr(self, el, path: str) -> ClassExpression:
+    def _expr(self, el, path: _Loc) -> ClassExpression:
         tag = _prefixed(el.tag)
         if tag in _CLASS_TAGS:
             name = self.name_of(el)
@@ -212,9 +235,9 @@ class _Importer:
             members = [self._expr(child, cpath)
                        for child, cpath in _child_paths(el, path)]
             if not members:
-                raise DamlImportError(f"{tag} at {path} has no members")
+                raise DamlImportError(f"{tag} at {_where(path)} has no members")
             if len(members) == 1:
-                self.note(f"single-member {tag} at {path} unwrapped")
+                self.note(f"single-member {tag} at {_where(path)} unwrapped")
                 return members[0]
             op = "and" if tag == "daml:intersectionOf" else "or"
             return ClassExpression(op, members=tuple(members))
@@ -228,13 +251,13 @@ class _Importer:
                        for child, cpath in _child_paths(el, path)]
             if len(members) != 1:
                 raise DamlImportError(
-                    f"complementOf at {path} needs exactly one member")
+                    f"complementOf at {_where(path)} needs exactly one member")
             return ClassExpression("not", members=(members[0],))
         if tag == "daml:Restriction":
             return self._restriction(el, path)
         raise _Unmappable(f"class expression {tag}")
 
-    def _restriction(self, el, path: str) -> ClassExpression:
+    def _restriction(self, el, path: _Loc) -> ClassExpression:
         on_property: str | None = None
         parts: list[Restriction] = []
         pending: list[tuple] = []
@@ -250,7 +273,7 @@ class _Importer:
                 resource = child.attrib.get(_RDF_RESOURCE)
                 if resource is None:
                     raise DamlImportError(
-                        f"onProperty at {cpath} lacks rdf:resource")
+                        f"onProperty at {_where(cpath)} lacks rdf:resource")
                 on_property = self.ref(resource)
                 self.tally(child)
                 self.skip_children(child, cpath)
@@ -267,7 +290,7 @@ class _Importer:
                            for g, gpath in _child_paths(child, cpath)]
                 if len(targets) != 1:
                     raise DamlImportError(f"{tag.removeprefix('daml:')} at "
-                                          f"{cpath} needs exactly one target")
+                                          f"{_where(cpath)} needs exactly one target")
                 pending.append(("class", flavor, targets[0], cpath))
             elif tag in _CARDINALITY_TAGS:
                 self.tally(child)
@@ -280,7 +303,7 @@ class _Importer:
                 self.skip_tree(child, cpath)
 
         if on_property is None:
-            raise DamlImportError(f"Restriction at {path} lacks onProperty")
+            raise DamlImportError(f"Restriction at {_where(path)} lacks onProperty")
         self.tally(el)
 
         for kind, flavor, value, vpath in pending:
@@ -291,16 +314,16 @@ class _Importer:
                     count = int(value)
                 except (TypeError, ValueError):
                     raise DamlImportError(
-                        f"cardinality at {vpath} is not an integer: {value!r}")
+                        f"cardinality at {_where(vpath)} is not an integer: {value!r}")
                 parts.append(Restriction(on_property, flavor, count=count))
         if not parts:
-            raise DamlImportError(f"Restriction at {path} has no constraint")
+            raise DamlImportError(f"Restriction at {_where(path)} has no constraint")
         if len(parts) == 1:
             return restriction_expr(parts[0])
         return ClassExpression("and",
                                members=tuple(restriction_expr(p) for p in parts))
 
-    def parse_expr_entry(self, el, path: str, where: str) -> ClassExpression | None:
+    def parse_expr_entry(self, el, path: _Loc, where: str) -> ClassExpression | None:
         """The expression `el` denotes, or None when it has no counterpart:
         then `el` is skipped whole and the census and notes read as if the
         expression had never been walked."""
@@ -318,7 +341,7 @@ class _Importer:
 
     # ---- top-level elements
 
-    def class_element(self, el, path: str, name: str) -> None:
+    def class_element(self, el, path: _Loc, name: str) -> None:
         self.tally(el)
         self.definitions.setdefault(name)
         for child, cpath in _child_paths(el, path):
@@ -352,7 +375,7 @@ class _Importer:
                       "equivalence axiom")
             self.axioms.append(Axiom(SAME_CLASS, name, expr))
 
-    def _axiom_child(self, subject: str, child, cpath: str) -> None:
+    def _axiom_child(self, subject: str, child, cpath: _Loc) -> None:
         resource = child.attrib.get(_RDF_RESOURCE)
         self.tally(child)
         if resource is not None:
@@ -369,7 +392,7 @@ class _Importer:
             self.note(f"class {subject}: rdfs:subClassOf carried no "
                       "usable class expression")
 
-    def _equivalence_child(self, name: str, child, cpath: str) -> None:
+    def _equivalence_child(self, name: str, child, cpath: _Loc) -> None:
         resource = child.attrib.get(_RDF_RESOURCE)
         self.tally(child)
         if resource is not None:
@@ -381,7 +404,7 @@ class _Importer:
             if expr is not None:
                 self._attach_definition(name, expr)
 
-    def property_element(self, el, path: str, category: str) -> None:
+    def property_element(self, el, path: _Loc, category: str) -> None:
         name = self.name_of(el)
         if name is None:
             self.skip_tree(el, path)
@@ -403,7 +426,7 @@ class _Importer:
             else:
                 self.skip_tree(child, cpath)
 
-    def _range_child(self, name: str, record: dict, child, cpath: str,
+    def _range_child(self, name: str, record: dict, child, cpath: _Loc,
                      resource: str) -> None:
         uri_is_xsd = resource.startswith(_XSD)
         if record["category"] == OBJECT:
@@ -432,7 +455,7 @@ class _Importer:
             else:
                 self.note(f"property {name}: extra range ignored")
 
-    def individual_element(self, el, path: str, type_name: str | None) -> None:
+    def individual_element(self, el, path: _Loc, type_name: str | None) -> None:
         name = self.name_of(el)
         if name is None:
             self.skip_tree(el, path)
@@ -453,7 +476,7 @@ class _Importer:
             else:
                 self.skip_tree(child, cpath)
 
-    def top_level(self, el, path: str) -> None:
+    def top_level(self, el, path: _Loc) -> None:
         tag = _prefixed(el.tag)
         if tag == "daml:Ontology":
             self.tally(el)
@@ -552,7 +575,7 @@ class _Importer:
                             classes=classes, properties=properties,
                             axioms=tuple(self.axioms), individuals=individuals)
         translated = tuple(sorted(self.translated.items()))
-        skipped = tuple(SkippedEntry(name, count, first)
+        skipped = tuple(SkippedEntry(name, count, _where(first))
                         for name, (count, first) in sorted(self.skipped.items()))
         return ImportReport(ontology, translated, skipped, tuple(self.notes))
 
@@ -568,6 +591,6 @@ def import_daml(text: str, source_name: str | None = None) -> ImportReport:
     if _prefixed(root.tag) != "rdf:RDF":
         raise DamlImportError("root element must be rdf:RDF")
     importer = _Importer()
-    for child, path in _child_paths(root, "rdf:RDF"):
+    for child, path in _child_paths(root, _ROOT):
         importer.top_level(child, path)
     return importer.finish(source_name)

@@ -263,10 +263,12 @@ def _relationships(ont: Ontology, index: OntologyIndex,
             if not specs:
                 continue
             exclusive = {target for target, flavor, _ in specs if flavor == ONLY}
+            # a target met in both kinds of pool joins the or-pool, so the
+            # groups do not depend on statement order
             pool_of: dict[str, str] = {}
             for target, _, pool in specs:
-                if pool is not None:
-                    pool_of.setdefault(target, pool)
+                if pool is not None and pool_of.get(target) != "or":
+                    pool_of[target] = pool
             pool_size = Counter(pool_of.values())
 
             mult = _bounded(index, found, site, p.name)

@@ -300,6 +300,20 @@ class TestNestingBound:
         assert run("transform", str(source), "--out", str(tmp_path)) == 0
         assert run("classify", str(source), "--out", str(tmp_path)) == 0
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="int() has no digit limit")
+    def test_overlong_cardinality_exit_1(self, tmp_path, capsys):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        source = tmp_path / "long.cot"
+        source.write_text(f"ontology long\nclass A\nobjprop p\n"
+                          f"restriction A p min {digits}\n")
+        assert run("transform", str(source), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "line 4, column 21: integer longer than" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [source]
+
     def test_bounds_are_exact(self):
         with pytest.raises(cot.ParseError, match="line 4"):
             cot.parse(nested_cot(cot.MAX_NESTING + 1))

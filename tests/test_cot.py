@@ -1,7 +1,9 @@
 """Text format: parsing, error reporting and round-trips."""
 
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ont2cm import cot
@@ -102,6 +104,11 @@ COT_WORDS = [
     "restriction(", "(", ")", ",", "=", "#", "\n", "A", "B", "p", "0", "7",
     "-1", "1e3"]
 
+# int() refuses digit strings longer than this; 0 where it has no limit
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_limit = pytest.mark.skipif(not INT_DIGITS,
+                                     reason="int() has no digit limit")
+
 
 class TestErrors:
     @pytest.mark.parametrize("text,line,fragment", [
@@ -118,6 +125,10 @@ class TestErrors:
         ("ontology t\nsubclass A and(B)\n", 2, "at least 2 members"),
         ("ontology t\nsubclass A and(B, C\n", 2, "expected ')'"),
         ("ontology t\nindividual x\n", 2, "expected 'type'"),
+        pytest.param(
+            "ontology t\nclass A\nrestriction A p min " + "9" * (INT_DIGITS + 1),
+            3, f"column 21: integer longer than {INT_DIGITS} digits",
+            marks=needs_int_limit),
         ("", 1, "missing ontology header"),
         ("# only comments\n\n", 1, "missing ontology header"),
     ])
@@ -160,6 +171,75 @@ class TestErrors:
         except cot.ParseError:
             return
         assert isinstance(result, Ontology)
+
+
+def parsed(text: str):
+    """The Ontology parsed from `text`, or its ParseError's place and
+    message."""
+    try:
+        return cot.parse(text)
+    except cot.ParseError as exc:
+        return exc.line, exc.column, exc.message
+
+
+@st.composite
+def mutated_documents(draw):
+    """A serialized ontology with one to four lines edited: a word inserted,
+    replaced or deleted, and the gaps between words, leading whitespace
+    included, drawn anew."""
+    lines = cot.serialize(draw(ontologies())).split("\n")
+    words = st.sampled_from(COT_WORDS + ["", "1abc", "A,B", "and", "\t"])
+    gaps = st.sampled_from(["", " ", "\t", "\xa0"])
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        parts = lines[i].split(" ")
+        j = draw(st.integers(0, len(parts) - 1))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "none"]))
+        if edit == "insert":
+            parts.insert(j, draw(words))
+        elif edit == "replace":
+            parts[j] = draw(words)
+        elif edit == "delete":
+            del parts[j]
+        if draw(st.booleans()):
+            lines[i] = "".join(draw(gaps) + part for part in parts)
+        else:
+            lines[i] = " ".join(parts)
+    return "\n".join(lines)
+
+
+class TestShapes:
+    def test_cursor_reads_only_lines_without_a_fixed_shape(self, monkeypatch):
+        read = []
+        cursor = cot._Cursor
+        monkeypatch.setattr(cot, "_Cursor",
+                            lambda line, text: read.append(line) or cursor(line, text))
+        cot.parse(SAMPLE)
+        # the header, the definition and the individual of two types
+        assert read == [2, 6, 14]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(ontologies().map(cot.serialize), mutated_documents()))
+    @example("ontology t\nrestriction A p some and\n")
+    @example("ontology t\nrestriction A p some and(B, C)\n")
+    @example("ontology t\nobjprop p domain A,B range C\n")
+    @example("ontology t\nobjprop p domain A , B,C\n")
+    @example("ontology t\nobjprop p domain range\n")
+    @example("ontology t\nobjprop p domain A, range B\n")
+    @example("ontology t\nobjprop p domain Arange B\n")
+    @example("ontology t\nrestriction A p min 1abc\n")
+    @example("ontology t\nrestriction A p exactly \u0663\n")
+    @example("ontology t\nrestriction A p max " + "9" * 5000 + "\n")
+    @example("ontology t\ndisjoint A\n")
+    @example("ontology t\nsubclass\tA\xa0B\t\n")
+    @example("ontology t\nclass\x1cA\n")
+    @example("ontology t\n \t  individual i type type\n")
+    @example("class A\nontology t\n")
+    def test_shapes_parse_as_the_cursor_does(self, text):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cot, "_SHAPES", ())
+            expected = parsed(text)
+        assert parsed(text) == expected
 
 
 class TestRoundTrip:

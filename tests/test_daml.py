@@ -396,6 +396,34 @@ class TestConstructs:
             "unwrapped",
             "name 'x.y' adjusted to 'x_y'")
 
+    def test_note_inside_a_nested_expression_names_its_path(self):
+        report = import_daml(doc(
+            '<daml:Class rdf:about="#A"><rdfs:subClassOf rdf:resource="#B"/>'
+            '<rdfs:subClassOf><daml:Class><daml:unionOf>'
+            '<daml:Class rdf:about="#C"/><daml:intersectionOf>'
+            '<daml:Class rdf:about="#D"/></daml:intersectionOf>'
+            '</daml:unionOf></daml:Class></rdfs:subClassOf></daml:Class>'))
+        assert report.notes[0] == (
+            "single-member daml:intersectionOf at rdf:RDF/daml:Class[1]/"
+            "rdfs:subClassOf[2]/daml:Class[1]/daml:unionOf[1]/"
+            "daml:intersectionOf[1] unwrapped")
+
+    def test_skip_ledger_keeps_the_first_location_of_each_name(self):
+        report = import_daml(doc(
+            '<daml:Class rdf:about="#A"><rdfs:label>a</rdfs:label>'
+            '<rdfs:comment>c</rdfs:comment><rdfs:label>b</rdfs:label>'
+            '</daml:Class><daml:Class rdf:about="#B"><rdfs:subClassOf>'
+            '<daml:Class><daml:oneOf><daml:Thing rdf:about="#x"/></daml:oneOf>'
+            '</daml:Class></rdfs:subClassOf><rdfs:label>c</rdfs:label>'
+            '</daml:Class>'))
+        where = "rdf:RDF/daml:Class[2]/rdfs:subClassOf[1]/daml:Class[1]"
+        assert report.skipped == (
+            SkippedEntry("daml:Class", 1, where),
+            SkippedEntry("daml:Thing", 1, where + "/daml:oneOf[1]/daml:Thing[1]"),
+            SkippedEntry("daml:oneOf", 1, where + "/daml:oneOf[1]"),
+            SkippedEntry("rdfs:comment", 1, "rdf:RDF/daml:Class[1]/rdfs:comment[1]"),
+            SkippedEntry("rdfs:label", 3, "rdf:RDF/daml:Class[1]/rdfs:label[1]"))
+
     def test_awkward_uri_characters_sanitized(self):
         report = import_daml(doc(
             '<daml:Class rdf:about="#amino.acid"/>'))
@@ -510,6 +538,42 @@ class TestErrors:
     def test_raises(self, text, fragment):
         with pytest.raises(DamlImportError, match=fragment):
             import_daml(text)
+
+    @pytest.mark.parametrize("body,message", [
+        ('<daml:Class rdf:about="#A"/><daml:Class rdf:about="#B">'
+         '<rdfs:subClassOf rdf:resource="#A"/><rdfs:subClassOf>'
+         '<daml:Restriction><daml:onProperty rdf:resource="#p"/>'
+         '<daml:cardinality>two</daml:cardinality></daml:Restriction>'
+         '</rdfs:subClassOf></daml:Class>',
+         "cardinality at rdf:RDF/daml:Class[2]/rdfs:subClassOf[2]/"
+         "daml:Restriction[1]/daml:cardinality[1] is not an integer: 'two'"),
+        ('<daml:Class rdf:about="#A"><rdfs:subClassOf>'
+         '<daml:Restriction daml:minCardinality="x">'
+         '<daml:onProperty rdf:resource="#p"/></daml:Restriction>'
+         '</rdfs:subClassOf></daml:Class>',
+         "cardinality at rdf:RDF/daml:Class[1]/rdfs:subClassOf[1]/"
+         "daml:Restriction[1] is not an integer: 'x'"),
+        ('<daml:Class rdf:about="#A"><daml:unionOf><daml:Class rdf:about="#B"/>'
+         '<daml:Restriction><daml:hasClass rdf:resource="#B"/>'
+         '</daml:Restriction></daml:unionOf></daml:Class>',
+         "Restriction at rdf:RDF/daml:Class[1]/daml:unionOf[1]/"
+         "daml:Restriction[1] lacks onProperty"),
+    ])
+    def test_error_names_the_element_path(self, body, message):
+        with pytest.raises(DamlImportError) as exc:
+            import_daml(doc(body))
+        assert str(exc.value) == message
+
+    def test_depth_bound_is_exact(self):
+        def chain(depth):
+            # each level holds an empty <x/> and then the next level
+            return doc("<x/><x>" * depth + "</x>" * depth)
+        assert import_daml(chain(MAX_DEPTH)).skipped_total() == 2 * MAX_DEPTH
+        with pytest.raises(DamlImportError) as exc:
+            import_daml(chain(MAX_DEPTH + 1))
+        assert str(exc.value) == (
+            f"element nested deeper than {MAX_DEPTH} levels at rdf:RDF"
+            + "/x[2]" * MAX_DEPTH + "/x[1]")
 
     def test_first_offence_in_document_order_is_reported(self):
         deep = "<x>" * MAX_DEPTH + "</x>" * MAX_DEPTH

@@ -447,9 +447,10 @@ def artifacts(o):
             report_sections(emit_report(model, report)))
 
 
-def two_statements(first: str, second: str):
+def two_statements(first: str, second: str, *declarations: str):
     return cot.parse("ontology t\nclass A\nclass B\nclass Cell\nclass DNA\n"
-                     f"{first}\n{second}\n")
+                     + "".join(f"{line}\n" for line in declarations)
+                     + f"{first}\n{second}\n")
 
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
@@ -507,6 +508,15 @@ class TestDeterminism:
              data=None)
     @example(o=two_statements("same-class A Cell", "same-class Cell or(A, B)"),
              data=None)
+    # a target in an or-pool and in an and-pool of the same property
+    @example(o=two_statements(
+        "subclass A and(B, restriction(p, only, or(Cell, DNA)))",
+        "subclass A and(Cell, restriction(p, some, Cell))", "objprop p"),
+        data=None)
+    @example(o=two_statements(
+        "subclass A and(Cell, restriction(p, some, Cell))",
+        "subclass A and(B, restriction(p, only, or(Cell, DNA)))", "objprop p"),
+        data=None)
     def test_statement_order_does_not_matter(self, o, data):
         if data is None:
             shuffled = replace(o, axioms=o.axioms[::-1])
