@@ -62,6 +62,8 @@ MAX_DEPTH = 200
 
 _UNSAFE_RE = re.compile(r"[^A-Za-z0-9_-]")
 _NAME_START_RE = re.compile(r"[A-Za-z_]")
+# what int() reads as an integer, whatever its number of digits
+_INT_RE = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 class DamlImportError(ValueError):
@@ -312,7 +314,11 @@ class _Importer:
             else:
                 try:
                     count = int(value)
-                except (TypeError, ValueError):
+                except ValueError:
+                    if _INT_RE.fullmatch(value):  # more digits than int() converts
+                        raise DamlImportError(
+                            f"cardinality at {_where(vpath)}: integer longer than "
+                            f"{sys.get_int_max_str_digits()} digits") from None
                     raise DamlImportError(
                         f"cardinality at {_where(vpath)} is not an integer: {value!r}")
                 parts.append(Restriction(on_property, flavor, count=count))

@@ -143,12 +143,22 @@ def rename_restriction(r: Restriction, mapping: dict[str, str]) -> Restriction:
     return r if target is r.target else replace(r, target=target)
 
 
+def _terms(op: str, expr: ClassExpression) -> list[ClassExpression]:
+    if expr.op != op:
+        return [expr]
+    return [term for m in expr.members for term in _terms(op, m)]
+
+
 def conjuncts(expr: ClassExpression) -> list[ClassExpression]:
     """The terms of an intersection, nested intersections flattened; any
     other expression is its own single term."""
-    if expr.op != "and":
-        return [expr]
-    return [term for m in expr.members for term in conjuncts(m)]
+    return _terms("and", expr)
+
+
+def disjuncts(expr: ClassExpression) -> list[ClassExpression]:
+    """The terms of a union, nested unions flattened; any other expression
+    is its own single term."""
+    return _terms("or", expr)
 
 
 def walk_expressions(ont: Ontology):
@@ -488,13 +498,14 @@ EDGE_SOURCES = ("subclass axiom", "equivalence axiom", "union membership",
 
 
 def superclass_statements(ont: Ontology):
-    """Yield (kind, subject, expression, source) for every statement that
-    makes one class a subclass of another: subclass axioms, then same-class
-    axioms, then definitions (kind "definition"), each in document order.
-    The source is one of `EDGE_SOURCES`. A union on the right of a
-    same-class axiom or a definition is a "union membership": its named
-    members are subclasses of the subject. Any other statement makes the
-    subject a subclass of each named term of `conjuncts(expression)`."""
+    """Yield (kind, subject, expression, source, terms) for every statement
+    that makes one class a subclass of another: subclass axioms, then
+    same-class axioms, then definitions (kind "definition"), each in
+    document order. The source is one of `EDGE_SOURCES`. A union on the
+    right of a same-class axiom or a definition is a "union membership":
+    each named term of its `disjuncts` is a subclass of the subject. Any
+    other statement makes the subject a subclass of each named term of its
+    `conjuncts`."""
     axioms = ((kind, ax.subject, ax.target) for kind in (SUBCLASS, SAME_CLASS)
               for ax in ont.axioms if ax.kind == kind)
     definitions = (("definition", c.name, c.definition)
@@ -502,8 +513,10 @@ def superclass_statements(ont: Ontology):
     sources = {SUBCLASS: "subclass axiom", SAME_CLASS: "equivalence axiom",
                "definition": "definition"}
     for kind, subject, expr in chain(axioms, definitions):
-        union = expr.op == "or" and kind != SUBCLASS
-        yield kind, subject, expr, "union membership" if union else sources[kind]
+        if expr.op == "or" and kind != SUBCLASS:
+            yield kind, subject, expr, "union membership", disjuncts(expr)
+        else:
+            yield kind, subject, expr, sources[kind], conjuncts(expr)
 
 
 def _asserted(ont: Ontology) -> tuple[dict[str, list[Restriction]],
@@ -545,9 +558,9 @@ def _superclass_edges(ont: Ontology) -> list[tuple[str, str, str]]:
     twice."""
     declared = {c.name for c in ont.classes}
     edges: list[tuple[str, str, str]] = []
-    for _, subject, expr, source in superclass_statements(ont):
+    for _, subject, _, source, terms in superclass_statements(ont):
         union = source == "union membership"
-        for term in expr.members if union else conjuncts(expr):
+        for term in terms:
             if term.op == "named":
                 sub, sup = (term.name, subject) if union else (subject, term.name)
                 if sub in declared and sup in declared and sub != sup:

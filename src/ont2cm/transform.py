@@ -21,11 +21,13 @@ builds; every class becomes an entity type first:
   - diagnostics: collapsed equivalences, multi-domain properties,
     complements, import skips and entities no property reaches
 
-Every stage takes an intersection apart with `ontology.conjuncts`, nested
-intersections flattened, and walks the superclass statements with
-`ontology.superclass_statements`, as the index does. A named term is a
-superclass, a relationship target or an instance type; a union term is
-flagged. A union's own members are read one level deep, named ones only.
+Every stage takes an intersection apart with `ontology.conjuncts` and a
+union with `ontology.disjuncts`, nested ones flattened. The superclass
+statements, and the terms each asserts, come from the walk the index
+shares, `ontology.superclass_statements`. A union restriction target gives
+its disjuncts, any other target its conjuncts. A named term is a
+superclass or subclass, a relationship target or an instance type; a
+union among conjuncts is flagged.
 
 Anything that cannot be carried over is flagged for specialist review
 rather than silently dropped.
@@ -75,6 +77,7 @@ from .ontology import (
     collapse_equivalences,
     hoist_axiom_restrictions,
     conjuncts,
+    disjuncts,
     outermost_complements,
     superclass_statements,
 )
@@ -192,15 +195,15 @@ def _generalizations(ont: Ontology, index: OntologyIndex,
     and collect the or-group of each union on the right of a same-class
     axiom or a definition."""
     union_groups: list[tuple[str, tuple[str, ...]]] = []
-    for kind, subject, expr, source in superclass_statements(ont):
+    for kind, subject, expr, source, terms in superclass_statements(ont):
         site = (f"class {subject} definition" if kind == "definition"
                 else f"axiom {kind} {subject}")
         if source == "union membership":
-            for m in expr.members:
+            for m in terms:
                 if m.op not in ("named", "not"):
                     found.flag("unmappedConstruct", site,
                                f"union member {format_expr(m)} has no direct mapping")
-            member_ids = {entity_ids[m.name] for m in expr.members
+            member_ids = {entity_ids[m.name] for m in terms
                           if m.op == "named" and m.name in entity_ids}
             if len(member_ids) >= 2:
                 union_groups.append((subject, tuple(sorted(member_ids))))
@@ -210,7 +213,7 @@ def _generalizations(ont: Ontology, index: OntologyIndex,
             found.flag("unmappedConstruct", site,
                        f"union supertype {format_expr(expr)} has no direct mapping")
         else:
-            for term in conjuncts(expr):
+            for term in terms:
                 if term.op == "or":
                     found.flag("unmappedConstruct", site, f"union expression "
                                f"{format_expr(term)} has no direct mapping here")
@@ -249,8 +252,7 @@ def _relationships(ont: Ontology, index: OntologyIndex,
                                f"nested restriction target {format_expr(t)} has no direct mapping")
                     continue
                 pool = "or" if t.op == "or" else "and" if r.flavor == SOME else None
-                # a union's members one level down; anything else's conjuncts
-                for term in t.members if t.op == "or" else conjuncts(t):
+                for term in disjuncts(t) if t.op == "or" else conjuncts(t):
                     if term.op == "named":
                         specs.append((term.name, r.flavor, pool))
                     elif term.op != "not":

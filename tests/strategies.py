@@ -39,12 +39,16 @@ def class_exprs(class_names, prop_names, depth=2):
         return base
 
     def extend(sub):
+        unions = st.lists(sub, min_size=2, max_size=3).map(
+            lambda ms: ClassExpression("or", members=tuple(ms)))
         options = [
             base,
             st.lists(sub, min_size=2, max_size=3).map(
                 lambda ms: ClassExpression("and", members=tuple(ms))),
-            st.lists(sub, min_size=2, max_size=3).map(
-                lambda ms: ClassExpression("or", members=tuple(ms))),
+            unions,
+            # a union directly in a union, which every reader must flatten
+            st.tuples(sub, unions).map(
+                lambda ms: ClassExpression("or", members=ms)),
             sub.map(lambda m: ClassExpression("not", members=(m,))),
         ]
         if prop_names:
@@ -99,7 +103,7 @@ def ontologies(draw):
         else:
             local = ()
             if prop_names and draw(st.booleans()):
-                local = tuple(draw(st.lists(restrictions(class_names, prop_names),
+                local = tuple(draw(st.lists(restrictions(class_names, prop_names, exprs),
                                             min_size=1, max_size=2)))
             classes.append(ClassDefinition(name, local_restrictions=local))
 

@@ -314,6 +314,24 @@ class TestNestingBound:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [source]
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="int() has no digit limit")
+    def test_overlong_daml_cardinality_exit_1(self, tmp_path, capsys):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        source = tmp_path / "long.daml"
+        source.write_text(
+            '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
+            'xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#" '
+            'xmlns:daml="http://www.daml.org/2001/03/daml+oil#">'
+            '<daml:Class rdf:ID="A"><rdfs:subClassOf><daml:Restriction '
+            f'daml:minCardinality="{digits}"><daml:onProperty rdf:resource="#p"/>'
+            '</daml:Restriction></rdfs:subClassOf></daml:Class></rdf:RDF>')
+        assert run("transform", str(source), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "integer longer than" in err and len(err) < 200
+        assert list(tmp_path.iterdir()) == [source]
+
     def test_bounds_are_exact(self):
         with pytest.raises(cot.ParseError, match="line 4"):
             cot.parse(nested_cot(cot.MAX_NESTING + 1))

@@ -1,5 +1,6 @@
 """XML importer tests: census accounting, construct translation, skips."""
 
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -37,6 +38,11 @@ from ont2cm.ontology import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# the most digits int() converts, or 0 where it has no limit
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not INT_DIGITS,
+                                       reason="int() has no digit limit")
 
 HEADER = ('<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"\n'
           '  xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"\n'
@@ -558,6 +564,23 @@ class TestErrors:
          '</daml:Restriction></daml:unionOf></daml:Class>',
          "Restriction at rdf:RDF/daml:Class[1]/daml:unionOf[1]/"
          "daml:Restriction[1] lacks onProperty"),
+        pytest.param(
+            '<daml:Class rdf:about="#A"><rdfs:subClassOf><daml:Restriction>'
+            '<daml:onProperty rdf:resource="#p"/><daml:minCardinality>'
+            f'{"9" * (INT_DIGITS + 1)}</daml:minCardinality></daml:Restriction>'
+            '</rdfs:subClassOf></daml:Class>',
+            "cardinality at rdf:RDF/daml:Class[1]/rdfs:subClassOf[1]/"
+            "daml:Restriction[1]/daml:minCardinality[1]: integer longer than "
+            f"{INT_DIGITS} digits", marks=needs_digit_limit,
+            id="overlong-element-cardinality"),
+        pytest.param(
+            '<daml:Class rdf:about="#A"><rdfs:subClassOf><daml:Restriction '
+            f'daml:maxCardinality="+{"9" * (INT_DIGITS + 1)}">'
+            '<daml:onProperty rdf:resource="#p"/></daml:Restriction>'
+            '</rdfs:subClassOf></daml:Class>',
+            "cardinality at rdf:RDF/daml:Class[1]/rdfs:subClassOf[1]/"
+            f"daml:Restriction[1]: integer longer than {INT_DIGITS} digits",
+            marks=needs_digit_limit, id="overlong-attribute-cardinality"),
     ])
     def test_error_names_the_element_path(self, body, message):
         with pytest.raises(DamlImportError) as exc:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ont2cm import cot
 from ont2cm.ontology import (
     DEFINED,
     SUBCLASS,
@@ -22,11 +23,14 @@ from ont2cm.ontology import (
     PropertyDefinition,
     Restriction,
     collapse_equivalences,
+    conjuncts,
+    disjuncts,
     hoist_axiom_restrictions,
     named,
     restriction_expr,
     validate_ontology,
 )
+from oracles import reachable_from, superclass_edge_map
 from strategies import ontologies, subclass_graphs
 
 
@@ -99,6 +103,28 @@ class TestValidate:
 
 
 # --------------------------------------------------------------------------
+# the terms of intersections and unions
+
+
+@pytest.mark.parametrize("text,conjunct_texts,disjunct_texts", [
+    ("A", ["A"], ["A"]),
+    ("and(A, B)", ["A", "B"], ["and(A, B)"]),
+    ("and(A, and(B, and(C, D)))", ["A", "B", "C", "D"], None),
+    ("and(and(A, B), or(C, and(D, E)))", ["A", "B", "or(C, and(D, E))"], None),
+    ("or(A, B)", ["or(A, B)"], ["A", "B"]),
+    ("or(A, or(B, or(C, D)))", None, ["A", "B", "C", "D"]),
+    ("or(or(A, B), and(C, or(D, E)))", None, ["A", "B", "and(C, or(D, E))"]),
+    ("not(or(A, or(B, C)))", None, None),
+    ("restriction(p, some, and(A, and(B, C)))", None, None),
+])
+def test_conjuncts_and_disjuncts(text, conjunct_texts, disjunct_texts):
+    # None: the expression is its own single term
+    expr = cot.parse(f"ontology t\nsubclass X {text}\n").axioms[0].target
+    assert [cot.format_expr(t) for t in conjuncts(expr)] == (conjunct_texts or [text])
+    assert [cot.format_expr(t) for t in disjuncts(expr)] == (disjunct_texts or [text])
+
+
+# --------------------------------------------------------------------------
 # normalization
 
 
@@ -131,39 +157,6 @@ class TestHoist:
 # equivalence collapse, checked against a brute-force reachability oracle
 
 
-def conjunct_names(expr):
-    if expr.op == "named":
-        return {expr.name}
-    if expr.op == "and":
-        return {n for m in expr.members for n in conjunct_names(m)}
-    return set()
-
-
-def superclass_edge_map(o):
-    """sub -> {sup} for every subsumption the document states: the named
-    conjuncts of subclass targets, of same-class targets and of definitions;
-    a union on the right of a same-class axiom or a definition points each
-    named member at the subject instead."""
-    edges = {c.name: set() for c in o.classes}
-
-    def add(sub, sup):
-        if sub in edges and sup in edges:
-            edges[sub].add(sup)
-
-    stated = [(ax.subject, ax.target, ax.kind == SAME_CLASS)
-              for ax in o.axioms if ax.kind in (SUBCLASS, SAME_CLASS)]
-    stated += [(c.name, c.definition, True)
-               for c in o.classes if c.definition is not None]
-    for subject, expr, both_ways in stated:
-        if both_ways and expr.op == "or":
-            for m in expr.members:
-                if m.op == "named":
-                    add(m.name, subject)
-        for sup in conjunct_names(expr):
-            add(subject, sup)
-    return edges
-
-
 @st.composite
 def ontologies_with_cycles(draw):
     """Generated ontologies plus planted same-class cycles and same-class
@@ -184,18 +177,6 @@ def ontologies_with_cycles(draw):
                                    map(named, members)))))
     axioms = list(o.axioms) + extra
     return replace(o, axioms=tuple(draw(st.permutations(axioms))))
-
-
-def reachable_from(edges, start):
-    seen = set()
-    stack = list(edges.get(start, ()))
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(edges.get(node, ()))
-    return seen
 
 
 def oracle_alias_map(o):

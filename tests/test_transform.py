@@ -47,6 +47,7 @@ from ont2cm.ontology import (
 )
 from ont2cm.transform import TransformConfig, derive_model, merged_multiplicity
 from invariants import assert_model_invariants
+from oracles import oracle_relationships
 from strategies import CLASS_POOL, PROP_POOL, ontologies
 from test_ontology import ontologies_with_cycles, reference_ancestors
 
@@ -163,6 +164,18 @@ class TestRelationships:
         assert con.kind == "orGroup"
         assert con.member_ids == ("rel:p:A:B", "rel:p:A:C")
 
+    @pytest.mark.parametrize("target", ["or(C, D, A)", "or(C, or(D, A))"])
+    def test_union_target_forms_one_or_group(self, target):
+        model, report = from_text(
+            "ontology t\nclass A\nclass B\nclass C\nclass D\nobjprop q\n"
+            f"restriction B q some {target}\n")
+        ids = ("rel:q:B:A", "rel:q:B:C", "rel:q:B:D")
+        assert tuple(r.id for r in model.relationships) == ids
+        (con,) = model.constraints
+        assert (con.id, con.kind, con.member_ids) == ("con:or:B:q", "orGroup", ids)
+        assert all(r.group_id == con.id for r in model.relationships)
+        assert report.by_kind("unmappedConstruct") == ()
+
     def test_single_target_never_forms_group(self):
         model, _ = derive("protein-dna.cot")
         assert model.constraints == ()
@@ -264,18 +277,24 @@ class TestGeneralizations:
         assert any("union definition" in n for n in report.notes)
 
     @pytest.mark.parametrize("statement", [
-        "same-class X or(A, B)", "defined-class X = or(A, B)"])
+        "same-class X or(A, B)", "defined-class X = or(A, B)",
+        "same-class X or(A, or(B, C))", "defined-class X = or(A, or(B, C))"])
     def test_union_members_inherit_from_the_subject(self, statement):
-        classes = "class A\nclass B\n"
+        members = re.findall(r"\b[A-C]\b", statement)
+        classes = "".join(f"class {m}\n" for m in members)
         if statement.startswith("same-class"):
             classes += "class X\n"
         model, report, grading, _ = derive_model(cot.parse(
             f"ontology t\n{classes}{statement}\n"
             "dataprop size domain X range integer\n"))
+        ids = tuple(f"et:{m}" for m in members)
         pairs = {(g.sub_id, g.super_id) for g in model.generalizations}
-        assert pairs == {("et:A", "et:X"), ("et:B", "et:X")}
-        assert grading.category_of("A") == grading.category_of("B") == "bwwClass"
+        assert pairs == {(sub, "et:X") for sub in ids}
+        (con,) = model.constraints
+        assert (con.id, con.kind, con.member_ids) == ("con:union:X", "orGroup", ids)
+        assert {grading.category_of(m) for m in members} == {"bwwClass"}
         assert report.by_kind("zeroPropertyEntity") == ()
+        assert report.by_kind("unmappedConstruct") == ()
 
     def test_union_supertype_in_subclass_axiom_is_flagged(self):
         model, report = from_text(
@@ -570,16 +589,49 @@ class TestInvariants:
         assert derive_model(o) == derive_model(o)
 
 
-def rewrite_intersections(o: Ontology, rewrite) -> Ontology:
-    """`o` with every intersection replaced by `rewrite(members)`, its
-    members rewritten first."""
+def derived_relationships(model):
+    """The model's relationships in the form of `oracle_relationships`."""
+    classes = {et.id: et.origin_class for et in model.entity_types}
+    kinds = {c.id: c.kind for c in model.constraints}
+    derived = {}
+    for rel in model.relationships:
+        site, target = classes[rel.source_id], classes[rel.target_id]
+        targets, exclusive, groups, bounds = derived.setdefault(
+            (rel.name, site), (set(), set(), {}, None))
+        targets.add(target)
+        if rel.exclusive:
+            exclusive.add(target)
+        kind = None
+        if rel.group_id is not None:
+            kind = {"orGroup": "or", "andGroup": "and"}[kinds[rel.group_id]]
+            assert rel.group_id == f"con:{kind}:{site}:{rel.name}", rel.id
+        groups[target] = kind
+        mult = (rel.target_mult.lower, rel.target_mult.upper)
+        assert bounds in (None, mult), rel.id
+        derived[rel.name, site] = (targets, exclusive, groups, mult)
+    return derived
+
+
+class TestRelationshipOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(ontologies())
+    @example(cot.parse("ontology t\nclass A\nclass X\nclass Y\nclass Z\nobjprop p\n"
+                       "restriction A p some or(X, or(Y, Z))\n"))
+    def test_relationships_match_the_oracle(self, o):
+        model, _, _, _ = derive_model(o)
+        assert derived_relationships(model) == oracle_relationships(o)
+
+
+def rewrite_boolean(o: Ontology, op: str, rewrite) -> Ontology:
+    """`o` with every `op` expression replaced by `rewrite(op, members)`,
+    its members rewritten first."""
     def expr(e):
         if e.op == "named":
             return e
         if e.op == "restriction":
             return restriction_expr(restriction(e.restriction))
         members = tuple(expr(m) for m in e.members)
-        return rewrite(members) if e.op == "and" else ClassExpression(e.op, members=members)
+        return rewrite(op, members) if e.op == op else ClassExpression(e.op, members=members)
 
     def restriction(r):
         return r if r.target is None else replace(r, target=expr(r.target))
@@ -594,37 +646,42 @@ def rewrite_intersections(o: Ontology, rewrite) -> Ontology:
                           for i in o.individuals))
 
 
-def flat_and(members):
-    return ClassExpression("and", members=tuple(
-        t for m in members for t in (m.members if m.op == "and" else (m,))))
+def flat(op, members):
+    return ClassExpression(op, members=tuple(
+        t for m in members for t in (m.members if m.op == op else (m,))))
 
 
-def right_nested_and(members):
-    """and(a, b, c, ...) as and(a, and(b, and(c, ...)))."""
-    nested = ClassExpression("and", members=members[-2:])
+def right_nested(op, members):
+    """op(a, b, c, ...) as op(a, op(b, op(c, ...)))."""
+    nested = ClassExpression(op, members=members[-2:])
     for m in reversed(members[:-2]):
-        nested = ClassExpression("and", members=(m, nested))
+        nested = ClassExpression(op, members=(m, nested))
     return nested
 
 
-def intersection_facts(o: Ontology):
+def nesting_facts(o: Ontology):
     model, report, grading, _ = derive_model(o)
     return (emit_model_json(model), emit_bww_json(grading),
             Counter(i.kind for i in report.items))
 
 
-class TestIntersectionNesting:
+class TestNesting:
+    @pytest.mark.parametrize("op", ["and", "or"])
     @settings(max_examples=200, deadline=None)
-    @given(ontologies())
-    @example(cot.parse("ontology t\nclass A\nclass B\nclass C\nclass D\nobjprop q\n"
-                       "restriction B q some and(C, D, A)\n"
-                       "individual i type and(A, B, or(C, D))\n"))
-    def test_nesting_an_intersection_changes_nothing(self, o):
+    @given(o=ontologies())
+    @example(o=cot.parse("ontology t\nclass A\nclass B\nclass C\nclass D\nobjprop q\n"
+                         "restriction B q some and(C, D, A)\n"
+                         "individual i type and(A, B, or(C, D))\n"))
+    @example(o=cot.parse("ontology t\nclass A\nclass X\nclass Y\nclass Z\nobjprop p\n"
+                         "restriction A p some or(X, or(Y, Z))\n"))
+    @example(o=cot.parse("ontology t\nclass A\nclass B\nclass C\nclass X\n"
+                         "same-class X or(A, or(B, C))\n"))
+    def test_nesting_changes_nothing(self, op, o):
         # flattened first, so that nesting is one-to-one and no two flag
         # details that differ before it are equal after it
-        flat = rewrite_intersections(o, flat_and)
-        nested = rewrite_intersections(flat, right_nested_and)
-        assert intersection_facts(nested) == intersection_facts(flat)
+        flattened = rewrite_boolean(o, op, flat)
+        nested = rewrite_boolean(flattened, op, right_nested)
+        assert nesting_facts(nested) == nesting_facts(flattened)
 
 
 # --------------------------------------------------------------------------
