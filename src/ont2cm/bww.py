@@ -10,6 +10,7 @@ intrinsic ones (carried by a single thing, datatype-valued) and mutual ones
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,6 +51,31 @@ class BwwReport:
 
     def category_of(self, name: str) -> str:
         return self.concept(name).category
+
+
+_str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps calls
+
+
+def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """Items in json.dumps(indent=2) layout, the closing bracket at `pad`."""
+    inner = ",\n  " + pad
+    return (f"{brackets[0]}\n  {pad}{inner.join(items)}\n{pad}{brackets[1]}"
+            if items else brackets)
+
+
+def emit_bww_json(report: BwwReport) -> str:
+    """The grading as JSON; `emit` re-exports it with the other emitters."""
+    # by way of a dict, so a repeated name keeps its first position and last entry
+    concepts = _block([
+        f'{_str(name)}: {{\n      "category": {_str(c.category)},\n'
+        f'      "propertyCount": {c.property_count},\n      "lawCount": {c.law_count}\n    }}'
+        for name, c in {c.name: c for c in report.concepts}.items()], "  ", "{}")
+    properties = _block([
+        f'{_str(name)}: {{\n      "category": {_str(p.category)}\n    }}'
+        for name, p in {p.name: p for p in report.properties}.items()], "  ", "{}")
+    notes = _block([_str(n) for n in report.notes], "  ")
+    return (f'{{\n  "concepts": {concepts},\n  "properties": {properties},\n'
+            f'  "notes": {notes}\n}}\n')
 
 
 def classify_property(category: str) -> str:

@@ -14,24 +14,36 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bww import classify
-from .cot import ParseError, parse, serialize
-from .damlxml import DamlImportError, ImportReport, import_daml
-from .emit import (
-    emit_bww_json,
-    emit_dot,
-    emit_model_json,
-    emit_plantuml,
-    emit_report,
-)
-from .model import check_model
-from .ontology import (
-    Ontology,
-    collapse_equivalences,
-    hoist_axiom_restrictions,
-    validate_ontology,
-)
-from .transform import TransformConfig, derive_model
+
+# The library names the commands call, by the module that defines each. A
+# module is imported when a command first reads one of its names, as
+# `_lib.name`, so `--help` imports none and each command only those it
+# runs. The name is then kept in this module's globals, where a caller may
+# replace it (`setattr(cli, name, ...)`) and the commands call the
+# replacement.
+_HOMES = {
+    "parse": "cot", "serialize": "cot", "ParseError": "cot",
+    "import_daml": "damlxml", "DamlImportError": "damlxml",
+    "validate_ontology": "ontology",
+    "hoist_axiom_restrictions": "ontology",
+    "collapse_equivalences": "ontology",
+    "classify": "bww", "emit_bww_json": "bww",
+    "TransformConfig": "transform", "derive_model": "transform",
+    "check_model": "model",
+    "emit_model_json": "emit", "emit_plantuml": "emit", "emit_dot": "emit",
+    "emit_report": "emit",
+}
+_lib = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # `from .home import name`, which -X importtime logs as it does any import
+    value = getattr(__import__(_HOMES[name], globals(), None, (name,), 1), name)
+    globals()[name] = value
+    return value
+
 
 EMIT_KINDS = ("json", "plantuml", "dot", "report")
 _SUFFIXES = {"json": ".model.json", "plantuml": ".puml", "dot": ".dot",
@@ -100,7 +112,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(path_text: str, fmt: str | None) -> tuple[Ontology, ImportReport | None]:
+def _load(path_text: str, fmt: str | None):
+    """(ontology, the import report of an RDF/XML input or None)."""
     path = Path(path_text)
     if fmt is None:
         fmt = "damlxml" if path.suffix.lower() in _XML_EXTENSIONS else "cot"
@@ -112,18 +125,18 @@ def _load(path_text: str, fmt: str | None) -> tuple[Ontology, ImportReport | Non
         raise _Error(f"{path}: not UTF-8 text: {exc}")
     if fmt == "damlxml":
         try:
-            report = import_daml(text, source_name=path.stem)
-        except DamlImportError as exc:
+            report = _lib.import_daml(text, source_name=path.stem)
+        except _lib.DamlImportError as exc:
             raise _Error(f"{path}: {exc}")
         return report.ontology, report
     try:
-        return parse(text), None
-    except ParseError as exc:
+        return _lib.parse(text), None
+    except _lib.ParseError as exc:
         raise _Error(f"{path}: {exc}")
 
 
-def _validated(ontology: Ontology) -> int:
-    defects = validate_ontology(ontology)
+def _validated(ontology) -> int:
+    defects = _lib.validate_ontology(ontology)
     for defect in defects:
         _info(f"defect [{defect.kind}] {defect.subject}: {defect.message}")
     return len(defects)
@@ -181,12 +194,12 @@ def _cmd_transform(args) -> int:
     ontology, import_report = _load(args.input, args.format)
     if _validated(ontology):
         return 2
-    config = TransformConfig(
+    config = _lib.TransformConfig(
         composition_heuristics=args.composition_heuristics == "on",
         include_instances=not args.no_instances)
-    model, report, _grading, _alias = derive_model(ontology, config=config,
-                                                   import_report=import_report)
-    defects = check_model(model)
+    model, report, _grading, _alias = _lib.derive_model(
+        ontology, config=config, import_report=import_report)
+    defects = _lib.check_model(model)
     if defects:
         for defect in defects:
             _info(f"internal defect [{defect.kind}] {defect.subject}: "
@@ -197,10 +210,10 @@ def _cmd_transform(args) -> int:
           f"{len(report.items)} flag(s) for review")
     stem = Path(args.input).stem
     rendered = {
-        "json": lambda: emit_model_json(model),
-        "plantuml": lambda: emit_plantuml(model),
-        "dot": lambda: emit_dot(model),
-        "report": lambda: emit_report(model, report),
+        "json": lambda: _lib.emit_model_json(model),
+        "plantuml": lambda: _lib.emit_plantuml(model),
+        "dot": lambda: _lib.emit_dot(model),
+        "report": lambda: _lib.emit_report(model, report),
     }
     # every artifact is rendered before any is written; each is held as
     # bytes, so the text is freed before the next one is rendered
@@ -213,11 +226,11 @@ def _cmd_classify(args) -> int:
     ontology, _ = _load(args.input, args.format)
     if _validated(ontology):
         return 2
-    hoisted = hoist_axiom_restrictions(ontology)
-    collapsed, _ = collapse_equivalences(hoisted)
-    grading = classify(collapsed)
+    hoisted = _lib.hoist_axiom_restrictions(ontology)
+    collapsed, _ = _lib.collapse_equivalences(hoisted)
+    grading = _lib.classify(collapsed)
     _write(args.out, {Path(args.input).stem + ".bww.json":
-                      emit_bww_json(grading).encode("utf-8")})
+                      _lib.emit_bww_json(grading).encode("utf-8")})
     return 0
 
 
@@ -238,7 +251,7 @@ def _cmd_import(args) -> int:
     for note in report.notes:
         _info(f"note: {note}")
     _write(args.out, {Path(args.input).stem + ".cot":
-                      serialize(ontology).encode("utf-8")})
+                      _lib.serialize(ontology).encode("utf-8")})
     return 0
 
 

@@ -64,6 +64,8 @@ _UNSAFE_RE = re.compile(r"[^A-Za-z0-9_-]")
 _NAME_START_RE = re.compile(r"[A-Za-z_]")
 # what int() reads as an integer, whatever its number of digits
 _INT_RE = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+# characters of a malformed value an error message repeats
+_ECHO_CHARS = 32
 
 
 class DamlImportError(ValueError):
@@ -319,8 +321,10 @@ class _Importer:
                         raise DamlImportError(
                             f"cardinality at {_where(vpath)}: integer longer than "
                             f"{sys.get_int_max_str_digits()} digits") from None
+                    more = "..." if len(value) > _ECHO_CHARS else ""
                     raise DamlImportError(
-                        f"cardinality at {_where(vpath)} is not an integer: {value!r}")
+                        f"cardinality at {_where(vpath)} is not an integer: "
+                        f"{value[:_ECHO_CHARS]!r}{more}")
                 parts.append(Restriction(on_property, flavor, count=count))
         if not parts:
             raise DamlImportError(f"Restriction at {_where(path)} has no constraint")

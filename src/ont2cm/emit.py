@@ -7,13 +7,16 @@ gives byte-identical text.
 The model and grading JSON are written from fixed templates, one f-string
 per record, and equal json.dumps(doc, indent=2) + "\n" of the dict shape
 parse_model_json reads, as tests/test_emit.py checks against json.dumps.
+The grading JSON is written by bww.emit_bww_json, next to the report it
+reads, so grading alone needs neither this module nor the transform;
+it is re-exported here with the other emitters.
 """
 
 from __future__ import annotations
 
 import json
 
-from .bww import BwwReport
+from .bww import _block, _str, emit_bww_json  # noqa: F401 (re-exported)
 from .model import (
     AGGREGATION,
     AND_GROUP,
@@ -39,16 +42,6 @@ def _mult_from_json(data: dict) -> Multiplicity:
     upper = data["upper"]
     return Multiplicity(data["lower"], None if upper == "*" else upper,
                         unsatisfiable=data.get("unsatisfiable", False))
-
-
-_str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps calls
-
-
-def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
-    """Items in json.dumps(indent=2) layout, the closing bracket at `pad`."""
-    inner = ",\n  " + pad
-    return (f"{brackets[0]}\n  {pad}{inner.join(items)}\n{pad}{brackets[1]}"
-            if items else brackets)
 
 
 def _mult_json(m: Multiplicity, pad: str) -> str:
@@ -293,21 +286,3 @@ def emit_report(model: ConceptualModel, report: ValidationReport) -> str:
         for note in report.notes:
             lines.append(f"- {note}")
     return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------------------
-# concept grading JSON
-
-
-def emit_bww_json(report: BwwReport) -> str:
-    # by way of a dict, so a repeated name keeps its first position and last entry
-    concepts = _block([
-        f'{_str(name)}: {{\n      "category": {_str(c.category)},\n'
-        f'      "propertyCount": {c.property_count},\n      "lawCount": {c.law_count}\n    }}'
-        for name, c in {c.name: c for c in report.concepts}.items()], "  ", "{}")
-    properties = _block([
-        f'{_str(name)}: {{\n      "category": {_str(p.category)}\n    }}'
-        for name, p in {p.name: p for p in report.properties}.items()], "  ", "{}")
-    notes = _block([_str(n) for n in report.notes], "  ")
-    return (f'{{\n  "concepts": {concepts},\n  "properties": {properties},\n'
-            f'  "notes": {notes}\n}}\n')

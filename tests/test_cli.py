@@ -14,6 +14,7 @@ from ont2cm.damlxml import import_daml
 from ont2cm.model import ModelDefect
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).parents[1]
 
 
 def run(*argv):
@@ -280,6 +281,15 @@ def nested_daml(depth: int) -> str:
             f'<daml:Class rdf:ID="B"/>{opened}{leaf}{closed}</rdf:RDF>\n')
 
 
+def min_cardinality_daml(value: str) -> str:
+    return ('<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
+            'xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#" '
+            'xmlns:daml="http://www.daml.org/2001/03/daml+oil#">'
+            '<daml:Class rdf:ID="A"><rdfs:subClassOf><daml:Restriction '
+            f'daml:minCardinality="{value}"><daml:onProperty rdf:resource="#p"/>'
+            '</daml:Restriction></rdfs:subClassOf></daml:Class></rdf:RDF>')
+
+
 class TestNestingBound:
     @pytest.mark.parametrize("name, text", [
         ("deep.cot", nested_cot(1200)), ("deep.daml", nested_daml(1200))])
@@ -319,18 +329,26 @@ class TestNestingBound:
     def test_overlong_daml_cardinality_exit_1(self, tmp_path, capsys):
         digits = "9" * (sys.get_int_max_str_digits() + 1)
         source = tmp_path / "long.daml"
-        source.write_text(
-            '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
-            'xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#" '
-            'xmlns:daml="http://www.daml.org/2001/03/daml+oil#">'
-            '<daml:Class rdf:ID="A"><rdfs:subClassOf><daml:Restriction '
-            f'daml:minCardinality="{digits}"><daml:onProperty rdf:resource="#p"/>'
-            '</daml:Restriction></rdfs:subClassOf></daml:Class></rdf:RDF>')
+        source.write_text(min_cardinality_daml(digits))
         assert run("transform", str(source), "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "integer longer than" in err and len(err) < 200
         assert list(tmp_path.iterdir()) == [source]
+
+    @pytest.mark.parametrize("value, shown", [
+        ("x" * 300, f"is not an integer: {'x' * 32!r}...\n"),
+        ("12abc", "is not an integer: '12abc'\n")], ids=["long", "short"])
+    def test_non_integer_daml_cardinality_exit_1(self, tmp_path, capsys,
+                                                 monkeypatch, value, shown):
+        # a relative path, so the line's length is the message's own
+        monkeypatch.chdir(tmp_path)
+        Path("bad.daml").write_text(min_cardinality_daml(value))
+        assert run("transform", "bad.daml", "--out", ".") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad.daml: ") and err.count("\n") == 1
+        assert err.endswith(shown) and len(err) < 200
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.daml"]
 
     def test_bounds_are_exact(self):
         with pytest.raises(cot.ParseError, match="line 4"):
@@ -416,3 +434,92 @@ class TestEncoding:
         to_stdout = self.transform(tmp_path, "-", ascii_env)
         assert to_stdout.returncode == 0, to_stdout.stderr
         assert to_stdout.stdout == expected
+
+
+def fresh_cli(*args, **kwargs):
+    """`args` run by a new interpreter, the package from this checkout and
+    no bytecode written."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, **kwargs)
+
+
+class TestLazyImports:
+    """Each command imports only the library modules it runs, and a name
+    replaced on the cli module is the one the command calls."""
+
+    COT = str(FIXTURES / "rule1.cot")
+    DAML = str(FIXTURES / "protein.daml")
+
+    @pytest.mark.parametrize("argv, modules", [
+        (["--help"], set()),
+        (["--version"], set()),
+        (["check", COT], {"cot", "ontology"}),
+        (["classify", COT, "--out", "-"], {"cot", "ontology", "bww"}),
+        (["transform", COT, "--out", "{out}"],
+         {"cot", "ontology", "bww", "model", "transform", "emit"}),
+        (["classify", DAML, "--out", "-"], {"damlxml", "ontology", "bww"}),
+        (["import", DAML, "--out", "-"], {"damlxml", "cot", "ontology"}),
+    ], ids=["help", "version", "check", "classify", "transform",
+            "classify-daml", "import"])
+    def test_import_set(self, tmp_path, argv, modules):
+        argv = [a.replace("{out}", str(tmp_path)) for a in argv]
+        # -X importtime logs every import, from a cache or not; run as
+        # __main__, the cli module itself is not among them
+        result = fresh_cli("-X", "importtime", "-m", "ont2cm.cli", *argv)
+        assert result.returncode == 0, result.stderr
+        imported = {line.rpartition("|")[2].strip()
+                    for line in result.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "ont2cm" in imported
+        assert {name.removeprefix("ont2cm.") for name in imported
+                if name.startswith("ont2cm.")} == modules
+        xml = any(name.startswith("xml.etree") for name in imported)
+        assert xml == ("damlxml" in modules)
+
+    SCRIPT = """
+import json, sys
+import run
+from ont2cm import cli
+
+names = sorted(set(run._CLI_CALLS) | {"check_model"})
+counts = dict.fromkeys(names, 0)
+
+def counting(name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+for name in names:
+    setattr(cli, name, counting(name, getattr(cli, name)))
+code = cli.main(sys.argv[1:])
+print(json.dumps({"exit": code, "counts": counts,
+                  "unknown": hasattr(cli, "no_such_name")}))
+"""
+    LOAD = ["validate_ontology"]
+    GRADE = ["hoist_axiom_restrictions", "collapse_equivalences", "classify",
+             "emit_bww_json"]
+    DERIVE = ["derive_model", "check_model", "emit_model_json",
+              "emit_plantuml", "emit_dot", "emit_report"]
+
+    @pytest.mark.parametrize("command, source, path", [
+        ("check", COT, ["parse"] + LOAD),
+        ("classify", COT, ["parse"] + LOAD + GRADE),
+        ("classify", DAML, ["import_daml"] + LOAD + GRADE),
+        ("transform", COT, ["parse"] + LOAD + DERIVE),
+        ("transform", DAML, ["import_daml"] + LOAD + DERIVE),
+    ], ids=["check", "classify", "classify-daml", "transform",
+            "transform-daml"])
+    def test_replaced_names_are_called(self, tmp_path, command, source, path):
+        # bench/run.py --trace 1 wraps these names the same way
+        argv = [command, source] + ([] if command == "check"
+                                    else ["--out", str(tmp_path)])
+        result = fresh_cli("-c", self.SCRIPT, *argv, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report["exit"] == 0 and report["unknown"] is False
+        assert set(path) <= report["counts"].keys()
+        assert report["counts"] == {name: int(name in path)
+                                    for name in report["counts"]}
