@@ -21,7 +21,7 @@ INTRINSIC = "intrinsic"
 MUTUAL = "mutual"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConceptClassification:
     name: str
     category: str
@@ -29,12 +29,13 @@ class ConceptClassification:
     law_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropertyClassification:
     name: str
     category: str
 
 
+# no slots: the cached_property below keeps its lookup in __dict__
 @dataclass(frozen=True)
 class BwwReport:
     concepts: tuple[ConceptClassification, ...]

@@ -197,8 +197,10 @@ def _cmd_transform(args) -> int:
     config = _lib.TransformConfig(
         composition_heuristics=args.composition_heuristics == "on",
         include_instances=not args.no_instances)
-    model, report, _grading, _alias = _lib.derive_model(
-        ontology, config=config, import_report=import_report)
+    model, report = _lib.derive_model(
+        ontology, config=config, import_report=import_report)[:2]
+    # only the model and the review report stay live while rendering
+    del ontology, import_report
     defects = _lib.check_model(model)
     if defects:
         for defect in defects:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import replace
+from functools import partial
 
 from .ontology import (
     CARDINALITY_FLAVORS,
@@ -74,6 +74,17 @@ class ParseError(ValueError):
 
 _EOL = "end of line"
 
+# characters of an offending token a message repeats
+_ECHO_CHARS = 32
+
+
+def _echo(token: str) -> str:
+    """The token quoted, cut to its first _ECHO_CHARS characters and
+    `...` when longer, so a message does not grow with the input."""
+    if len(token) <= _ECHO_CHARS:
+        return repr(token)
+    return f"{token[:_ECHO_CHARS]!r}..."
+
 
 def _count(line: int, column: int, digits: str) -> int:
     try:
@@ -109,19 +120,19 @@ class _Cursor:
     def name(self, what: str = "a name") -> str:
         tok = self.next(what)
         if not _NAME_RE.match(tok[0]):
-            raise self.error(tok, f"expected {what}, got {tok[0]!r}")
+            raise self.error(tok, f"expected {what}, got {_echo(tok[0])}")
         return tok[0]
 
     def integer(self) -> int:
         tok = self.next("an integer")
         if not _INT_RE.match(tok[0]):
-            raise self.error(tok, f"expected an integer, got {tok[0]!r}")
+            raise self.error(tok, f"expected an integer, got {_echo(tok[0])}")
         return _count(self.line, tok.start() + 1, tok[0])
 
     def literal(self, text: str) -> None:
         tok = self.next(repr(text))
         if tok[0] != text:
-            raise self.error(tok, f"expected {text!r}, got {tok[0]!r}")
+            raise self.error(tok, f"expected {text!r}, got {_echo(tok[0])}")
 
     def at(self, text: str) -> bool:
         tok = self.peek()
@@ -130,14 +141,14 @@ class _Cursor:
     def done(self) -> None:
         tok = self.peek()
         if tok is not None:
-            raise self.error(tok, f"unexpected {tok[0]!r} after statement")
+            raise self.error(tok, f"unexpected {_echo(tok[0])} after statement")
 
 
 def _parse_expr(cur: _Cursor, depth: int = 1) -> ClassExpression:
     tok = cur.next("a class expression")
     head = tok[0]
     if not _NAME_RE.match(head):
-        raise cur.error(tok, f"expected a class expression, got {head!r}")
+        raise cur.error(tok, f"expected a class expression, got {_echo(head)}")
     if depth > MAX_NESTING:
         raise cur.error(tok, f"expression nested deeper than {MAX_NESTING} levels")
     if head in ("and", "or") and cur.at("("):
@@ -175,7 +186,7 @@ def _restriction_body(cur: _Cursor, prop: str, flavor_tok: re.Match,
         return Restriction(prop, flavor, target=_parse_expr(cur, depth))
     if flavor in CARDINALITY_FLAVORS:
         return Restriction(prop, flavor, count=cur.integer())
-    raise cur.error(flavor_tok, f"unknown restriction flavor {flavor!r}")
+    raise cur.error(flavor_tok, f"unknown restriction flavor {_echo(flavor)}")
 
 
 def _parse_property(cur: _Cursor, category: str) -> PropertyDefinition:
@@ -231,7 +242,7 @@ _SHAPES = (
                 rf"(?:\s+range\s+{_N})?\s*\Z"),
      _property_shape),
     (re.compile(rf"\s*class\s+{_N}\s*\Z"),
-     lambda m, line: ClassDefinition(_intern(m[1]))),
+     lambda m, line: partial(ClassDefinition, _intern(m[1]))),
     (re.compile(rf"\s*(subclass|same-class|disjoint)\s+{_N}\s+{_N}\s*\Z"),
      lambda m, line: Axiom(_intern(m[1]), _intern(m[2]), named(_intern(m[3])))),
     (re.compile(rf"\s*individual\s+{_N}\s+type\s+{_N}\s*\Z"),
@@ -241,8 +252,9 @@ _SHAPES = (
 
 def _statement(line_no: int, line: str, after_header: bool):
     """The statement on one line: the ontology name of a header, a
-    (class name, Restriction) pair for a restriction statement, else the
-    ClassDefinition, PropertyDefinition, Axiom or Individual it declares."""
+    (class name, Restriction) pair for a restriction statement, for a class
+    a partial ClassDefinition that takes its local restrictions, else the
+    PropertyDefinition, Axiom or Individual it declares."""
     if after_header:
         for shape, build in _SHAPES:
             m = shape.match(line)
@@ -264,13 +276,13 @@ def _statement(line_no: int, line: str, after_header: bool):
     if keyword == "class":
         name = cur.name("a class name")
         cur.done()
-        return ClassDefinition(name)
+        return partial(ClassDefinition, name)
     if keyword == "defined-class":
         name = cur.name("a class name")
         cur.literal("=")
         expr = _parse_expr(cur)
         cur.done()
-        return ClassDefinition(name, kind=DEFINED, definition=expr)
+        return partial(ClassDefinition, name, DEFINED, expr)
     if keyword == "objprop":
         return _parse_property(cur, OBJECT)
     if keyword == "dataprop":
@@ -300,7 +312,7 @@ def _statement(line_no: int, line: str, after_header: bool):
             types.append(_parse_expr(cur))
         cur.done()
         return Individual(name, types=tuple(types))
-    raise cur.error(keyword_tok, f"unknown statement keyword {keyword!r}")
+    raise cur.error(keyword_tok, f"unknown statement keyword {_echo(keyword)}")
 
 
 def parse(text: str) -> Ontology:
@@ -309,7 +321,7 @@ def parse(text: str) -> Ontology:
     dangling references survive parsing and are reported by
     validate_ontology."""
     ontology_name: str | None = None
-    classes: list[ClassDefinition] = []
+    declarations: list[partial] = []
     class_index: dict[str, int] = {}
     pending_restrictions: dict[str, list[Restriction]] = {}
     properties: list[PropertyDefinition] = []
@@ -326,9 +338,9 @@ def parse(text: str) -> Ontology:
         kind = type(stmt)
         if kind is tuple:
             pending_restrictions.setdefault(stmt[0], []).append(stmt[1])
-        elif kind is ClassDefinition:
-            class_index[stmt.name] = len(classes)
-            classes.append(stmt)
+        elif kind is partial:
+            class_index[stmt.args[0]] = len(declarations)
+            declarations.append(stmt)
         elif kind is PropertyDefinition:
             properties.append(stmt)
         elif kind is Axiom:
@@ -341,6 +353,8 @@ def parse(text: str) -> Ontology:
     if ontology_name is None:
         raise ParseError(1, 1, "missing ontology header")
 
+    # the restrictions on a class go to its last declaration
+    restricted: dict[int, tuple[Restriction, ...]] = {}
     for cls_name, restrictions in pending_restrictions.items():
         idx = class_index.get(cls_name)
         if idx is None:
@@ -349,11 +363,11 @@ def parse(text: str) -> Ontology:
             for r in restrictions:
                 axioms.append(Axiom(SUBCLASS, cls_name, restriction_expr(r)))
         else:
-            cls = classes[idx]
-            classes[idx] = replace(
-                cls, local_restrictions=cls.local_restrictions + tuple(restrictions))
+            restricted[idx] = tuple(restrictions)
+    classes = tuple(declare(local_restrictions=restricted.get(idx, ()))
+                    for idx, declare in enumerate(declarations))
 
-    return Ontology(ontology_name, classes=tuple(classes),
+    return Ontology(ontology_name, classes=classes,
                     properties=tuple(properties), axioms=tuple(axioms),
                     individuals=tuple(individuals))
 

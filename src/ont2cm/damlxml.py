@@ -77,14 +77,14 @@ class _Unmappable(Exception):
     the surrounding element gets skipped instead of aborting the import."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkippedEntry:
     name: str
     count: int
     first_location: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImportReport:
     ontology: Ontology
     translated: tuple[tuple[str, int], ...]

@@ -9,7 +9,7 @@ transformation must always pass it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 ASSOCIATION = "association"
@@ -21,7 +21,7 @@ OR_GROUP = "orGroup"
 DISJOINT_GROUP = "disjoint"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multiplicity:
     lower: int
     upper: int | None = None  # None means unbounded
@@ -31,7 +31,7 @@ class Multiplicity:
 MANY = Multiplicity(0, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attribute:
     name: str
     datatype: str
@@ -39,7 +39,7 @@ class Attribute:
     origin_property: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityType:
     id: str
     name: str
@@ -49,7 +49,7 @@ class EntityType:
     attributes: tuple[Attribute, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relationship:
     id: str
     name: str
@@ -63,25 +63,26 @@ class Relationship:
     group_id: str | None = None  # and/or constraint this edge belongs to
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generalization:
     sub_id: str
     super_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemanticConstraint:
     id: str
     kind: str
     member_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     name: str
     type_ids: tuple[str, ...]
 
 
+# no slots: the cached_property below keeps its lookup in __dict__
 @dataclass(frozen=True)
 class ConceptualModel:
     name: str
@@ -100,7 +101,7 @@ class ConceptualModel:
         return self._entity_by_id[entity_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelDefect:
     kind: str
     subject: str
@@ -263,14 +264,18 @@ def check_model(model: ConceptualModel) -> list[ModelDefect]:
     return defects
 
 
+def _attributes_sorted(et: EntityType) -> EntityType:
+    """The entity type with its attributes sorted by name; the same object
+    when they already are."""
+    attributes = tuple(sorted(et.attributes, key=lambda a: a.name))
+    return et if attributes == et.attributes else replace(et, attributes=attributes)
+
+
 def canonical_order(model: ConceptualModel) -> ConceptualModel:
     """Sort every collection into its canonical order. Idempotent; two
     models with the same content compare equal after ordering."""
-    entity_types = tuple(sorted(
-        (EntityType(et.id, et.name, et.origin_class, et.bww, et.definition_kind,
-                    tuple(sorted(et.attributes, key=lambda a: a.name)))
-         for et in model.entity_types),
-        key=lambda et: et.name))
+    entity_types = tuple(sorted(map(_attributes_sorted, model.entity_types),
+                                key=lambda et: et.name))
     relationships = tuple(sorted(
         model.relationships,
         key=lambda r: (r.name, r.source_id, r.target_id)))

@@ -2,8 +2,12 @@
 
 Everything here is assertion-only. Subsumption and equivalence are taken as
 written in the source document; no description-logic inference is performed.
-All values are frozen dataclasses, so they are safe to share across threads
-and usable as dict keys.
+All values are frozen dataclasses with `__slots__`, so they are safe to
+share across threads, usable as dict keys and carry no instance `__dict__`:
+they take no extra attributes. (`model.ConceptualModel` and `bww.BwwReport`
+keep a `__dict__` for their `cached_property` lookups.) The normalizing
+stages keep every class, property, axiom and individual they leave
+unchanged as the same object.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ SUBCLASS = "subclass"
 SAME_CLASS = "same-class"
 DISJOINT = "disjoint"
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Restriction:
     """A property constraint: some/only carry a target expression, the
     cardinality flavors carry a non-negative count."""
@@ -48,7 +52,7 @@ class Restriction:
     count: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassExpression:
     """Recursive class term.
 
@@ -71,7 +75,7 @@ def restriction_expr(r: Restriction) -> ClassExpression:
     return ClassExpression("restriction", restriction=r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassDefinition:
     name: str
     kind: str = PRIMITIVE
@@ -79,7 +83,7 @@ class ClassDefinition:
     local_restrictions: tuple[Restriction, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropertyDefinition:
     name: str
     category: str
@@ -87,7 +91,7 @@ class PropertyDefinition:
     range: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Axiom:
     """subclass/same-class pair a subject class with a target expression;
     disjoint requires the target to be a named expression."""
@@ -97,13 +101,13 @@ class Axiom:
     target: ClassExpression
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Individual:
     name: str
     types: tuple[ClassExpression, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ontology:
     name: str
     classes: tuple[ClassDefinition, ...] = ()
@@ -112,7 +116,7 @@ class Ontology:
     individuals: tuple[Individual, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OntologyDefect:
     kind: str
     subject: str
@@ -347,7 +351,8 @@ def hoist_axiom_restrictions(ont: Ontology) -> Ontology:
     if not moved:
         return ont
     classes = tuple(
-        replace(c, local_restrictions=c.local_restrictions + tuple(moved.get(c.name, ())))
+        replace(c, local_restrictions=c.local_restrictions + tuple(moved[c.name]))
+        if c.name in moved else c
         for c in ont.classes)
     return replace(ont, classes=classes, axioms=tuple(kept))
 
@@ -410,7 +415,8 @@ def collapse_equivalences(ont: Ontology) -> tuple[Ontology, dict[str, str]]:
     equivalence, and the collapsed edges form the acyclic condensation.
     Returns the rewritten ontology and an alias map {alias: representative}.
     When there is nothing to collapse the input is returned unchanged with
-    an empty map.
+    an empty map. Otherwise every class, property, axiom and individual the
+    alias map leaves unchanged is kept as the same object.
     """
     supers: dict[str, list[str]] = {c.name: [] for c in ont.classes}
     for sub, sup, _ in _superclass_edges(ont):
@@ -451,8 +457,11 @@ def collapse_equivalences(ont: Ontology) -> tuple[Ontology, dict[str, str]]:
                     extra_axioms.append(Axiom(SAME_CLASS, cls.name, target))
         definition = (rename_expression(cls.definition, mapping)
                       if cls.definition is not None else None)
-        classes.append(replace(cls, definition=definition,
-                               local_restrictions=tuple(restrictions)))
+        restrictions = tuple(restrictions)
+        classes.append(
+            cls if definition is cls.definition
+            and restrictions == cls.local_restrictions
+            else ClassDefinition(cls.name, cls.kind, definition, restrictions))
 
     axioms: list[Axiom] = []
     seen_axioms: set[Axiom] = set()
@@ -462,29 +471,28 @@ def collapse_equivalences(ont: Ontology) -> tuple[Ontology, dict[str, str]]:
         if (target.op == "named" and target.name == subject
                 and ax.target.name != ax.subject):
             continue  # cycle edges vanish into the representative
-        renamed = Axiom(ax.kind, subject, target)
+        renamed = (ax if subject == ax.subject and target is ax.target
+                   else Axiom(ax.kind, subject, target))
         if renamed not in seen_axioms:
             seen_axioms.add(renamed)
             axioms.append(renamed)
 
     properties = []
     for p in ont.properties:
-        domains: list[str] = []
-        for d in p.domains:
-            d = mapping.get(d, d)
-            if d not in domains:
-                domains.append(d)
+        domains = tuple(dict.fromkeys(mapping.get(d, d) for d in p.domains))
         rng = p.range
         if p.category == OBJECT and rng is not None:
             rng = mapping.get(rng, rng)
-        properties.append(replace(p, domains=tuple(domains), range=rng))
+        properties.append(p if domains == p.domains and rng == p.range
+                          else PropertyDefinition(p.name, p.category, domains, rng))
 
-    individuals = tuple(
-        replace(i, types=tuple(rename_expression(t, mapping) for t in i.types))
-        for i in ont.individuals)
+    individuals = []
+    for i in ont.individuals:
+        types = tuple(rename_expression(t, mapping) for t in i.types)
+        individuals.append(i if types == i.types else Individual(i.name, types))
 
     collapsed = replace(ont, classes=tuple(classes), properties=tuple(properties),
-                        axioms=tuple(axioms), individuals=individuals)
+                        axioms=tuple(axioms), individuals=tuple(individuals))
     return collapsed, mapping
 
 

@@ -103,20 +103,20 @@ FLAG_KINDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransformConfig:
     composition_heuristics: bool = True
     include_instances: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlaggedItem:
     kind: str
     subject: str
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     items: tuple[FlaggedItem, ...] = ()
     notes: tuple[str, ...] = ()
@@ -132,7 +132,7 @@ def normalize_token(name: str) -> str:
 def merged_multiplicity(index: OntologyIndex, cls: str, prop: str) -> Multiplicity:
     """Fold cardinality restrictions on (cls, prop) into one bound. Direct
     restrictions win over inherited ones; with neither the bound stays at
-    the open default (0, unbounded)."""
+    the open default (0, unbounded), the shared `MANY`."""
     picked = [r for r in index.direct_restrictions(cls)
               if r.on_property == prop and r.flavor in CARDINALITY_FLAVORS]
     if not picked:
@@ -143,8 +143,9 @@ def merged_multiplicity(index: OntologyIndex, cls: str, prop: str) -> Multiplici
             lower = max(lower, r.count)
         if r.flavor in (MAX, EXACTLY):
             upper = r.count if upper is None else min(upper, r.count)
-    unsatisfiable = upper is not None and lower > upper
-    return Multiplicity(lower, upper, unsatisfiable=unsatisfiable)
+    if upper is None:
+        return MANY if lower == 0 else Multiplicity(lower)
+    return Multiplicity(lower, upper, unsatisfiable=lower > upper)
 
 
 class _Findings:

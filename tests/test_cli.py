@@ -350,6 +350,25 @@ class TestNestingBound:
         assert err.endswith(shown) and len(err) < 200
         assert [p.name for p in tmp_path.iterdir()] == ["bad.daml"]
 
+    @pytest.mark.parametrize("line, shown", [
+        ("restriction A p min " + "x" * 300,
+         f"column 21: expected an integer, got {'x' * 32!r}...\n"),
+        ("x" * 300 + " A",
+         f"column 1: unknown statement keyword {'x' * 32!r}...\n"),
+        ("class A " + "x" * 300,
+         f"column 9: unexpected {'x' * 32!r}... after statement\n"),
+    ], ids=["integer", "keyword", "unexpected"])
+    def test_long_token_echo_is_cut(self, tmp_path, capsys, monkeypatch,
+                                    line, shown):
+        # a relative path, so the line's length is the message's own
+        monkeypatch.chdir(tmp_path)
+        Path("long.cot").write_text(f"ontology long\nclass A\nobjprop p\n{line}\n")
+        assert run("transform", "long.cot", "--out", ".") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: long.cot: line 4, ") and err.count("\n") == 1
+        assert err.endswith(shown) and len(err) < 200
+        assert [p.name for p in tmp_path.iterdir()] == ["long.cot"]
+
     def test_bounds_are_exact(self):
         with pytest.raises(cot.ParseError, match="line 4"):
             cot.parse(nested_cot(cot.MAX_NESTING + 1))
@@ -523,3 +542,35 @@ print(json.dumps({"exit": code, "counts": counts,
         assert set(path) <= report["counts"].keys()
         assert report["counts"] == {name: int(name in path)
                                     for name in report["counts"]}
+
+
+class TestRelease:
+    """`transform` renders with only the model and the review report live:
+    the ontology, its import report and its grading are released first."""
+
+    SCRIPT = """
+import gc, json, sys
+from ont2cm import bww, cli, damlxml, ontology
+
+LEFT_BEHIND = (ontology.Ontology, ontology.ClassDefinition,
+               damlxml.ImportReport, bww.BwwReport)
+live = []
+emit = cli.emit_model_json
+
+def counting(model):
+    gc.collect()
+    live.append(sum(isinstance(o, LEFT_BEHIND) for o in gc.get_objects()))
+    return emit(model)
+
+cli.emit_model_json = counting
+code = cli.main(sys.argv[1:])
+print(json.dumps({"exit": code, "live": live}))
+"""
+
+    @pytest.mark.parametrize("source", ["tambis-mini.cot", "protein.daml"])
+    def test_input_released_before_rendering(self, tmp_path, source):
+        result = fresh_cli("-c", self.SCRIPT, "transform",
+                           str(FIXTURES / source), "--out", str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == {"exit": 0,
+                                                              "live": [0]}

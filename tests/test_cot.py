@@ -230,6 +230,8 @@ class TestShapes:
     @example("ontology t\nrestriction A p min 1abc\n")
     @example("ontology t\nrestriction A p exactly \u0663\n")
     @example("ontology t\nrestriction A p max " + "9" * 5000 + "\n")
+    @example("ontology t\nrestriction A p min " + "x" * 300 + "\n")
+    @example("ontology t\nclass A " + "x" * 300 + "\n")
     @example("ontology t\ndisjoint A\n")
     @example("ontology t\nsubclass\tA\xa0B\t\n")
     @example("ontology t\nclass\x1cA\n")
