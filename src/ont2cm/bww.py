@@ -93,12 +93,10 @@ def _categorize(property_count: int, law_count: int) -> str:
     return "naturalKind"
 
 
-def classify(ont: Ontology, index: OntologyIndex | None = None) -> BwwReport:
-    """Grade every class and property. Deterministic: entries come out
-    sorted by name."""
-    if index is None:
-        index = OntologyIndex(ont)
-
+def classify(ont: Ontology, index: OntologyIndex) -> BwwReport:
+    """Grade every class and property of a normalized ontology, reading
+    what reaches each class from its index (see `ontology.normalize`).
+    Deterministic: entries come out sorted by name."""
     disjoint_mentions: dict[str, int] = {}
     for ax in ont.axioms:
         # self-disjointness is no law; the transform notes it as ignored

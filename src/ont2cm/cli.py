@@ -24,7 +24,8 @@ from . import __version__
 _HOMES = {
     "parse": "cot", "serialize": "cot", "ParseError": "cot",
     "import_daml": "damlxml", "DamlImportError": "damlxml",
-    "validate_ontology": "ontology",
+    "validate_ontology": "ontology", "normalize": "ontology",
+    # no command calls these two; `bench/run.py --trace 1` wraps them
     "hoist_axiom_restrictions": "ontology",
     "collapse_equivalences": "ontology",
     "classify": "bww", "emit_bww_json": "bww",
@@ -45,9 +46,14 @@ def __getattr__(name: str):
     return value
 
 
-EMIT_KINDS = ("json", "plantuml", "dot", "report")
-_SUFFIXES = {"json": ".model.json", "plantuml": ".puml", "dot": ".dot",
-             "report": ".report.md"}
+# each kind `transform --emit` takes: (file suffix, render(model, report))
+_ARTIFACTS = {
+    "json": (".model.json", lambda model, _: _lib.emit_model_json(model)),
+    "plantuml": (".puml", lambda model, _: _lib.emit_plantuml(model)),
+    "dot": (".dot", lambda model, _: _lib.emit_dot(model)),
+    "report": (".report.md", lambda model, report: _lib.emit_report(model, report)),
+}
+EMIT_KINDS = tuple(_ARTIFACTS)
 _XML_EXTENSIONS = (".daml", ".rdf", ".xml", ".owl")
 
 
@@ -118,7 +124,8 @@ def _load(path_text: str, fmt: str | None):
     if fmt is None:
         fmt = "damlxml" if path.suffix.lower() in _XML_EXTENSIONS else "cot"
     try:
-        text = path.read_text(encoding="utf-8")
+        # a leading byte order mark is dropped
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise _Error(f"cannot read {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
@@ -179,11 +186,7 @@ def _emit_list(raw: str) -> list[str]:
     if unknown:
         raise _UsageError(
             f"ont2cm: error: unknown emit format: {', '.join(unknown)}")
-    seen: list[str] = []
-    for kind in EMIT_KINDS:
-        if kind in kinds:
-            seen.append(kind)
-    return seen
+    return [k for k in EMIT_KINDS if k in kinds]
 
 
 def _cmd_transform(args) -> int:
@@ -211,16 +214,10 @@ def _cmd_transform(args) -> int:
           f"{len(model.relationships)} relationship(s), "
           f"{len(report.items)} flag(s) for review")
     stem = Path(args.input).stem
-    rendered = {
-        "json": lambda: _lib.emit_model_json(model),
-        "plantuml": lambda: _lib.emit_plantuml(model),
-        "dot": lambda: _lib.emit_dot(model),
-        "report": lambda: _lib.emit_report(model, report),
-    }
     # every artifact is rendered before any is written; each is held as
     # bytes, so the text is freed before the next one is rendered
-    _write(args.out, {stem + _SUFFIXES[kind]: rendered[kind]().encode("utf-8")
-                      for kind in kinds})
+    _write(args.out, {stem + suffix: render(model, report).encode("utf-8")
+                      for suffix, render in (_ARTIFACTS[k] for k in kinds)})
     return 0
 
 
@@ -228,9 +225,8 @@ def _cmd_classify(args) -> int:
     ontology, _ = _load(args.input, args.format)
     if _validated(ontology):
         return 2
-    hoisted = _lib.hoist_axiom_restrictions(ontology)
-    collapsed, _ = _lib.collapse_equivalences(hoisted)
-    grading = _lib.classify(collapsed)
+    collapsed, _, index = _lib.normalize(ontology)
+    grading = _lib.classify(collapsed, index)
     _write(args.out, {Path(args.input).stem + ".bww.json":
                       _lib.emit_bww_json(grading).encode("utf-8")})
     return 0

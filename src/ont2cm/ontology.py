@@ -213,7 +213,6 @@ def validate_ontology(ont: Ontology) -> list[OntologyDefect]:
     defects: list[OntologyDefect] = []
     class_names = {c.name for c in ont.classes}
     property_names = {p.name for p in ont.properties}
-    properties = {p.name: p for p in ont.properties}
 
     def check_expr(expr: ClassExpression, where: str) -> None:
         if expr.op == "named":
@@ -702,3 +701,11 @@ class OntologyIndex:
         each once: those naming it as a domain, then those its direct
         restrictions constrain."""
         return self._attached[cls]
+
+
+def normalize(ont: Ontology) -> tuple[Ontology, dict[str, str], OntologyIndex]:
+    """Hoist restriction axioms, collapse equivalence cycles and index the
+    result: the one place this order is written. Returns (collapsed
+    ontology, alias map, index) for a validated ontology."""
+    collapsed, alias_map = collapse_equivalences(hoist_axiom_restrictions(ont))
+    return collapsed, alias_map, OntologyIndex(collapsed)

@@ -74,10 +74,9 @@ from .ontology import (
     SOME,
     Ontology,
     OntologyIndex,
-    collapse_equivalences,
-    hoist_axiom_restrictions,
     conjuncts,
     disjuncts,
+    normalize,
     outermost_complements,
     superclass_statements,
 )
@@ -490,12 +489,10 @@ def transform(ont: Ontology, *, bww_report: BwwReport, index: OntologyIndex,
 
 def derive_model(ont: Ontology, config: TransformConfig | None = None,
                  import_report=None):
-    """Full pipeline on a validated ontology: hoist restriction axioms,
-    collapse equivalence cycles, grade the concepts, then transform.
-    Returns (model, validation report, concept grading, alias map)."""
-    normalized = hoist_axiom_restrictions(ont)
-    collapsed, alias_map = collapse_equivalences(normalized)
-    index = OntologyIndex(collapsed)
+    """Full pipeline on a validated ontology: normalize it, grade the
+    concepts, then transform. Returns (model, validation report, concept
+    grading, alias map)."""
+    collapsed, alias_map, index = normalize(ont)
     grading = classify(collapsed, index)
     model, report = transform(collapsed, bww_report=grading, config=config,
                               alias_map=alias_map, import_report=import_report,

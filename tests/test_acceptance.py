@@ -28,6 +28,7 @@ from ont2cm.ontology import (
     SOME,
     ClassDefinition,
     Ontology,
+    OntologyIndex,
     PropertyDefinition,
     Restriction,
     named,
@@ -103,7 +104,7 @@ def test_criterion_4_grading_matches_brute_force_oracle():
         @settings(max_examples=200, deadline=None)
         @given(ontologies())
         def run(ont):
-            report = classify(ont)
+            report = classify(ont, OntologyIndex(ont))
             for cls in ont.classes:
                 cat, props, laws = oracle_category(ont, cls.name)
                 entry = report.concept(cls.name)

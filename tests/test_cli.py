@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from ont2cm import cli, cot, damlxml
+from ont2cm.bww import emit_bww_json
 from ont2cm.damlxml import import_daml
 from ont2cm.model import ModelDefect
+from ont2cm.transform import derive_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).parents[1]
@@ -153,6 +155,20 @@ class TestClassify:
 
     def test_defects_exit_2(self):
         assert run("classify", str(FIXTURES / "dangling.cot")) == 2
+
+    @pytest.mark.parametrize("name", [
+        *(f"rule{i}.cot" for i in range(1, 7)), "protein-dna.cot",
+        "protein-dna-only.cot", "review.cot", "tambis-mini.cot",
+        "protein.daml", "excess.daml"])
+    def test_grades_what_transform_grades(self, tmp_path, name):
+        # both commands grade the one normalized ontology
+        source = FIXTURES / name
+        assert run("classify", str(source), "--out", str(tmp_path)) == 0
+        text = source.read_text(encoding="utf-8")
+        ontology = (import_daml(text, source_name=source.stem).ontology
+                    if source.suffix == ".daml" else cot.parse(text))
+        assert (tmp_path / f"{source.stem}.bww.json").read_text(encoding="utf-8") \
+            == emit_bww_json(derive_model(ontology)[2])
 
 
 class TestUnwritableOutput:
@@ -424,7 +440,8 @@ class TestInvocation:
 
 
 class TestEncoding:
-    """Artifacts are UTF-8 bytes whatever the locale says."""
+    """Artifacts are UTF-8 bytes whatever the locale says, and an input may
+    start with a byte order mark."""
 
     def transform(self, tmp_path, out, env):
         source = tmp_path / "proteine.daml"
@@ -453,6 +470,19 @@ class TestEncoding:
         to_stdout = self.transform(tmp_path, "-", ascii_env)
         assert to_stdout.returncode == 0, to_stdout.stderr
         assert to_stdout.stdout == expected
+
+    @pytest.mark.parametrize("name", ["tambis-mini.cot", "protein.daml"])
+    def test_leading_bom_is_dropped(self, tmp_path, name):
+        source = tmp_path / "in" / name
+        source.parent.mkdir()
+        source.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / name).read_bytes())
+        out = tmp_path / "out"
+        assert run("transform", str(source), "--out", str(out)) == 0
+        assert run("classify", str(source), "--out", str(out)) == 0
+        for suffix in (".model.json", ".puml", ".dot", ".report.md", ".bww.json"):
+            artifact = source.stem + suffix
+            assert (out / artifact).read_bytes() \
+                == (FIXTURES / "golden" / artifact).read_bytes(), artifact
 
 
 def fresh_cli(*args, **kwargs):
@@ -502,7 +532,7 @@ import json, sys
 import run
 from ont2cm import cli
 
-names = sorted(set(run._CLI_CALLS) | {"check_model"})
+names = sorted(set(run._CLI_CALLS) | {"check_model", "normalize"})
 counts = dict.fromkeys(names, 0)
 
 def counting(name, fn):
@@ -518,8 +548,9 @@ print(json.dumps({"exit": code, "counts": counts,
                   "unknown": hasattr(cli, "no_such_name")}))
 """
     LOAD = ["validate_ontology"]
-    GRADE = ["hoist_axiom_restrictions", "collapse_equivalences", "classify",
-             "emit_bww_json"]
+    # hoist_axiom_restrictions and collapse_equivalences resolve, but only
+    # normalize calls them
+    GRADE = ["normalize", "classify", "emit_bww_json"]
     DERIVE = ["derive_model", "check_model", "emit_model_json",
               "emit_plantuml", "emit_dot", "emit_report"]
 
