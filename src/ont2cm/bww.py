@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 from .ontology import DATATYPE, DISJOINT, Ontology, OntologyIndex
 
@@ -35,23 +34,11 @@ class PropertyClassification:
     category: str
 
 
-# no slots: the cached_property below keeps its lookup in __dict__
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BwwReport:
     concepts: tuple[ConceptClassification, ...]
     properties: tuple[PropertyClassification, ...]
     notes: tuple[str, ...]
-
-    @cached_property
-    def _concept_by_name(self) -> dict[str, ConceptClassification]:
-        # reversed, so the first entry of a repeated name wins
-        return {c.name: c for c in reversed(self.concepts)}
-
-    def concept(self, name: str) -> ConceptClassification:
-        return self._concept_by_name[name]
-
-    def category_of(self, name: str) -> str:
-        return self.concept(name).category
 
 
 _str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps calls

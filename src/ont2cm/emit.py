@@ -31,7 +31,7 @@ from .model import (
     Relationship,
     SemanticConstraint,
 )
-from .transform import FLAG_KINDS, ValidationReport
+from .transform import ValidationReport
 
 
 # --------------------------------------------------------------------------
@@ -126,33 +126,38 @@ def _mult_label(m: Multiplicity) -> str:
     return label + "!" if m.unsatisfiable else label
 
 
-def _member_label(model: ConceptualModel, relationships: dict[str, Relationship],
+def _names(model: ConceptualModel) -> dict[str, str]:
+    """Entity name by entity id."""
+    # reversed, so the first entity type of a repeated id wins
+    return {et.id: et.name for et in reversed(model.entity_types)}
+
+
+def _member_label(names: dict[str, str], relationships: dict[str, Relationship],
                   member_id: str) -> str:
     r = relationships.get(member_id)
     if r is not None:
-        source = model.entity(r.source_id).name
-        target = model.entity(r.target_id).name
-        return f"{r.name}({source}, {target})"
-    return model.entity(member_id).name
+        return f"{r.name}({names[r.source_id]}, {names[r.target_id]})"
+    return names[member_id]
 
 
 _CONSTRAINT_LABELS = {AND_GROUP: "and", DISJOINT_GROUP: "disjoint"}
 
 
-def _constraint_texts(model: ConceptualModel) -> list[str]:
+def _constraint_texts(model: ConceptualModel, names: dict[str, str]) -> list[str]:
     """Note text per constraint, in model order."""
     # reversed, so the first relationship of a repeated id wins
     relationships = {r.id: r for r in reversed(model.relationships)}
     texts = []
     for con in model.constraints:
         label = _CONSTRAINT_LABELS.get(con.kind, "or")
-        members = ", ".join(_member_label(model, relationships, m)
+        members = ", ".join(_member_label(names, relationships, m)
                             for m in con.member_ids)
         texts.append(f"{{{label}}}: {members}")
     return texts
 
 
 def emit_plantuml(model: ConceptualModel) -> str:
+    names = _names(model)
     lines = ["@startuml", f"title {model.name}"]
     for et in model.entity_types:
         head = f"class {et.name} <<{et.bww}>>"
@@ -165,27 +170,27 @@ def emit_plantuml(model: ConceptualModel) -> str:
         else:
             lines.append(head)
     for g in model.generalizations:
-        lines.append(f"{model.entity(g.super_id).name} <|-- "
-                     f"{model.entity(g.sub_id).name}")
+        lines.append(f"{names[g.super_id]} <|-- {names[g.sub_id]}")
     for r in model.relationships:
-        source = model.entity(r.source_id).name
-        target = model.entity(r.target_id).name
+        source = names[r.source_id]
+        target = names[r.target_id]
         label = r.name + (" {exclusive}" if r.exclusive else "")
         if r.kind in (AGGREGATION, COMPOSITION):
             connector = "*--" if r.kind == COMPOSITION else "o--"
-            whole = model.entity(r.whole).name
+            whole = names[r.whole]
             part = target if r.whole == r.source_id else source
             lines.append(f"{whole} {connector} {part} : {label}")
         else:
             lines.append(f'{source} "{_mult_label(r.source_mult)}" --> '
                          f'"{_mult_label(r.target_mult)}" {target} : {label}')
-    for n, text in enumerate(_constraint_texts(model), start=1):
+    for n, text in enumerate(_constraint_texts(model, names), start=1):
         lines.append(f'note "{text}" as N{n}')
     lines.append("@enduml")
     return "\n".join(lines) + "\n"
 
 
 def emit_dot(model: ConceptualModel) -> str:
+    names = _names(model)
     lines = ["digraph model {", "  rankdir=BT;", "  node [shape=box];"]
     for et in model.entity_types:
         label_parts = [f"{et.name} <<{et.bww}>>"]
@@ -195,17 +200,17 @@ def emit_dot(model: ConceptualModel) -> str:
         label = "\\n".join(label_parts)
         lines.append(f'  "{et.name}" [label="{label}"];')
     for g in model.generalizations:
-        lines.append(f'  "{model.entity(g.sub_id).name}" -> '
-                     f'"{model.entity(g.super_id).name}" [arrowhead=onormal];')
+        lines.append(f'  "{names[g.sub_id]}" -> "{names[g.super_id]}" '
+                     "[arrowhead=onormal];")
     for r in model.relationships:
-        source = model.entity(r.source_id).name
-        target = model.entity(r.target_id).name
+        source = names[r.source_id]
+        target = names[r.target_id]
         label = (f"{r.name} ({_mult_label(r.source_mult)}, "
                  f"{_mult_label(r.target_mult)})")
         if r.exclusive:
             label += " {exclusive}"
         if r.kind in (AGGREGATION, COMPOSITION):
-            whole = model.entity(r.whole).name
+            whole = names[r.whole]
             part = target if r.whole == r.source_id else source
             tail = "diamond" if r.kind == COMPOSITION else "odiamond"
             lines.append(f'  "{whole}" -> "{part}" [label="{label}", '
@@ -213,7 +218,7 @@ def emit_dot(model: ConceptualModel) -> str:
         else:
             lines.append(f'  "{source}" -> "{target}" [label="{label}", '
                          "arrowhead=vee];")
-    for con, text in zip(model.constraints, _constraint_texts(model)):
+    for con, text in zip(model.constraints, _constraint_texts(model, names)):
         lines.append(f'  "{con.id}" [shape=note, label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -223,6 +228,8 @@ def emit_dot(model: ConceptualModel) -> str:
 # review report
 
 
+# the closed vocabulary of review flags, in report order: each kind's
+# section title, where such a flag comes from and what to do about it
 _SECTIONS = {
     "droppedProperty": (
         "Dropped properties",
@@ -262,6 +269,7 @@ _SECTIONS = {
         "No property reaches this entity.",
         "Confirm the entity earns its place in the model."),
 }
+FLAG_KINDS = tuple(_SECTIONS)
 
 
 def emit_report(model: ConceptualModel, report: ValidationReport) -> str:
@@ -272,11 +280,10 @@ def emit_report(model: ConceptualModel, report: ValidationReport) -> str:
         lines.append("")
         lines.append("Nothing flagged.")
         return "\n".join(lines) + "\n"
-    for kind in FLAG_KINDS:
+    for kind, (title, origin, action) in _SECTIONS.items():
         items = sorted(report.by_kind(kind), key=lambda i: (i.subject, i.detail))
         if not items:
             continue
-        title, origin, action = _SECTIONS[kind]
         lines.extend(["", f"## {title}", "", origin,
                       f"Suggested action: {action}", ""])
         for item in items:

@@ -10,7 +10,6 @@ transformation must always pass it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 ASSOCIATION = "association"
 AGGREGATION = "aggregation"
@@ -82,8 +81,7 @@ class Instance:
     type_ids: tuple[str, ...]
 
 
-# no slots: the cached_property below keeps its lookup in __dict__
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConceptualModel:
     name: str
     entity_types: tuple[EntityType, ...] = ()
@@ -91,14 +89,6 @@ class ConceptualModel:
     generalizations: tuple[Generalization, ...] = ()
     constraints: tuple[SemanticConstraint, ...] = ()
     instances: tuple[Instance, ...] = ()
-
-    @cached_property
-    def _entity_by_id(self) -> dict[str, EntityType]:
-        # reversed, so the first entry of a repeated id wins
-        return {et.id: et for et in reversed(self.entity_types)}
-
-    def entity(self, entity_id: str) -> EntityType:
-        return self._entity_by_id[entity_id]
 
 
 @dataclass(frozen=True, slots=True)

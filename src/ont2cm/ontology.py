@@ -4,10 +4,8 @@ Everything here is assertion-only. Subsumption and equivalence are taken as
 written in the source document; no description-logic inference is performed.
 All values are frozen dataclasses with `__slots__`, so they are safe to
 share across threads, usable as dict keys and carry no instance `__dict__`:
-they take no extra attributes. (`model.ConceptualModel` and `bww.BwwReport`
-keep a `__dict__` for their `cached_property` lookups.) The normalizing
-stages keep every class, property, axiom and individual they leave
-unchanged as the same object.
+they take no extra attributes. The normalizing stages keep every class,
+property, axiom and individual they leave unchanged as the same object.
 """
 
 from __future__ import annotations

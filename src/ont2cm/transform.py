@@ -88,20 +88,6 @@ _COMPOSITION_TOKENS = frozenset({
 # tokens whose subject is the whole; for the others the subject is the part
 _WHOLE_AT_SOURCE = frozenset({"has", "haspart", "contains", "composedof"})
 
-# closed vocabulary of review flags
-FLAG_KINDS = (
-    "droppedProperty",
-    "unmappedConstruct",
-    "exclusiveRelation",
-    "compositionCandidate",
-    "aggregationCandidate",
-    "unsatisfiableMultiplicity",
-    "equivalenceCollapsed",
-    "multiDomainProperty",
-    "zeroPropertyEntity",
-)
-
-
 @dataclass(frozen=True, slots=True)
 class TransformConfig:
     composition_heuristics: bool = True
@@ -233,10 +219,14 @@ def _generalizations(ont: Ontology, index: OntologyIndex,
 
 def _relationships(ont: Ontology, index: OntologyIndex,
                    sites: dict[str, list[str]], entity_ids: dict[str, str],
-                   found: _Findings) -> dict[str, Relationship]:
-    """One relationship per (object property, site, target), by id. Each
-    group id joins the two or more targets of one and/or pool."""
+                   found: _Findings
+                   ) -> tuple[dict[str, Relationship],
+                              dict[str, tuple[str, list[str]]]]:
+    """One relationship per (object property, site, target), by id, and
+    the kind and member ids of each and/or group, by group id. Each group
+    joins the two or more targets of one and/or pool."""
     relationships: dict[str, Relationship] = {}
+    groups: dict[str, tuple[str, list[str]]] = {}
     for p in ont.properties:
         if p.category != OBJECT:
             continue
@@ -276,9 +266,12 @@ def _relationships(ont: Ontology, index: OntologyIndex,
             mult = _bounded(index, found, site, p.name)
             for target in dict.fromkeys(spec[0] for spec in specs):
                 pool = pool_of.get(target)
-                group_id = (f"con:{pool}:{site}:{p.name}"
-                            if pool is not None and pool_size[pool] >= 2 else None)
                 rid = relationship_id(p.name, site, target)
+                group_id = None
+                if pool is not None and pool_size[pool] >= 2:
+                    group_id = f"con:{pool}:{site}:{p.name}"
+                    kind = AND_GROUP if pool == "and" else OR_GROUP
+                    groups.setdefault(group_id, (kind, []))[1].append(rid)
                 relationships[rid] = Relationship(
                     rid, p.name, entity_ids[site], entity_ids[target], MANY, mult,
                     exclusive=target in exclusive, group_id=group_id)
@@ -293,7 +286,7 @@ def _relationships(ont: Ontology, index: OntologyIndex,
                     found.notes.append(
                         f"property {p.name}: declared range {p.range} is "
                         f"unrelated to restriction target {target} on {site}")
-    return relationships
+    return relationships, groups
 
 
 def _dropped_properties(ont: Ontology, attributes: dict[str, list[Attribute]],
@@ -351,7 +344,7 @@ def _whole_part(relationships: dict[str, Relationship],
 
 
 def _constraints(ont: Ontology, union_groups: list[tuple[str, tuple[str, ...]]],
-                 relationships: dict[str, Relationship],
+                 groups: dict[str, tuple[str, list[str]]],
                  entity_ids: dict[str, str],
                  found: _Findings) -> tuple[SemanticConstraint, ...]:
     """Union or-groups, relationship and/or groups and disjoint pairs, the
@@ -360,12 +353,7 @@ def _constraints(ont: Ontology, union_groups: list[tuple[str, tuple[str, ...]]],
     for subject, member_ids in union_groups:
         cid = f"con:union:{subject}"
         constraints.setdefault(cid, SemanticConstraint(cid, OR_GROUP, member_ids))
-    group_members: dict[str, list[str]] = {}
-    for rel in relationships.values():
-        if rel.group_id is not None:
-            group_members.setdefault(rel.group_id, []).append(rel.id)
-    for gid, members in group_members.items():
-        kind = AND_GROUP if gid.startswith("con:and:") else OR_GROUP
+    for gid, (kind, members) in groups.items():
         constraints[gid] = SemanticConstraint(gid, kind, tuple(sorted(members)))
     for ax in ont.axioms:
         if ax.kind != DISJOINT or ax.target.op != "named":
@@ -402,7 +390,7 @@ def _instances(ont: Ontology, entity_ids: dict[str, str],
     return tuple(instances)
 
 
-def _diagnostics(ont: Ontology, bww_report: BwwReport, config: TransformConfig,
+def _diagnostics(ont: Ontology, categories: dict[str, str], config: TransformConfig,
                  alias_map: dict[str, str] | None, import_report,
                  found: _Findings) -> None:
     if alias_map:
@@ -432,7 +420,7 @@ def _diagnostics(ont: Ontology, bww_report: BwwReport, config: TransformConfig,
         found.notes.extend(import_report.notes)
 
     for cls in ont.classes:
-        if bww_report.category_of(cls.name) == "thingSet":
+        if categories[cls.name] == "thingSet":
             found.flag("zeroPropertyEntity", cls.name,
                        "no property reaches this entity; check whether it should stay")
 
@@ -458,11 +446,11 @@ def transform(ont: Ontology, *, bww_report: BwwReport, index: OntologyIndex,
 
     attributes = _attributes(ont, index, sites, found)
     generalizations, union_groups = _generalizations(ont, index, entity_ids, found)
-    relationships = _relationships(ont, index, sites, entity_ids, found)
+    relationships, groups = _relationships(ont, index, sites, entity_ids, found)
     _dropped_properties(ont, attributes, relationships, found)
     if config.composition_heuristics:
         relationships = _whole_part(relationships, found)
-    constraints = _constraints(ont, union_groups, relationships, entity_ids, found)
+    constraints = _constraints(ont, union_groups, groups, entity_ids, found)
     if config.include_instances:
         instances = _instances(ont, entity_ids, found)
     else:
@@ -470,11 +458,12 @@ def transform(ont: Ontology, *, bww_report: BwwReport, index: OntologyIndex,
         if ont.individuals:
             found.notes.append(f"{len(ont.individuals)} individual(s) excluded "
                                "by configuration")
-    _diagnostics(ont, bww_report, config, alias_map, import_report, found)
+    categories = {c.name: c.category for c in bww_report.concepts}
+    _diagnostics(ont, categories, config, alias_map, import_report, found)
 
     entity_types = tuple(
         EntityType(entity_ids[cls.name], cls.name, cls.name,
-                   bww_report.category_of(cls.name), cls.kind,
+                   categories[cls.name], cls.kind,
                    tuple(attributes[cls.name]))
         for cls in ont.classes)
     model = canonical_order(ConceptualModel(

@@ -7,6 +7,7 @@ test.
 
 from __future__ import annotations
 
+from ont2cm.emit import FLAG_KINDS
 from ont2cm.model import COMPOSITION, check_model
 from ont2cm.ontology import collapse_equivalences, hoist_axiom_restrictions
 
@@ -30,6 +31,11 @@ def assert_model_invariants(ont, model, report, config=None) -> None:
     for p in collapsed.properties:
         carried = p.name in attr_origins or p.name in rel_names
         assert carried != (p.name in dropped), p.name
+
+    # every flag is of a kind the review report has a section for, so the
+    # report renders it rather than leave it out
+    unlisted = {i.kind for i in report.items} - set(FLAG_KINDS)
+    assert not unlisted, unlisted
 
     # exclusive markers and flags agree one to one
     exclusive_ids = {r.id for r in model.relationships if r.exclusive}

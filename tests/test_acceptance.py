@@ -36,6 +36,7 @@ from ont2cm.ontology import (
 from ont2cm.transform import derive_model
 
 from invariants import assert_model_invariants
+from lookups import concepts
 from strategies import ontologies
 from test_bww import oracle_category
 
@@ -104,10 +105,10 @@ def test_criterion_4_grading_matches_brute_force_oracle():
         @settings(max_examples=200, deadline=None)
         @given(ontologies())
         def run(ont):
-            report = classify(ont, OntologyIndex(ont))
+            graded = concepts(classify(ont, OntologyIndex(ont)))
             for cls in ont.classes:
                 cat, props, laws = oracle_category(ont, cls.name)
-                entry = report.concept(cls.name)
+                entry = graded[cls.name]
                 assert (entry.category, entry.property_count,
                         entry.law_count) == (cat, props, laws), cls.name
                 counts["classes"] += 1

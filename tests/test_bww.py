@@ -22,6 +22,7 @@ from ont2cm.ontology import (
     normalize,
     restriction_expr,
 )
+from lookups import concepts
 from oracles import reachable_from, stated_restrictions, superclass_edge_map
 from strategies import ontologies
 
@@ -38,20 +39,20 @@ def grade(o):
 class TestGrading:
     def test_no_properties_is_thing_set(self):
         report = grade(ont(classes=[ClassDefinition("Rock")]))
-        assert report.category_of("Rock") == "thingSet"
+        assert concepts(report)["Rock"].category == "thingSet"
 
     def test_one_property_is_class(self):
         o = ont(classes=[ClassDefinition("Protein")],
                 properties=[PropertyDefinition("accession", "datatype",
                                                domains=("Protein",), range="string")])
-        assert grade(o).category_of("Protein") == "bwwClass"
+        assert concepts(grade(o))["Protein"].category == "bwwClass"
 
     def test_two_properties_no_laws_is_kind(self):
         o = ont(classes=[ClassDefinition("Protein")],
                 properties=[
                     PropertyDefinition("accession", "datatype", domains=("Protein",)),
                     PropertyDefinition("mass", "datatype", domains=("Protein",))])
-        assert grade(o).category_of("Protein") == "kind"
+        assert concepts(grade(o))["Protein"].category == "kind"
 
     def test_two_properties_with_restriction_is_natural_kind(self):
         o = ont(classes=[ClassDefinition("Protein", local_restrictions=(
@@ -59,7 +60,7 @@ class TestGrading:
                 properties=[
                     PropertyDefinition("accession", "datatype", domains=("Protein",)),
                     PropertyDefinition("mass", "datatype", domains=("Protein",))])
-        entry = grade(o).concept("Protein")
+        entry = concepts(grade(o))["Protein"]
         assert entry.category == "naturalKind"
         assert entry.property_count == 2
         assert entry.law_count == 1
@@ -72,17 +73,17 @@ class TestGrading:
         with_disjoint = ont(classes=[ClassDefinition("DNA"), ClassDefinition("RNA")],
                             properties=props,
                             axioms=[Axiom(DISJOINT, "DNA", named("RNA"))])
-        assert grade(without).category_of("DNA") == "kind"
+        assert concepts(grade(without))["DNA"].category == "kind"
         report = grade(with_disjoint)
-        assert report.category_of("DNA") == "naturalKind"
-        assert report.category_of("RNA") == "naturalKind"
+        assert concepts(report)["DNA"].category == "naturalKind"
+        assert concepts(report)["RNA"].category == "naturalKind"
 
     def test_self_disjointness_is_no_law(self):
         props = [PropertyDefinition("p", "datatype", domains=("X",)),
                  PropertyDefinition("q", "datatype", domains=("X",))]
         o = ont(classes=[ClassDefinition("X")], properties=props,
                 axioms=[Axiom(DISJOINT, "X", named("X"))])
-        entry = grade(o).concept("X")
+        entry = concepts(grade(o))["X"]
         assert (entry.category, entry.law_count) == ("kind", 0)
 
     def test_inherited_properties_count(self):
@@ -92,8 +93,8 @@ class TestGrading:
                     PropertyDefinition("accession", "datatype", domains=("Protein",))],
                 axioms=[Axiom(SUBCLASS, "Protein", named("Macromolecule"))])
         report = grade(o)
-        assert report.category_of("Macromolecule") == "bwwClass"
-        assert report.category_of("Protein") == "kind"
+        assert concepts(report)["Macromolecule"].category == "bwwClass"
+        assert concepts(report)["Protein"].category == "kind"
 
     def test_one_property_with_law_stays_class_and_notes(self):
         o = ont(classes=[ClassDefinition("Protein", local_restrictions=(
@@ -101,7 +102,7 @@ class TestGrading:
                 properties=[PropertyDefinition("accession", "datatype",
                                                domains=("Protein",))])
         report = grade(o)
-        assert report.category_of("Protein") == "bwwClass"
+        assert concepts(report)["Protein"].category == "bwwClass"
         assert any("Protein" in n for n in report.notes)
 
     def test_property_grading(self):
@@ -171,10 +172,10 @@ class TestOracleAgreement:
     @example(cot.parse("ontology t\nclass A\nclass B\nclass C\nclass X\n"
                        "same-class X or(A, or(B, C))\ndataprop size domain X\n"))
     def test_matches_closure_oracle(self, o):
-        report = grade(o)
+        graded = concepts(grade(o))
         for c in o.classes:
             cat, props, laws = oracle_category(o, c.name)
-            entry = report.concept(c.name)
+            entry = graded[c.name]
             assert (entry.category, entry.property_count, entry.law_count) == \
                 (cat, props, laws), c.name
 
@@ -192,10 +193,10 @@ class TestOracleAgreement:
             properties=[PropertyDefinition("sequence", "datatype",
                                            domains=("NucleicAcid",)),
                         PropertyDefinition("catalyses", "object", range="DNA")])
-        report = grade(o)
+        graded = concepts(grade(o))
         for name in ("DNA", "RNA", "NucleicAcid", "Enzyme"):
             cat, props, laws = oracle_category(o, name)
-            entry = report.concept(name)
+            entry = graded[name]
             assert (entry.category, entry.property_count, entry.law_count) == \
                 (cat, props, laws), name
-        assert report.category_of("Enzyme") == "naturalKind"
+        assert graded["Enzyme"].category == "naturalKind"

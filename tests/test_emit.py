@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ont2cm import cot, emit, transform
+from ont2cm import cot
 from ont2cm.bww import BwwReport, ConceptClassification, PropertyClassification
 from ont2cm.emit import (
     emit_bww_json,
@@ -150,9 +150,6 @@ class TestReport:
         assert text.index("## Exclusive relationships") < \
             text.index("## Entities without properties")
         assert "- `rel:binds:Protein:DNA`:" in text
-
-    def test_every_flag_kind_has_a_section(self):
-        assert set(emit._SECTIONS) == set(transform.FLAG_KINDS)
 
     def test_notes_render_at_end(self):
         model, report, _, _ = derive("tambis-mini.cot")

@@ -47,6 +47,7 @@ from ont2cm.ontology import (
 )
 from ont2cm.transform import TransformConfig, derive_model, merged_multiplicity
 from invariants import assert_model_invariants
+from lookups import concepts, entities
 from oracles import oracle_relationships
 from strategies import CLASS_POOL, PROP_POOL, ontologies
 from test_ontology import ontologies_with_cycles, reference_ancestors
@@ -232,22 +233,22 @@ class TestAttributes:
         model, report = from_text(
             "ontology t\nclass A\ndataprop d range integer\n"
             "restriction A d exactly 1\n")
-        (attr,) = model.entity("et:A").attributes
+        (attr,) = entities(model)["et:A"].attributes
         assert (attr.name, attr.datatype) == ("d", "integer")
         assert attr.multiplicity == Multiplicity(1, 1)
         assert report.by_kind("droppedProperty") == ()
 
     def test_missing_range_defaults_to_string(self):
         model, _ = from_text("ontology t\nclass A\ndataprop d domain A\n")
-        (attr,) = model.entity("et:A").attributes
+        (attr,) = entities(model)["et:A"].attributes
         assert attr.datatype == "string"
         assert attr.multiplicity == Multiplicity(0, None)
 
     def test_multi_domain_property_maps_everywhere_and_flags(self):
         model, report = from_text(
             "ontology t\nclass A\nclass B\ndataprop d domain A, B range string\n")
-        assert model.entity("et:A").attributes[0].name == "d"
-        assert model.entity("et:B").attributes[0].name == "d"
+        assert entities(model)["et:A"].attributes[0].name == "d"
+        assert entities(model)["et:B"].attributes[0].name == "d"
         (flag,) = report.by_kind("multiDomainProperty")
         assert flag.subject == "d"
 
@@ -292,7 +293,7 @@ class TestGeneralizations:
         assert pairs == {(sub, "et:X") for sub in ids}
         (con,) = model.constraints
         assert (con.id, con.kind, con.member_ids) == ("con:union:X", "orGroup", ids)
-        assert {grading.category_of(m) for m in members} == {"bwwClass"}
+        assert {concepts(grading)[m].category for m in members} == {"bwwClass"}
         assert report.by_kind("zeroPropertyEntity") == ()
         assert report.by_kind("unmappedConstruct") == ()
 
@@ -560,18 +561,11 @@ class TestDeterminism:
         assert model_facts(renamed) == model_facts(
             o, lambda text: rename_text(text, mapping))
 
-    def test_lookups_raise_key_error_on_unknown_names(self):
-        model, _, grading, _ = derive_model(load("tambis-mini.cot"))
-        with pytest.raises(KeyError):
-            model.entity("et:Nothing")
-        with pytest.raises(KeyError):
-            grading.concept("Nothing")
-
     def test_tambis_mini_is_well_formed(self):
         o = load("tambis-mini.cot")
         model, report, _, _ = derive_model(o)
         assert_model_invariants(o, model, report)
-        assert model.entity("et:Receptor")
+        assert entities(model)["et:Receptor"]
         assert any(r.exclusive for r in model.relationships)
         assert any(r.kind == AGGREGATION for r in model.relationships)
 
@@ -753,7 +747,8 @@ class TestScale:
         model, _, grading, _ = derive_model(chain(names))
         assert check_model(model) == []
         assert len(model.generalizations) == n - 1
+        graded = concepts(grading)
         for k, name in enumerate(names):
-            concept = grading.concept(name)
-            assert (concept.property_count, concept.law_count) == \
+            entry = graded[name]
+            assert (entry.property_count, entry.law_count) == \
                 (k + 1, 2 * (k + 1)), name
