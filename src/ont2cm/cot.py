@@ -49,6 +49,7 @@ from .ontology import (
     Ontology,
     PropertyDefinition,
     Restriction,
+    format_expr,
     named,
     restriction_expr,
 )
@@ -374,20 +375,6 @@ def parse(text: str) -> Ontology:
 
 # --------------------------------------------------------------------------
 # serialization
-
-
-def format_expr(expr: ClassExpression) -> str:
-    if expr.op == "named":
-        return expr.name
-    if expr.op in ("and", "or"):
-        inner = ", ".join(format_expr(m) for m in expr.members)
-        return f"{expr.op}({inner})"
-    if expr.op == "not":
-        return f"not({format_expr(expr.members[0])})"
-    r = expr.restriction
-    if r.flavor in CLASS_FLAVORS:
-        return f"restriction({r.on_property}, {r.flavor}, {format_expr(r.target)})"
-    return f"restriction({r.on_property}, {r.flavor}, {r.count})"
 
 
 def _format_restriction_stmt(cls: str, r: Restriction) -> str:

@@ -3,8 +3,9 @@
 The importer is total over well-formed XML: every element is either
 translated into the in-memory ontology or recorded as skipped with its
 location, so the two tallies always add up to the document's element count.
-Whatever the source forgets to declare is declared automatically with a
-note, keeping the imported ontology free of dangling references.
+A name the source uses but never declares is declared automatically, with
+a note, exactly when `ontology.validate_ontology` reports it dangling and
+in the order it reports it, so an imported ontology always validates.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .ontology import (
     Restriction,
     named,
     restriction_expr,
+    validate_ontology,
 )
 
 _DAML = "http://www.daml.org/2001/03/daml+oil#"
@@ -130,8 +132,6 @@ def _child_paths(el, loc: _Loc):
     depth = loc[3] + 1
     counts: dict[str, int] = {}
     for child in el:
-        if not isinstance(child.tag, str):
-            continue
         tag = _prefixed(child.tag)
         counts[tag] = ordinal = counts.get(tag, 0) + 1
         child_loc = (loc, tag, ordinal, depth)
@@ -528,47 +528,7 @@ class _Importer:
 
     # ---- assembly
 
-    def _walk_expr_names(self, expr: ClassExpression, classes: dict[str, None],
-                         properties: dict[str, None]) -> None:
-        if expr.op == "named":
-            classes.setdefault(expr.name)
-        for m in expr.members:
-            self._walk_expr_names(m, classes, properties)
-        if expr.restriction is not None:
-            properties.setdefault(expr.restriction.on_property)
-            if expr.restriction.target is not None:
-                self._walk_expr_names(expr.restriction.target, classes, properties)
-
-    def finish(self, source_name: str | None) -> ImportReport:
-        # insertion-ordered sets, so auto-declarations keep reference order
-        ref_classes: dict[str, None] = {}
-        ref_properties: dict[str, None] = {}
-        for expr in self.definitions.values():
-            if expr is not None:
-                self._walk_expr_names(expr, ref_classes, ref_properties)
-        for ax in self.axioms:
-            ref_classes.setdefault(ax.subject)
-            self._walk_expr_names(ax.target, ref_classes, ref_properties)
-        for record in self.props.values():
-            for d in record["domains"]:
-                ref_classes.setdefault(d)
-            if record["category"] == OBJECT and record["range"] is not None:
-                ref_classes.setdefault(record["range"])
-        for types in self.ind_types.values():
-            for t in types:
-                self._walk_expr_names(t, ref_classes, ref_properties)
-
-        for name in ref_classes:
-            if name not in self.definitions:
-                self.definitions[name] = None
-                self.note(f"class {name} referenced but never declared; "
-                          "declared automatically")
-        for name in ref_properties:
-            if name not in self.props:
-                self.declare_property(name, OBJECT)
-                self.note(f"property {name} referenced in a restriction but "
-                          "never declared; assumed to be an object property")
-
+    def build(self, source_name: str | None) -> Ontology:
         classes = tuple(
             ClassDefinition(name, kind=PRIMITIVE if expr is None else DEFINED,
                             definition=expr)
@@ -581,9 +541,30 @@ class _Importer:
         individuals = tuple(Individual(name, types=tuple(types))
                             for name, types in self.ind_types.items())
 
-        ontology = Ontology(self.ontology_name or source_name or "imported",
-                            classes=classes, properties=properties,
-                            axioms=tuple(self.axioms), individuals=individuals)
+        return Ontology(self.ontology_name or source_name or "imported",
+                        classes=classes, properties=properties,
+                        axioms=tuple(self.axioms), individuals=individuals)
+
+    def finish(self, source_name: str | None) -> ImportReport:
+        """The report, with each name `validate_ontology` finds dangling
+        declared in the order it reports them: classes first, then the
+        properties, assumed to be object properties."""
+        ontology = self.build(source_name)
+        defects = validate_ontology(ontology)
+        classes = dict.fromkeys(d.subject for d in defects
+                                if d.kind == "danglingClass")
+        properties = dict.fromkeys(d.subject for d in defects
+                                   if d.kind == "danglingProperty")
+        for name in classes:
+            self.definitions[name] = None
+            self.note(f"class {name} referenced but never declared; "
+                      "declared automatically")
+        for name in properties:
+            self.declare_property(name, OBJECT)
+            self.note(f"property {name} referenced in a restriction but "
+                      "never declared; assumed to be an object property")
+        if classes or properties:
+            ontology = self.build(source_name)
         translated = tuple(sorted(self.translated.items()))
         skipped = tuple(SkippedEntry(name, count, _where(first))
                         for name, (count, first) in sorted(self.skipped.items()))
@@ -603,4 +584,5 @@ def import_daml(text: str, source_name: str | None = None) -> ImportReport:
     importer = _Importer()
     for child, path in _child_paths(root, _ROOT):
         importer.top_level(child, path)
+    del root  # finish reads no element; let the tree go before it validates
     return importer.finish(source_name)

@@ -73,6 +73,21 @@ def restriction_expr(r: Restriction) -> ClassExpression:
     return ClassExpression("restriction", restriction=r)
 
 
+def format_expr(expr: ClassExpression) -> str:
+    """The expression as COT text, as diagnostics quote it."""
+    if expr.op == "named":
+        return expr.name
+    if expr.op in ("and", "or"):
+        inner = ", ".join(format_expr(m) for m in expr.members)
+        return f"{expr.op}({inner})"
+    if expr.op == "not":
+        return f"not({format_expr(expr.members[0])})"
+    r = expr.restriction
+    if r.flavor in CLASS_FLAVORS:
+        return f"restriction({r.on_property}, {r.flavor}, {format_expr(r.target)})"
+    return f"restriction({r.on_property}, {r.flavor}, {r.count})"
+
+
 @dataclass(frozen=True, slots=True)
 class ClassDefinition:
     name: str
@@ -207,7 +222,11 @@ def outermost_complements(ont: Ontology):
 def validate_ontology(ont: Ontology) -> list[OntologyDefect]:
     """Collect every dangling reference, duplicate name and malformed
     expression. An empty result means the ontology is well-formed. Pure:
-    the input is never mutated."""
+    the input is never mutated.
+
+    After the duplicate names, the walk visits classes, axioms, properties
+    and then individuals, each in declaration order. The RDF/XML importer
+    declares the dangling names in this report order."""
     defects: list[OntologyDefect] = []
     class_names = {c.name for c in ont.classes}
     property_names = {p.name for p in ont.properties}
@@ -292,6 +311,16 @@ def validate_ontology(ont: Ontology) -> list[OntologyDefect]:
         for r in cls.local_restrictions:
             check_restriction(r, f"restriction on {where}")
 
+    for ax in ont.axioms:
+        where = f"axiom {ax.kind} {ax.subject}"
+        if ax.subject not in class_names:
+            defects.append(OntologyDefect(
+                "danglingClass", ax.subject, f"{where} has undeclared subject"))
+        if ax.kind == DISJOINT and ax.target.op != "named":
+            defects.append(OntologyDefect(
+                "malformedExpression", where, "disjoint target must be a named class"))
+        check_expr(ax.target, where)
+
     for prop in ont.properties:
         where = f"property {prop.name}"
         for d in prop.domains:
@@ -307,16 +336,6 @@ def validate_ontology(ont: Ontology) -> list[OntologyDefect]:
                 defects.append(OntologyDefect(
                     "badDatatype", prop.range,
                     f"{where} has unsupported datatype {prop.range!r}"))
-
-    for ax in ont.axioms:
-        where = f"axiom {ax.kind} {ax.subject}"
-        if ax.subject not in class_names:
-            defects.append(OntologyDefect(
-                "danglingClass", ax.subject, f"{where} has undeclared subject"))
-        if ax.kind == DISJOINT and ax.target.op != "named":
-            defects.append(OntologyDefect(
-                "malformedExpression", where, "disjoint target must be a named class"))
-        check_expr(ax.target, where)
 
     for ind in ont.individuals:
         where = f"individual {ind.name}"

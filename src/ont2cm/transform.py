@@ -39,7 +39,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .bww import BwwReport, classify
-from .cot import format_expr
 from .model import (
     AGGREGATION,
     AND_GROUP,
@@ -76,6 +75,7 @@ from .ontology import (
     OntologyIndex,
     conjuncts,
     disjuncts,
+    format_expr,
     normalize,
     outermost_complements,
     superclass_statements,

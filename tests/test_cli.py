@@ -240,7 +240,11 @@ class TestUnwritableOutput:
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True])
-    def test_standard_output_full(self, unbuffered):
+    # transform's summary line comes before the error
+    @pytest.mark.parametrize("command, lines", [
+        (["classify"], 1), (["transform", "--emit", "json"], 2)],
+        ids=["classify", "transform"])
+    def test_standard_output_full(self, unbuffered, command, lines):
         # buffered, the unwritten bytes would fail the flush at exit again
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
@@ -248,12 +252,13 @@ class TestUnwritableOutput:
             env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "wb") as full:
             proc = subprocess.run(
-                [sys.executable, "-m", "ont2cm.cli", "classify",
+                [sys.executable, "-m", "ont2cm.cli", *command,
                  str(FIXTURES / "rule1.cot"), "--out", "-"],
                 env=env, stdout=full, stderr=subprocess.PIPE, text=True)
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: cannot write standard output: ")
-        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.count("\n") == lines
+        assert proc.stderr.splitlines()[-1].startswith(
+            "error: cannot write standard output: ")
 
 
 class TestCheck:
@@ -509,9 +514,11 @@ class TestLazyImports:
         (["transform", COT, "--out", "{out}"],
          {"cot", "ontology", "bww", "model", "transform", "emit"}),
         (["classify", DAML, "--out", "-"], {"damlxml", "ontology", "bww"}),
+        (["transform", DAML, "--out", "{out}"],
+         {"damlxml", "ontology", "bww", "model", "transform", "emit"}),
         (["import", DAML, "--out", "-"], {"damlxml", "cot", "ontology"}),
     ], ids=["help", "version", "check", "classify", "transform",
-            "classify-daml", "import"])
+            "classify-daml", "transform-daml", "import"])
     def test_import_set(self, tmp_path, argv, modules):
         argv = [a.replace("{out}", str(tmp_path)) for a in argv]
         # -X importtime logs every import, from a cache or not; run as

@@ -436,6 +436,69 @@ class TestConstructs:
         assert report.ontology.classes[0].name == "amino_acid"
         assert any("adjusted" in n for n in report.notes)
 
+    def test_slash_separated_uri_reduced_to_its_local_name(self):
+        report = import_daml(doc(
+            '<daml:Class rdf:about="http://example.org/bio/Protein"/>'
+            '<daml:Class rdf:about="http://example.org/bio/DNA/"/>'))
+        assert [c.name for c in report.ontology.classes] == ["Protein", "DNA"]
+        assert report.notes == ()
+
+    def test_has_class_holding_an_anonymous_union(self):
+        report = import_daml(doc(
+            '<daml:Class rdf:about="#A"><rdfs:subClassOf><daml:Restriction>'
+            '<daml:onProperty rdf:resource="#binds"/><daml:hasClass>'
+            '<daml:Class><daml:unionOf><daml:Class rdf:about="#DNA"/>'
+            '<daml:Class rdf:about="#RNA"/></daml:unionOf></daml:Class>'
+            '</daml:hasClass></daml:Restriction></rdfs:subClassOf></daml:Class>'))
+        assert report.ontology.axioms == (Axiom(SUBCLASS, "A", restriction_expr(
+            Restriction("binds", SOME, target=ClassExpression(
+                "or", members=(named("DNA"), named("RNA")))))),)
+
+    def test_unknown_restriction_child_skipped(self):
+        report = import_daml(doc(
+            '<daml:Class rdf:about="#A"><rdfs:subClassOf><daml:Restriction>'
+            '<rdfs:comment>c</rdfs:comment><daml:onProperty rdf:resource="#p"/>'
+            '<daml:hasClass rdf:resource="#B"/></daml:Restriction>'
+            '</rdfs:subClassOf></daml:Class>'))
+        assert report.ontology.axioms == (Axiom(SUBCLASS, "A", restriction_expr(
+            Restriction("p", SOME, target=named("B")))),)
+        assert report.skipped == (SkippedEntry(
+            "rdfs:comment", 1, "rdf:RDF/daml:Class[1]/rdfs:subClassOf[1]/"
+            "daml:Restriction[1]/rdfs:comment[1]"),)
+
+    def test_undeclared_names_declared_in_validation_order(self):
+        # document order names Kind, Source, Sink, Parent, holds, Cargo,
+        # Member, uses, Tool; validation reports definitions, then axioms,
+        # then property domains and ranges, then individuals
+        report = import_daml(doc(
+            '<rdf:Description rdf:about="#x"><rdf:type rdf:resource="#Kind"/>'
+            '</rdf:Description>'
+            '<daml:ObjectProperty rdf:about="#binds">'
+            '<rdfs:domain rdf:resource="#Source"/>'
+            '<rdfs:range rdf:resource="#Sink"/></daml:ObjectProperty>'
+            '<daml:Class rdf:about="#A"><rdfs:subClassOf rdf:resource="#Parent"/>'
+            '<rdfs:subClassOf><daml:Restriction>'
+            '<daml:onProperty rdf:resource="#holds"/>'
+            '<daml:hasClass rdf:resource="#Cargo"/></daml:Restriction>'
+            '</rdfs:subClassOf></daml:Class>'
+            '<daml:Class rdf:about="#D"><daml:intersectionOf>'
+            '<daml:Class rdf:about="#Member"/><daml:Restriction>'
+            '<daml:onProperty rdf:resource="#uses"/>'
+            '<daml:toClass rdf:resource="#Tool"/></daml:Restriction>'
+            '</daml:intersectionOf></daml:Class>'))
+        undeclared = ["Member", "Tool", "Parent", "Cargo", "Source", "Sink",
+                      "Kind"]
+        assert [c.name for c in report.ontology.classes] == ["A", "D", *undeclared]
+        assert [p.name for p in report.ontology.properties] \
+            == ["binds", "uses", "holds"]
+        assert report.notes == tuple(
+            [f"class {name} referenced but never declared; declared "
+             "automatically" for name in undeclared]
+            + [f"property {name} referenced in a restriction but never "
+               "declared; assumed to be an object property"
+               for name in ("uses", "holds")])
+        assert validate_ontology(report.ontology) == []
+
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 
@@ -469,6 +532,13 @@ BRANCHES = [
     ('<daml:Class rdf:about="#A"><rdfs:subClassOf><daml:Class>'
      '<rdfs:label>x</rdfs:label></daml:Class></rdfs:subClassOf></daml:Class>',
      "class A: class expression content rdfs:label skipped"),
+    ('<daml:Class rdf:about="#1st-gen"/>', "name '1st-gen' adjusted to '_1st-gen'"),
+    ('<daml:Class rdf:about="#A"><rdfs:subClassOf><daml:Class/>'
+     '</rdfs:subClassOf></daml:Class>',
+     "class A: anonymous class without an expression skipped"),
+    ('<daml:Class rdf:about="#A"><rdfs:subClassOf><daml:Thing/>'
+     '</rdfs:subClassOf></daml:Class>',
+     "class A: class expression daml:Thing skipped"),
 ]
 
 SNIPPETS = [
@@ -486,6 +556,9 @@ SNIPPETS = [
     '<daml:DatatypeProperty rdf:about="#m"><rdfs:range '
     'rdf:resource="http://www.w3.org/2001/XMLSchema#integer"/>'
     '<daml:samePropertyAs rdf:resource="#n"/></daml:DatatypeProperty>',
+    # the parser keeps neither comments nor processing instructions
+    '<!-- c --><?pi top?><daml:Class rdf:about="#A"><!-- c --><?pi inner?>'
+    '<rdfs:subClassOf rdf:resource="#B"/></daml:Class>',
 ] + [body for body, _ in BRANCHES]
 
 

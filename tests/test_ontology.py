@@ -79,6 +79,9 @@ class TestValidate:
                  Restriction("p", "min", count=-1)))]), "badCardinality",
          "axiom subclass A"),
         (ont(individuals=[Individual("x")]), "missingType", "x"),
+        (ont(properties=[PropertyDefinition("p", "object",
+                                            domains=("Ghost",))]),
+         "danglingClass", "Ghost"),
     ])
     def test_single_defect_detected(self, broken, kind, subject):
         defects = validate_ontology(broken)

@@ -452,6 +452,46 @@ class TestInstancesAndConstraints:
         (flag,) = report.by_kind("zeroPropertyEntity")
         assert flag.subject == "Protein"
 
+    def test_complement_under_an_individual_skipped_without_instances(self):
+        _, report = from_text(
+            "ontology t\nclass A\nclass B\nindividual x type and(A, not(B))\n",
+            TransformConfig(include_instances=False))
+        assert not any("complement" in i.detail
+                       for i in report.by_kind("unmappedConstruct"))
+
+
+class TestHoistDecides:
+    """What `normalize` gets right only because it hoists each subclass
+    axiom onto a bare restriction into its subject's local restrictions."""
+
+    def test_complement_in_a_hoisted_restriction_flagged_at_the_restriction(self):
+        _, report = from_text(
+            "ontology t\nclass A\nclass B\nobjprop p\n"
+            "subclass A restriction(p, some, not(B))\n")
+        (flag,) = [i for i in report.by_kind("unmappedConstruct")
+                   if "complement" in i.detail]
+        assert flag.subject == "restriction A.p"
+
+    def test_restriction_restated_by_an_absorbed_class_is_one_law(self):
+        _, _, grading, alias_map = derive_model(cot.parse(
+            "ontology t\nclass A\nclass B\nclass C\nobjprop p\n"
+            "subclass A B\nsubclass B A\n"
+            "restriction A p some C\nsubclass B restriction(p, some, C)\n"))
+        assert alias_map == {"B": "A"}
+        assert concepts(grading)["A"].law_count == 1
+
+    def test_hoisted_restriction_noted_before_the_definition(self):
+        _, report = from_text(
+            "ontology t\nclass A\nclass B\nclass C\nclass R\n"
+            "objprop p range R\n"
+            "defined-class D = and(A, restriction(p, some, B))\n"
+            "subclass D restriction(p, some, C)\n")
+        assert [n for n in report.notes if "unrelated" in n] == [
+            "property p: declared range R is unrelated to restriction "
+            "target C on D",
+            "property p: declared range R is unrelated to restriction "
+            "target B on D"]
+
 
 def report_sections(text: str) -> list[tuple[str, ...]]:
     """The report's header, then each section's lines sorted: note order
