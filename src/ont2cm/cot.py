@@ -37,7 +37,6 @@ from .ontology import (
     CARDINALITY_FLAVORS,
     CLASS_FLAVORS,
     DATATYPE,
-    DEFINED,
     OBJECT,
     SUBCLASS,
     SAME_CLASS,
@@ -283,7 +282,7 @@ def _statement(line_no: int, line: str, after_header: bool):
         cur.literal("=")
         expr = _parse_expr(cur)
         cur.done()
-        return partial(ClassDefinition, name, DEFINED, expr)
+        return partial(ClassDefinition, name, expr)
     if keyword == "objprop":
         return _parse_property(cur, OBJECT)
     if keyword == "dataprop":
@@ -388,7 +387,7 @@ def serialize(ont: Ontology) -> str:
     order, so parse(serialize(o)) == o for any well-formed ontology."""
     lines = [f"ontology {ont.name}"]
     for cls in ont.classes:
-        if cls.kind == DEFINED and cls.definition is not None:
+        if cls.definition is not None:
             lines.append(f"defined-class {cls.name} = {format_expr(cls.definition)}")
         else:
             lines.append(f"class {cls.name}")

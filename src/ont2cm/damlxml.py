@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from .ontology import (
     DATATYPE,
     DATATYPES,
-    DEFINED,
     DISJOINT,
     OBJECT,
-    PRIMITIVE,
     SAME_CLASS,
     SUBCLASS,
     Axiom,
@@ -529,10 +527,8 @@ class _Importer:
     # ---- assembly
 
     def build(self, source_name: str | None) -> Ontology:
-        classes = tuple(
-            ClassDefinition(name, kind=PRIMITIVE if expr is None else DEFINED,
-                            definition=expr)
-            for name, expr in self.definitions.items())
+        classes = tuple(ClassDefinition(name, expr)
+                        for name, expr in self.definitions.items())
         properties = tuple(
             PropertyDefinition(name, record["category"],
                                domains=tuple(record["domains"]),

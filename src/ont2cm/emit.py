@@ -40,8 +40,7 @@ from .transform import ValidationReport
 
 def _mult_from_json(data: dict) -> Multiplicity:
     upper = data["upper"]
-    return Multiplicity(data["lower"], None if upper == "*" else upper,
-                        unsatisfiable=data.get("unsatisfiable", False))
+    return Multiplicity(data["lower"], None if upper == "*" else upper)
 
 
 def _mult_json(m: Multiplicity, pad: str) -> str:
@@ -280,8 +279,11 @@ def emit_report(model: ConceptualModel, report: ValidationReport) -> str:
         lines.append("")
         lines.append("Nothing flagged.")
         return "\n".join(lines) + "\n"
+    by_kind: dict[str, list] = {}
+    for item in report.items:
+        by_kind.setdefault(item.kind, []).append(item)
     for kind, (title, origin, action) in _SECTIONS.items():
-        items = sorted(report.by_kind(kind), key=lambda i: (i.subject, i.detail))
+        items = sorted(by_kind.get(kind, ()), key=lambda i: (i.subject, i.detail))
         if not items:
             continue
         lines.extend(["", f"## {title}", "", origin,

@@ -3,8 +3,9 @@ generalizations, semantic constraint groups and instances.
 
 Ids are stable strings ("et:Protein", "rel:binds:Protein:DNA",
 "con:disjoint:DNA:RNA") so models can be compared and emitted byte for
-byte. check_model is the structural gatekeeper: a model coming out of the
-transformation must always pass it.
+byte. A value stores no fact another field decides: a multiplicity is
+unsatisfiable exactly when its bounds cross. check_model is the structural
+gatekeeper: a model coming out of the transformation must always pass it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ DISJOINT_GROUP = "disjoint"
 class Multiplicity:
     lower: int
     upper: int | None = None  # None means unbounded
-    unsatisfiable: bool = False
+
+    @property
+    def unsatisfiable(self) -> bool:
+        """No count meets both bounds: the upper bound is below the lower."""
+        return self.upper is not None and self.upper < self.lower
 
 
 MANY = Multiplicity(0, None)
@@ -110,17 +115,13 @@ def _check_multiplicity(m: Multiplicity, subject: str, defects: list[ModelDefect
     if m.lower < 0:
         defects.append(ModelDefect("badMultiplicity", subject,
                                    f"{subject}: lower bound {m.lower} is negative"))
-    if m.upper is not None and m.upper < m.lower and not m.unsatisfiable:
-        defects.append(ModelDefect(
-            "badMultiplicity", subject,
-            f"{subject}: upper bound {m.upper} below lower {m.lower} "
-            "without an unsatisfiable marker"))
 
 
 def check_model(model: ConceptualModel) -> list[ModelDefect]:
-    """Structural well-formedness: unique ids, resolvable references, sane
-    multiplicities, acyclic generalization, constraint groups of at least
-    two homogeneous members."""
+    """Structural well-formedness: unique ids, resolvable references,
+    non-negative lower bounds, acyclic generalization, constraint groups of
+    at least two homogeneous members. Crossed bounds pass: they read as
+    unsatisfiable, which the review report flags."""
     defects: list[ModelDefect] = []
     entity_ids = [et.id for et in model.entity_types]
     entity_id_set = set(entity_ids)

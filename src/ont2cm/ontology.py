@@ -2,10 +2,12 @@
 
 Everything here is assertion-only. Subsumption and equivalence are taken as
 written in the source document; no description-logic inference is performed.
-All values are frozen dataclasses with `__slots__`, so they are safe to
-share across threads, usable as dict keys and carry no instance `__dict__`:
-they take no extra attributes. The normalizing stages keep every class,
-property, axiom and individual they leave unchanged as the same object.
+A value stores only what the document states; whether a class is defined
+is read off its definition. All values are frozen dataclasses with
+`__slots__`, so they are safe to share across threads, usable as dict keys
+and carry no instance `__dict__`: they take no extra attributes. The
+normalizing stages keep every class, property, axiom and individual they
+leave unchanged as the same object.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import chain, compress
 # Datatype names accepted for datatype-property ranges.
 DATATYPES = ("string", "integer", "decimal", "boolean", "date")
 
-# Class definition kinds.
+# Class definition kinds: a class with a definition is DEFINED.
 PRIMITIVE = "primitive"
 DEFINED = "defined"
 
@@ -91,7 +93,6 @@ def format_expr(expr: ClassExpression) -> str:
 @dataclass(frozen=True, slots=True)
 class ClassDefinition:
     name: str
-    kind: str = PRIMITIVE
     definition: ClassExpression | None = None
     local_restrictions: tuple[Restriction, ...] = ()
 
@@ -178,41 +179,33 @@ def disjuncts(expr: ClassExpression) -> list[ClassExpression]:
     return _terms("or", expr)
 
 
-def walk_expressions(ont: Ontology):
-    """Yield (site, expression) pairs for every expression in the ontology.
-
-    The site is a human-readable anchor ("class Enzyme definition",
-    "restriction Protein.binds", ...) used by diagnostics.
-    """
-    for cls in ont.classes:
-        if cls.definition is not None:
-            yield f"class {cls.name} definition", cls.definition
-        for r in cls.local_restrictions:
-            if r.target is not None:
-                yield f"restriction {cls.name}.{r.on_property}", r.target
-    for ax in ont.axioms:
-        yield f"axiom {ax.kind} {ax.subject}", ax.target
-    for ind in ont.individuals:
-        for expr in ind.types:
-            yield f"individual {ind.name}", expr
-
-
-def _complements(expr: ClassExpression):
+def _complements(site: str, expr: ClassExpression):
     if expr.op == "not":
-        yield expr
+        yield site, expr
         return
     for m in expr.members:
-        yield from _complements(m)
+        yield from _complements(site, m)
     if expr.restriction is not None and expr.restriction.target is not None:
-        yield from _complements(expr.restriction.target)
+        yield from _complements(site, expr.restriction.target)
 
 
 def outermost_complements(ont: Ontology):
     """Yield (site, complement) for every complement that no other
-    complement encloses, in document order."""
-    for site, expr in walk_expressions(ont):
-        for sub in _complements(expr):
-            yield site, sub
+    complement encloses, in document order. The site is the anchor
+    diagnostics quote: "class Enzyme definition", "restriction
+    Protein.binds", "axiom subclass Enzyme" or "individual p53"."""
+    for cls in ont.classes:
+        if cls.definition is not None:
+            yield from _complements(f"class {cls.name} definition", cls.definition)
+        for r in cls.local_restrictions:
+            if r.target is not None:
+                yield from _complements(f"restriction {cls.name}.{r.on_property}",
+                                        r.target)
+    for ax in ont.axioms:
+        yield from _complements(f"axiom {ax.kind} {ax.subject}", ax.target)
+    for ind in ont.individuals:
+        for expr in ind.types:
+            yield from _complements(f"individual {ind.name}", expr)
 
 
 # --------------------------------------------------------------------------
@@ -300,12 +293,6 @@ def validate_ontology(ont: Ontology) -> list[OntologyDefect]:
 
     for cls in ont.classes:
         where = f"class {cls.name}"
-        if cls.kind == DEFINED and cls.definition is None:
-            defects.append(OntologyDefect(
-                "missingDefinition", cls.name, f"defined {where} has no definition"))
-        if cls.kind == PRIMITIVE and cls.definition is not None:
-            defects.append(OntologyDefect(
-                "unexpectedDefinition", cls.name, f"primitive {where} carries a definition"))
         if cls.definition is not None:
             check_expr(cls.definition, f"{where} definition")
         for r in cls.local_restrictions:
@@ -477,7 +464,7 @@ def collapse_equivalences(ont: Ontology) -> tuple[Ontology, dict[str, str]]:
         classes.append(
             cls if definition is cls.definition
             and restrictions == cls.local_restrictions
-            else ClassDefinition(cls.name, cls.kind, definition, restrictions))
+            else ClassDefinition(cls.name, definition, restrictions))
 
     axioms: list[Axiom] = []
     seen_axioms: set[Axiom] = set()

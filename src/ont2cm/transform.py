@@ -63,6 +63,7 @@ from .ontology import (
     CLASS_FLAVORS,
     DATATYPE,
     DATATYPES,
+    DEFINED,
     DISJOINT,
     EDGE_SOURCES,
     EXACTLY,
@@ -70,6 +71,7 @@ from .ontology import (
     MIN,
     OBJECT,
     ONLY,
+    PRIMITIVE,
     SOME,
     Ontology,
     OntologyIndex,
@@ -106,9 +108,6 @@ class ValidationReport:
     items: tuple[FlaggedItem, ...] = ()
     notes: tuple[str, ...] = ()
 
-    def by_kind(self, kind: str) -> tuple[FlaggedItem, ...]:
-        return tuple(i for i in self.items if i.kind == kind)
-
 
 def normalize_token(name: str) -> str:
     return name.lower().replace("-", "").replace("_", "")
@@ -130,7 +129,7 @@ def merged_multiplicity(index: OntologyIndex, cls: str, prop: str) -> Multiplici
             upper = r.count if upper is None else min(upper, r.count)
     if upper is None:
         return MANY if lower == 0 else Multiplicity(lower)
-    return Multiplicity(lower, upper, unsatisfiable=lower > upper)
+    return Multiplicity(lower, upper)
 
 
 class _Findings:
@@ -463,7 +462,8 @@ def transform(ont: Ontology, *, bww_report: BwwReport, index: OntologyIndex,
 
     entity_types = tuple(
         EntityType(entity_ids[cls.name], cls.name, cls.name,
-                   categories[cls.name], cls.kind,
+                   categories[cls.name],
+                   PRIMITIVE if cls.definition is None else DEFINED,
                    tuple(attributes[cls.name]))
         for cls in ont.classes)
     model = canonical_order(ConceptualModel(

@@ -9,7 +9,13 @@ from __future__ import annotations
 
 from ont2cm.emit import FLAG_KINDS
 from ont2cm.model import COMPOSITION, check_model
-from ont2cm.ontology import collapse_equivalences, hoist_axiom_restrictions
+from ont2cm.ontology import (
+    DEFINED,
+    collapse_equivalences,
+    hoist_axiom_restrictions,
+)
+
+from lookups import flags_of
 
 
 def assert_model_invariants(ont, model, report, config=None) -> None:
@@ -20,6 +26,11 @@ def assert_model_invariants(ont, model, report, config=None) -> None:
         sorted(c.name for c in collapsed.classes)
     assert len({et.id for et in model.entity_types}) == len(model.entity_types)
 
+    # an entity type is defined exactly when its class has a definition
+    has_definition = {c.name: c.definition is not None for c in collapsed.classes}
+    for et in model.entity_types:
+        assert (et.definition_kind == DEFINED) == has_definition[et.origin_class], et.id
+
     # structural closure: ids resolve, generalizations acyclic, groups sane
     assert check_model(model) == []
 
@@ -27,7 +38,7 @@ def assert_model_invariants(ont, model, report, config=None) -> None:
     attr_origins = {a.origin_property
                     for et in model.entity_types for a in et.attributes}
     rel_names = {r.name for r in model.relationships}
-    dropped = {i.subject for i in report.by_kind("droppedProperty")}
+    dropped = {i.subject for i in flags_of(report, "droppedProperty")}
     for p in collapsed.properties:
         carried = p.name in attr_origins or p.name in rel_names
         assert carried != (p.name in dropped), p.name
@@ -39,8 +50,17 @@ def assert_model_invariants(ont, model, report, config=None) -> None:
 
     # exclusive markers and flags agree one to one
     exclusive_ids = {r.id for r in model.relationships if r.exclusive}
-    flagged_ids = {i.subject for i in report.by_kind("exclusiveRelation")}
+    flagged_ids = {i.subject for i in flags_of(report, "exclusiveRelation")}
     assert exclusive_ids == flagged_ids
+
+    # a multiplicity is flagged unsatisfiable exactly where an attribute or
+    # a relationship target carries crossed bounds, once per class.property
+    names = {et.id: et.name for et in model.entity_types}
+    crossed = {f"{et.name}.{a.origin_property}" for et in model.entity_types
+               for a in et.attributes if a.multiplicity.unsatisfiable}
+    crossed.update(f"{names[r.source_id]}.{r.name}" for r in model.relationships
+                   if r.target_mult.unsatisfiable)
+    assert {i.subject for i in flags_of(report, "unsatisfiableMultiplicity")} == crossed
 
     # a composition's part has no other relationship
     for r in model.relationships:

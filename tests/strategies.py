@@ -1,8 +1,9 @@
 """Hypothesis strategies shared by the test modules.
 
 Ontologies are valid by construction: every referenced class and property is
-declared, defined classes carry definitions, counts are non-negative. Tests
-that need broken input build it by hand.
+declared, counts are non-negative. A class is defined by drawing it a
+definition; nothing else marks it. Tests that need broken input build it by
+hand.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from ont2cm.ontology import (
     DATATYPES,
-    DEFINED,
     OBJECT,
     DATATYPE,
     SUBCLASS,
@@ -99,7 +99,7 @@ def ontologies(draw):
     classes = []
     for name in class_names:
         if len(class_names) > 1 and draw(st.booleans()) and draw(st.booleans()):
-            classes.append(ClassDefinition(name, kind=DEFINED, definition=draw(exprs)))
+            classes.append(ClassDefinition(name, definition=draw(exprs)))
         else:
             local = ()
             if prop_names and draw(st.booleans()):

@@ -36,7 +36,7 @@ from ont2cm.ontology import (
 from ont2cm.transform import derive_model
 
 from invariants import assert_model_invariants
-from lookups import concepts
+from lookups import concepts, flags_of
 from strategies import ontologies
 from test_bww import oracle_category
 
@@ -67,12 +67,12 @@ def test_criterion_1_existential_vs_universal_target():
         assert rel.target_id == "et:DNA"
         assert (rel.target_mult.lower, rel.target_mult.upper) == (0, None)
         assert rel.exclusive is False
-        assert len(report.by_kind("exclusiveRelation")) == 0
+        assert len(flags_of(report, "exclusiveRelation")) == 0
 
         model, report, _, _ = derive_fixture("protein-dna-only.cot")
         rel = next(r for r in model.relationships if r.name == "binds")
         assert rel.exclusive is True
-        assert len(report.by_kind("exclusiveRelation")) == 1
+        assert len(flags_of(report, "exclusiveRelation")) == 1
 
 
 def test_criterion_2_rule_fixtures_match_goldens():
@@ -176,7 +176,7 @@ def test_criterion_7_import_census():
         assert "daml:inverseOf" in skipped_names
         model, validation, _, _ = derive_model(report.ontology,
                                                import_report=report)
-        flagged = {f.subject for f in validation.by_kind("unmappedConstruct")}
+        flagged = {f.subject for f in flags_of(validation, "unmappedConstruct")}
         assert skipped_names <= flagged
         rendered = emit_report(model, validation)
         assert "daml:oneOf" in rendered

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ont2cm import bww, cot
 from ont2cm.emit import emit_bww_json
 from ont2cm.ontology import (
-    DEFINED,
     SUBCLASS,
     DISJOINT,
     Axiom,
@@ -182,14 +181,12 @@ class TestOracleAgreement:
     def test_union_and_intersection_paths(self):
         o = ont(
             classes=[ClassDefinition("DNA"), ClassDefinition("RNA"),
-                     ClassDefinition("NucleicAcid", kind=DEFINED,
-                                     definition=ClassExpression(
-                                         "or", members=(named("DNA"), named("RNA")))),
-                     ClassDefinition("Enzyme", kind=DEFINED,
-                                     definition=ClassExpression("and", members=(
-                                         named("NucleicAcid"),
-                                         restriction_expr(Restriction(
-                                             "catalyses", "some", target=named("DNA"))))))],
+                     ClassDefinition("NucleicAcid", definition=ClassExpression(
+                         "or", members=(named("DNA"), named("RNA")))),
+                     ClassDefinition("Enzyme", definition=ClassExpression("and", members=(
+                         named("NucleicAcid"),
+                         restriction_expr(Restriction(
+                             "catalyses", "some", target=named("DNA"))))))],
             properties=[PropertyDefinition("sequence", "datatype",
                                            domains=("NucleicAcid",)),
                         PropertyDefinition("catalyses", "object", range="DNA")])

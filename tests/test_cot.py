@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ont2cm import cot
 from ont2cm.ontology import (
-    DEFINED,
     SUBCLASS,
     SAME_CLASS,
     DISJOINT,
@@ -51,7 +50,7 @@ def test_parse_sample_document():
             ClassDefinition("Protein", local_restrictions=(
                 Restriction("binds", "min", count=1),)),
             ClassDefinition("DNA"),
-            ClassDefinition("Binder", kind=DEFINED, definition=ClassExpression(
+            ClassDefinition("Binder", definition=ClassExpression(
                 "and", members=(named("Protein"), restriction_expr(
                     Restriction("binds", "some", target=named("DNA")))))),
         ),

@@ -18,7 +18,6 @@ from ont2cm.damlxml import (
 )
 from ont2cm.ontology import (
     DATATYPE,
-    DEFINED,
     MIN,
     OBJECT,
     ONLY,
@@ -228,7 +227,6 @@ class TestConstructs:
             '</daml:Restriction>'
             '</daml:intersectionOf></daml:Class>'))
         enzyme = report.ontology.classes[0]
-        assert enzyme.kind == DEFINED
         assert enzyme.definition == ClassExpression("and", members=(
             named("Protein"),
             restriction_expr(Restriction("catalyses", SOME,
@@ -275,7 +273,6 @@ class TestConstructs:
             '</daml:Restriction>'
             '</daml:sameClassAs></daml:Class>'))
         enzyme = report.ontology.classes[0]
-        assert enzyme.kind == DEFINED
         assert enzyme.definition == restriction_expr(
             Restriction("catalyses", SOME, target=named("Reaction")))
 

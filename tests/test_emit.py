@@ -271,8 +271,7 @@ texts = st.one_of(
 # a small pool too, so names repeat
 names = st.one_of(texts, st.sampled_from(["A", "B", "é"]))
 counts = st.integers(-3, 2**70)
-multiplicities = st.builds(Multiplicity, counts, st.none() | counts,
-                           st.booleans())
+multiplicities = st.builds(Multiplicity, counts, st.none() | counts)
 id_lists = st.lists(names, max_size=3).map(tuple)
 models = st.builds(
     ConceptualModel, texts,

@@ -71,9 +71,10 @@ class TestCheckModel:
             et("A", attributes=(Attribute("x", "string", Multiplicity(1, 1), "x"),
                                 Attribute("x", "string", MANY, "x"))),)),
          "duplicateAttribute"),
-        (ConceptualModel("m", entity_types=(
-            et("A", attributes=(Attribute("x", "string",
-                                          Multiplicity(2, 1), "x"),)),)),
+        (ConceptualModel("m", entity_types=(et("A"), et("B")),
+                         relationships=(Relationship(
+                             relationship_id("p", "A", "B"), "p", entity_id("A"),
+                             entity_id("B"), MANY, Multiplicity(-1, None)),)),
          "badMultiplicity"),
         (ConceptualModel("m", entity_types=(et("A"), et("B")),
                          relationships=(rel("p", "A", "B", kind=COMPOSITION,
@@ -124,9 +125,10 @@ class TestCheckModel:
         assert kind in {d.kind for d in check_model(model)}
 
     def test_unsatisfiable_multiplicity_is_tolerated_when_marked(self):
+        crossed = Multiplicity(2, 1)
+        assert crossed.unsatisfiable
         m = ConceptualModel("m", entity_types=(
-            et("A", attributes=(Attribute(
-                "x", "string", Multiplicity(2, 1, unsatisfiable=True), "x"),)),))
+            et("A", attributes=(Attribute("x", "string", crossed, "x"),)),))
         assert check_model(m) == []
 
     def test_aggregation_with_endpoint_whole_passes(self):

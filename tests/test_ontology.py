@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ont2cm import cot
 from ont2cm.ontology import (
-    DEFINED,
     SUBCLASS,
     SAME_CLASS,
     DISJOINT,
@@ -61,10 +60,11 @@ class TestValidate:
                       ClassDefinition("A")]), "duplicateName", "A"),
         (ont(classes=[ClassDefinition("A", local_restrictions=(
             Restriction("p", "min", count=1),))]), "danglingProperty", "p"),
-        (ont(classes=[ClassDefinition("A", kind=DEFINED)]),
-         "missingDefinition", "A"),
-        (ont(classes=[ClassDefinition("A", definition=named("A"))]),
-         "unexpectedDefinition", "A"),
+        (ont(classes=[ClassDefinition("A", definition=named("B"))]),
+         "danglingClass", "B"),
+        (ont(classes=[ClassDefinition("A", definition=ClassExpression(
+            "and", members=(named("A"),)))]),
+         "malformedExpression", "class A definition"),
         (ont(classes=[ClassDefinition("A")],
              properties=[PropertyDefinition("p", "datatype",
                                             domains=("A",), range="float")]),
@@ -95,8 +95,7 @@ class TestValidate:
         assert kinds == {"malformedExpression"}
 
     def test_validation_is_deterministic(self):
-        o = ont(classes=[ClassDefinition("A", kind=DEFINED),
-                         ClassDefinition("A", kind=DEFINED)])
+        o = ont(classes=[ClassDefinition("A"), ClassDefinition("A")])
         assert validate_ontology(o) == validate_ontology(o)
 
     @settings(max_examples=100, deadline=None)
