@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__
@@ -25,13 +26,13 @@ _HOMES = {
     "parse": "cot", "serialize": "cot", "ParseError": "cot",
     "import_daml": "damlxml", "DamlImportError": "damlxml",
     "validate_ontology": "ontology", "normalize": "ontology",
-    # no command calls these two; `bench/run.py --trace 1` wraps them
+    # no command calls these three; `bench/run.py --trace 1` wraps them
     "hoist_axiom_restrictions": "ontology",
-    "collapse_equivalences": "ontology",
+    "collapse_equivalences": "ontology", "emit_model_json": "emit",
     "classify": "bww", "emit_bww_json": "bww",
     "TransformConfig": "transform", "derive_model": "transform",
     "check_model": "model",
-    "emit_model_json": "emit", "emit_plantuml": "emit", "emit_dot": "emit",
+    "iter_model_json": "emit", "emit_plantuml": "emit", "emit_dot": "emit",
     "emit_report": "emit",
 }
 _lib = sys.modules[__name__]
@@ -46,12 +47,14 @@ def __getattr__(name: str):
     return value
 
 
-# each kind `transform --emit` takes: (file suffix, render(model, report))
+# each kind `transform --emit` takes: (file suffix, render(model, report)),
+# where a render returns the artifact's text as an iterable of chunks
 _ARTIFACTS = {
-    "json": (".model.json", lambda model, _: _lib.emit_model_json(model)),
-    "plantuml": (".puml", lambda model, _: _lib.emit_plantuml(model)),
-    "dot": (".dot", lambda model, _: _lib.emit_dot(model)),
-    "report": (".report.md", lambda model, report: _lib.emit_report(model, report)),
+    "json": (".model.json", lambda model, _: _lib.iter_model_json(model)),
+    "plantuml": (".puml", lambda model, _: (_lib.emit_plantuml(model),)),
+    "dot": (".dot", lambda model, _: (_lib.emit_dot(model),)),
+    "report": (".report.md",
+               lambda model, report: (_lib.emit_report(model, report),)),
 }
 EMIT_KINDS = tuple(_ARTIFACTS)
 _XML_EXTENSIONS = (".daml", ".rdf", ".xml", ".owl")
@@ -149,30 +152,37 @@ def _validated(ontology) -> int:
     return len(defects)
 
 
-def _write(out: str, artifacts: dict[str, bytes]) -> None:
-    """Write each {filename: bytes} artifact into the directory `out`, or
-    the one artifact to standard output when `out` is "-". All or none: if
-    one cannot be written, those this call wrote are removed again.
-    Callers encode artifacts as UTF-8 whatever the locale."""
+def _write(out: str, artifacts: Iterable[tuple[str, Iterable[str]]]) -> None:
+    """Write each (filename, text chunks) artifact into the directory
+    `out`, or the one artifact to standard output when `out` is "-". Each
+    chunk is encoded as UTF-8, whatever the locale, and written as it comes,
+    and an artifact is taken from `artifacts` only once the one before it is
+    written. All or none: if one cannot be rendered or written, those this
+    call wrote are removed again."""
     target = "standard output" if out == "-" else Path(out)
     written: list[Path] = []
     try:
         if out == "-":
             sys.stdout.flush()
-            sys.stdout.buffer.write(*artifacts.values())
+            for _, chunks in artifacts:
+                for chunk in chunks:
+                    sys.stdout.buffer.write(chunk.encode("utf-8"))
             sys.stdout.buffer.flush()
             return
         target.mkdir(parents=True, exist_ok=True)
-        for filename, data in artifacts.items():
+        for filename, chunks in artifacts:
             target = Path(out) / filename
             with target.open("wb") as f:
                 written.append(target)  # truncated now, so removed on failure
-                f.write(data)
-    except OSError as exc:
-        if out == "-":  # the buffer keeps the bytes; the flush at exit must not fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                for chunk in chunks:
+                    f.write(chunk.encode("utf-8"))
+    except BaseException as exc:
         for path in written:
             path.unlink(missing_ok=True)
+        if not isinstance(exc, OSError):
+            raise
+        if out == "-":  # the buffer keeps the bytes; the flush at exit must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise _Error(f"cannot write {exc.filename or target}: {exc.strerror or exc}")
     for path in written:
         _info(f"wrote {path}")
@@ -214,10 +224,9 @@ def _cmd_transform(args) -> int:
           f"{len(model.relationships)} relationship(s), "
           f"{len(report.items)} flag(s) for review")
     stem = Path(args.input).stem
-    # every artifact is rendered before any is written; each is held as
-    # bytes, so the text is freed before the next one is rendered
-    _write(args.out, {stem + suffix: render(model, report).encode("utf-8")
-                      for suffix, render in (_ARTIFACTS[k] for k in kinds)})
+    # each artifact is rendered as it is written, after the one before it
+    _write(args.out, ((stem + suffix, render(model, report))
+                      for suffix, render in (_ARTIFACTS[k] for k in kinds)))
     return 0
 
 
@@ -227,8 +236,8 @@ def _cmd_classify(args) -> int:
         return 2
     collapsed, _, index = _lib.normalize(ontology)
     grading = _lib.classify(collapsed, index)
-    _write(args.out, {Path(args.input).stem + ".bww.json":
-                      _lib.emit_bww_json(grading).encode("utf-8")})
+    _write(args.out, [(Path(args.input).stem + ".bww.json",
+                       (_lib.emit_bww_json(grading),))])
     return 0
 
 
@@ -248,8 +257,8 @@ def _cmd_import(args) -> int:
           f"translated, {report.skipped_total()} skipped")
     for note in report.notes:
         _info(f"note: {note}")
-    _write(args.out, {Path(args.input).stem + ".cot":
-                      _lib.serialize(ontology).encode("utf-8")})
+    _write(args.out, [(Path(args.input).stem + ".cot",
+                       (_lib.serialize(ontology),))])
     return 0
 
 

@@ -3,6 +3,9 @@
 The importer is total over well-formed XML: every element is either
 translated into the in-memory ontology or recorded as skipped with its
 location, so the two tallies always add up to the document's element count.
+The document is parsed a slice at a time, and each top-level element is
+translated and let go once the next one starts, so the importer's memory
+grows with the largest top-level element rather than with the document.
 A name the source uses but never declares is declared automatically, with
 a note, exactly when `ontology.validate_ontology` reports it dangling and
 in the order it reports it, so an imported ontology always validates.
@@ -54,6 +57,9 @@ _CARDINALITY_TAGS = {"daml:cardinality": "exactly", "daml:minCardinality": "min"
 _CARDINALITY_ATTRS = {f"{{{_DAML}}}{tag.removeprefix('daml:')}": flavor
                       for tag, flavor in _CARDINALITY_TAGS.items()}
 
+
+# Characters of the document handed to the XML parser at a time.
+_FEED_CHARS = 1 << 16
 
 # Deepest element nesting below rdf:RDF a document may use. Every descent
 # of the importer goes through _child_paths, so its check there also bounds
@@ -567,18 +573,61 @@ class _Importer:
         return ImportReport(ontology, translated, skipped, tuple(self.notes))
 
 
+def _whole_text_error(text: str) -> ET.ParseError | None:
+    """The error the XML parser reports on `text` fed whole, with no tree
+    built. Fed in slices it can report another: after the root element,
+    "x" alone is junk, but "x<" an invalid token one column on."""
+    parser = ET.XMLParser(target=object())
+    try:
+        parser.feed(text)
+        parser.close()
+    except ET.ParseError as exc:
+        return exc
+    return None
+
+
 def import_daml(text: str, source_name: str | None = None) -> ImportReport:
     """Translate an RDF/XML document. Raises DamlImportError on malformed
     XML or structurally broken constructs; everything merely unsupported is
-    skipped and reported instead."""
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise DamlImportError(f"malformed XML: {exc}") from exc
-    if _prefixed(root.tag) != "rdf:RDF":
-        raise DamlImportError("root element must be rdf:RDF")
+    skipped and reported instead. Malformed XML anywhere in the document
+    wins over the first broken construct, which wins over any later one."""
+    parser = ET.XMLPullParser(("start",))
     importer = _Importer()
-    for child, path in _child_paths(root, _ROOT):
-        importer.top_level(child, path)
-    del root  # finish reads no element; let the tree go before it validates
+    root = None
+    error: DamlImportError | None = None
+    counts: dict[str, int] = {}
+
+    def translate(children) -> None:
+        nonlocal error
+        try:
+            for child in children:
+                tag = _prefixed(child.tag)
+                counts[tag] = ordinal = counts.get(tag, 0) + 1
+                importer.top_level(child, (_ROOT, tag, ordinal, 1))
+        except DamlImportError as exc:
+            error = exc
+
+    try:
+        for start in range(0, len(text), _FEED_CHARS):
+            parser.feed(text[start:start + _FEED_CHARS])
+            for _, el in parser.read_events():
+                if root is None:
+                    root = el
+                    if _prefixed(root.tag) != "rdf:RDF":
+                        error = DamlImportError("root element must be rdf:RDF")
+            if root is not None:
+                # every child but the last has closed: a sibling followed it
+                done = len(root) - 1
+                if error is None:
+                    translate(root[:done])
+                del root[:done]
+        parser.close()
+    except ET.ParseError as exc:
+        exc = _whole_text_error(text) or exc
+        raise DamlImportError(f"malformed XML: {exc}") from exc
+    if error is None:
+        translate(root)
+    if error is not None:
+        raise error
+    del root  # finish reads no element; let the last ones go before it validates
     return importer.finish(source_name)

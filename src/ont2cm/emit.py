@@ -7,6 +7,8 @@ gives byte-identical text.
 The model and grading JSON are written from fixed templates, one f-string
 per record, and equal json.dumps(doc, indent=2) + "\n" of the dict shape
 parse_model_json reads, as tests/test_emit.py checks against json.dumps.
+iter_model_json yields the model JSON a record at a time, so a writer never
+holds the whole document; emit_model_json joins it.
 The grading JSON is written by bww.emit_bww_json, next to the report it
 reads, so grading alone needs neither this module nor the transform;
 it is re-exported here with the other emitters.
@@ -15,6 +17,7 @@ it is re-exported here with the other emitters.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 
 from .bww import _block, _str, emit_bww_json  # noqa: F401 (re-exported)
 from .model import (
@@ -49,9 +52,20 @@ def _mult_json(m: Multiplicity, pad: str) -> str:
     return f'{{\n{pad}  "lower": {m.lower},\n{pad}  "upper": {upper}{flag}\n{pad}}}'
 
 
-def emit_model_json(model: ConceptualModel) -> str:
-    # each record list is freed once its array is laid out
-    entity_types = _block([
+def _array(records: Iterable[str]) -> Iterator[str]:
+    """A top-level array in `_block`'s layout, a record at a time."""
+    lead = "[\n    "
+    for record in records:
+        yield lead + record
+        lead = ",\n    "
+    yield "[]" if lead[0] == "[" else "\n  ]"
+
+
+def iter_model_json(model: ConceptualModel) -> Iterator[str]:
+    """The model JSON a record at a time, so no more than one record is
+    laid out at once."""
+    yield f'{{\n  "name": {_str(model.name)},\n  "entityTypes": '
+    yield from _array((
         f'{{\n      "id": {_str(et.id)},\n      "name": {_str(et.name)},\n'
         f'      "originClass": {_str(et.origin_class)},\n      "bww": {_str(et.bww)},\n'
         f'      "definitionKind": {_str(et.definition_kind)},\n      "attributes": ' + _block([
@@ -59,8 +73,9 @@ def emit_model_json(model: ConceptualModel) -> str:
             f'          "multiplicity": {_mult_json(a.multiplicity, " " * 10)},\n'
             f'          "originProperty": {_str(a.origin_property)}\n        }}'
             for a in et.attributes], " " * 6) + "\n    }"
-        for et in model.entity_types], "  ")
-    relationships = _block([
+        for et in model.entity_types))
+    yield ',\n  "relationships": '
+    yield from _array((
         f'{{\n      "id": {_str(r.id)},\n      "name": {_str(r.name)},\n'
         f'      "sourceId": {_str(r.source_id)},\n      "targetId": {_str(r.target_id)},\n'
         f'      "sourceMult": {_mult_json(r.source_mult, " " * 6)},\n'
@@ -69,21 +84,26 @@ def emit_model_json(model: ConceptualModel) -> str:
         f'      "kind": {_str(r.kind)},\n'
         f'      "whole": {"null" if r.whole is None else _str(r.whole)},\n'
         f'      "groupId": {"null" if r.group_id is None else _str(r.group_id)}\n    }}'
-        for r in model.relationships], "  ")
-    generalizations = _block([
+        for r in model.relationships))
+    yield ',\n  "generalizations": '
+    yield from _array((
         f'{{\n      "subId": {_str(g.sub_id)},\n      "superId": {_str(g.super_id)}\n    }}'
-        for g in model.generalizations], "  ")
-    constraints = _block([
+        for g in model.generalizations))
+    yield ',\n  "constraints": '
+    yield from _array((
         f'{{\n      "id": {_str(c.id)},\n      "kind": {_str(c.kind)},\n      "memberIds": '
         f'{_block([_str(m) for m in c.member_ids], " " * 6)}\n    }}'
-        for c in model.constraints], "  ")
-    instances = _block([
+        for c in model.constraints))
+    yield ',\n  "instances": '
+    yield from _array((
         f'{{\n      "name": {_str(i.name)},\n'
         f'      "typeIds": {_block([_str(t) for t in i.type_ids], " " * 6)}\n    }}'
-        for i in model.instances], "  ")
-    return (f'{{\n  "name": {_str(model.name)},\n  "entityTypes": {entity_types},\n'
-            f'  "relationships": {relationships},\n  "generalizations": {generalizations},\n'
-            f'  "constraints": {constraints},\n  "instances": {instances}\n}}\n')
+        for i in model.instances))
+    yield "\n}\n"
+
+
+def emit_model_json(model: ConceptualModel) -> str:
+    return "".join(iter_model_json(model))
 
 
 def parse_model_json(text: str) -> ConceptualModel:

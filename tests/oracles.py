@@ -3,12 +3,17 @@
 Each reads an ontology's statements straight from the rules the `ontology`
 and `transform` docstrings state, with plain sets and searches and without
 `OntologyIndex`, so the code under test never checks itself.
+`import_daml_tree` is the RDF/XML importer as a walk over the whole parsed
+tree, against which the importer that translates while it parses is
+checked.
 """
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
 from collections import Counter
 
+from ont2cm.damlxml import _ROOT, DamlImportError, _child_paths, _Importer, _prefixed
 from ont2cm.ontology import (
     CARDINALITY_FLAVORS,
     CLASS_FLAVORS,
@@ -150,3 +155,19 @@ def oracle_relationships(o):
                         default=None)
             expected[p.name, site] = (set(pools), exclusive, groups, (lower, upper))
     return expected
+
+
+def import_daml_tree(text, source_name=None):
+    """`damlxml.import_daml` over the whole element tree, parsed first:
+    malformed XML anywhere wins, then the root, then the first broken
+    construct in document order."""
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise DamlImportError(f"malformed XML: {exc}") from exc
+    if _prefixed(root.tag) != "rdf:RDF":
+        raise DamlImportError("root element must be rdf:RDF")
+    importer = _Importer()
+    for child, path in _child_paths(root, _ROOT):
+        importer.top_level(child, path)
+    return importer.finish(source_name)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,26 @@ class TestUnwritableOutput:
             f"{os.strerror(errno.ENOSPC)}" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kind", ["json", "report"])
+    def test_failed_render_leaves_no_artifact(self, tmp_path, monkeypatch,
+                                              capsys, kind):
+        # the renderer fails after its first chunk: of the first artifact,
+        # or of the last one, once the other three are written
+        class RenderError(Exception):
+            pass
+
+        suffix, render = cli._ARTIFACTS[kind]
+
+        def failing(model, report):
+            yield next(iter(render(model, report)))
+            raise RenderError
+
+        monkeypatch.setitem(cli._ARTIFACTS, kind, (suffix, failing))
+        with pytest.raises(RenderError):
+            run("transform", str(FIXTURES / "rule1.cot"), "--out", str(tmp_path))
+        assert "wrote" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True])
@@ -259,6 +280,51 @@ class TestUnwritableOutput:
         assert proc.stderr.count("\n") == lines
         assert proc.stderr.splitlines()[-1].startswith(
             "error: cannot write standard output: ")
+
+
+def flat_cot(n: int) -> str:
+    """The wide-flat shape: `n` classes without subclass axioms, each with
+    an attribute and two restricted object properties."""
+    lines = ["ontology flat"]
+    for i in range(n):
+        cls, some, only = f"W{i:05d}", f"W{i * 7 % n:05d}", f"W{i * 11 % n:05d}"
+        lines += [f"class {cls}",
+                  f"dataprop a{i:05d} domain {cls} range string",
+                  f"objprop r{i:05d} domain {cls} range {some}",
+                  f"objprop s{i:05d} domain {cls} range {only}",
+                  f"restriction {cls} r{i:05d} some {some}",
+                  f"restriction {cls} r{i:05d} max {i % 5 + 1}",
+                  f"restriction {cls} s{i:05d} only {only}"]
+    return "\n".join(lines) + "\n"
+
+
+class TestStreamedArtifacts:
+    def test_peak_while_writing_is_below_the_model_json(self, tmp_path,
+                                                        monkeypatch):
+        # from the model check on, no artifact is held once written and the
+        # largest, the model JSON, is never held whole: it is written a
+        # record at a time
+        source = tmp_path / "flat.cot"
+        source.write_text(flat_cot(600))
+        # a first run imports the modules the second one's peak leaves out
+        assert run("transform", str(source), "--out", str(tmp_path / "first")) == 0
+        check_model, start = cli.check_model, []
+
+        def checked(model):
+            defects = check_model(model)
+            start.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return defects
+
+        monkeypatch.setattr(cli, "check_model", checked)
+        tracemalloc.start()
+        try:
+            code = run("transform", str(source), "--out", str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1] - start[0]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < (tmp_path / "flat.model.json").stat().st_size, peak
 
 
 class TestCheck:
@@ -539,7 +605,8 @@ import json, sys
 import run
 from ont2cm import cli
 
-names = sorted(set(run._CLI_CALLS) | {"check_model", "normalize"})
+names = sorted(set(run._CLI_CALLS)
+               | {"check_model", "normalize", "iter_model_json"})
 counts = dict.fromkeys(names, 0)
 
 def counting(name, fn):
@@ -558,7 +625,8 @@ print(json.dumps({"exit": code, "counts": counts,
     # hoist_axiom_restrictions and collapse_equivalences resolve, but only
     # normalize calls them
     GRADE = ["normalize", "classify", "emit_bww_json"]
-    DERIVE = ["derive_model", "check_model", "emit_model_json",
+    # emit_model_json resolves, but transform writes iter_model_json's chunks
+    DERIVE = ["derive_model", "check_model", "iter_model_json",
               "emit_plantuml", "emit_dot", "emit_report"]
 
     @pytest.mark.parametrize("command, source, path", [
@@ -593,14 +661,14 @@ from ont2cm import bww, cli, damlxml, ontology
 LEFT_BEHIND = (ontology.Ontology, ontology.ClassDefinition,
                damlxml.ImportReport, bww.BwwReport)
 live = []
-emit = cli.emit_model_json
+emit = cli.iter_model_json
 
 def counting(model):
     gc.collect()
     live.append(sum(isinstance(o, LEFT_BEHIND) for o in gc.get_objects()))
     return emit(model)
 
-cli.emit_model_json = counting
+cli.iter_model_json = counting
 code = cli.main(sys.argv[1:])
 print(json.dumps({"exit": code, "live": live}))
 """

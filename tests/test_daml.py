@@ -1,14 +1,19 @@
-"""XML importer tests: census accounting, construct translation, skips."""
+"""XML importer tests: census accounting, construct translation, skips.
+
+Every import here goes through `checked_import`, which holds the importer
+to the whole-tree walk of `oracles.import_daml_tree` on the same text."""
 
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ont2cm import cot
+from ont2cm import cot, damlxml
 from ont2cm.damlxml import (
     MAX_DEPTH,
     DamlImportError,
@@ -35,6 +40,7 @@ from ont2cm.ontology import (
     restriction_expr,
     validate_ontology,
 )
+from oracles import import_daml_tree
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -52,6 +58,26 @@ HEADER = ('<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"\n'
 
 def doc(body: str) -> str:
     return f"{HEADER}\n{body}\n</rdf:RDF>"
+
+
+def _outcome(importer, text, source_name):
+    """The import report, or the text of the import error."""
+    try:
+        return importer(text, source_name)
+    except DamlImportError as exc:
+        return f"DamlImportError: {exc}"
+
+
+def checked_import(text: str, source_name: str | None = None) -> ImportReport:
+    """`import_daml(text, source_name)`, once it has given the report or
+    the error of the tree walk fed whole, in slices of one character and
+    in slices of seven, so that slice edges fall inside tags, attribute
+    values and multi-byte characters."""
+    expected = _outcome(import_daml_tree, text, source_name)
+    for size in (1, 7, len(text) + 1):
+        with mock.patch.object(damlxml, "_FEED_CHARS", size):
+            assert _outcome(import_daml, text, source_name) == expected, size
+    return import_daml(text, source_name)
 
 
 def element_count(text: str) -> int:
@@ -87,7 +113,7 @@ def protein_text():
 
 @pytest.fixture(scope="module")
 def protein_report(protein_text):
-    return import_daml(protein_text, source_name="protein")
+    return checked_import(protein_text, source_name="protein")
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +123,7 @@ def excess_text():
 
 @pytest.fixture(scope="module")
 def excess_report(excess_text):
-    return import_daml(excess_text, source_name="extras")
+    return checked_import(excess_text, source_name="extras")
 
 
 class TestProteinFixture:
@@ -189,13 +215,13 @@ class TestExcessFixture:
 
 class TestConstructs:
     def test_untyped_property_becomes_object(self):
-        report = import_daml(doc('<daml:Property rdf:about="#relates"/>'))
+        report = checked_import(doc('<daml:Property rdf:about="#relates"/>'))
         prop = report.ontology.properties[0]
         assert (prop.name, prop.category) == ("relates", OBJECT)
         assert any("untyped property relates" in n for n in report.notes)
 
     def test_referenced_class_declared_automatically(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#A">'
             '<rdfs:subClassOf rdf:resource="#Ghost"/></daml:Class>'))
         assert [c.name for c in report.ontology.classes] == ["A", "Ghost"]
@@ -204,7 +230,7 @@ class TestConstructs:
         assert validate_ontology(report.ontology) == []
 
     def test_referenced_property_declared_automatically(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#A"><rdfs:subClassOf>'
             '<daml:Restriction>'
             '<daml:onProperty rdf:resource="#binds"/>'
@@ -218,7 +244,7 @@ class TestConstructs:
         assert validate_ontology(report.ontology) == []
 
     def test_intersection_definition(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#Enzyme"><daml:intersectionOf>'
             '<daml:Class rdf:about="#Protein"/>'
             '<daml:Restriction>'
@@ -233,7 +259,7 @@ class TestConstructs:
                                          target=named("Reaction")))))
 
     def test_union_definition(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#NucleicAcid"><daml:unionOf>'
             '<daml:Class rdf:about="#DNA"/><daml:Class rdf:about="#RNA"/>'
             '</daml:unionOf></daml:Class>'))
@@ -241,7 +267,7 @@ class TestConstructs:
             == ClassExpression("or", members=(named("DNA"), named("RNA")))
 
     def test_single_member_intersection_unwraps(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#A"><daml:intersectionOf>'
             '<daml:Class rdf:about="#B"/>'
             '</daml:intersectionOf></daml:Class>'))
@@ -250,14 +276,14 @@ class TestConstructs:
                    for n in report.notes)
 
     def test_complement_by_resource(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#NonCoding">'
             '<daml:complementOf rdf:resource="#Coding"/></daml:Class>'))
         assert report.ontology.classes[0].definition \
             == ClassExpression("not", members=(named("Coding"),))
 
     def test_same_class_resource_is_axiom(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#Enzyme">'
             '<daml:sameClassAs rdf:resource="#Catalyst"/></daml:Class>'))
         assert report.ontology.axioms \
@@ -265,7 +291,7 @@ class TestConstructs:
         assert report.ontology.classes[0].definition is None
 
     def test_same_class_expression_becomes_definition(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#Enzyme"><daml:sameClassAs>'
             '<daml:Restriction>'
             '<daml:onProperty rdf:resource="#catalyses"/>'
@@ -277,7 +303,7 @@ class TestConstructs:
             Restriction("catalyses", SOME, target=named("Reaction")))
 
     def test_has_value_restriction_skipped_not_fatal(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#A"><rdfs:subClassOf>'
             '<daml:Restriction>'
             '<daml:onProperty rdf:resource="#p"/>'
@@ -289,7 +315,7 @@ class TestConstructs:
         assert any("hasValue restriction skipped" in n for n in report.notes)
 
     def test_object_property_datatype_range_dropped(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:ObjectProperty rdf:about="#binds"><rdfs:range '
             'rdf:resource="http://www.w3.org/2001/XMLSchema#string"/>'
             '</daml:ObjectProperty>'))
@@ -298,7 +324,7 @@ class TestConstructs:
         assert any("datatype range string dropped" in n for n in report.notes)
 
     def test_unknown_datatype_maps_to_string(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:DatatypeProperty rdf:about="#mass"><rdfs:range '
             'rdf:resource="http://www.w3.org/2001/XMLSchema#float"/>'
             '</daml:DatatypeProperty>'))
@@ -306,19 +332,19 @@ class TestConstructs:
         assert any("datatype float" in n for n in report.notes)
 
     def test_typed_node_individual(self):
-        report = import_daml(doc('<bio:Protein rdf:about="#p53"/>'))
+        report = checked_import(doc('<bio:Protein rdf:about="#p53"/>'))
         assert report.ontology.individuals \
             == (Individual("p53", types=(named("Protein"),)),)
         assert [c.name for c in report.ontology.classes] == ["Protein"]
         assert validate_ontology(report.ontology) == []
 
     def test_description_without_type_skipped(self):
-        report = import_daml(doc('<rdf:Description rdf:about="#x"/>'))
+        report = checked_import(doc('<rdf:Description rdf:about="#x"/>'))
         assert report.ontology.individuals == ()
         assert any("without a type" in n for n in report.notes)
 
     def test_cardinality_attribute_form(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#A"><rdfs:subClassOf>'
             '<daml:Restriction daml:minCardinality="2">'
             '<daml:onProperty rdf:resource="#p"/>'
@@ -328,7 +354,7 @@ class TestConstructs:
             SUBCLASS, "A", restriction_expr(Restriction("p", MIN, count=2))),)
 
     def test_restriction_with_two_constraints_becomes_conjunction(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#A"><rdfs:subClassOf>'
             '<daml:Restriction>'
             '<daml:onProperty rdf:resource="#p"/>'
@@ -342,7 +368,7 @@ class TestConstructs:
                 restriction_expr(Restriction("p", "max", count=4))))),)
 
     def test_duplicate_declarations_merge(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:ObjectProperty rdf:about="#binds">'
             '<rdfs:domain rdf:resource="#A"/></daml:ObjectProperty>'
             '<daml:ObjectProperty rdf:about="#binds">'
@@ -353,7 +379,7 @@ class TestConstructs:
     def test_skipped_expression_leaves_no_trace_but_its_skip(self):
         # the adjusted name and the census of the walk into the expression
         # roll back: none of it reaches the imported ontology
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#A"><rdfs:subClassOf><daml:intersectionOf>'
             '<daml:Class rdf:about="#amino.acid"/>'
             '<daml:Restriction><daml:onProperty rdf:resource="#p"/>'
@@ -377,7 +403,7 @@ class TestConstructs:
                          where + "/daml:Restriction[1]/daml:onProperty[1]"))
 
     def test_name_adjusted_again_after_a_skip_is_noted_where_imported(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#A"><rdfs:subClassOf><daml:Restriction>'
             '<daml:onProperty rdf:resource="#has.part"/>'
             '<daml:hasValue rdf:resource="#v"/></daml:Restriction>'
@@ -389,7 +415,7 @@ class TestConstructs:
             "name 'has.part' adjusted to 'has_part'")
 
     def test_notes_inside_an_expression_follow_document_order(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#A"><daml:unionOf><daml:intersectionOf>'
             '<daml:Class rdf:about="#B"/></daml:intersectionOf>'
             '<daml:Class rdf:about="#x.y"/></daml:unionOf></daml:Class>'))
@@ -400,7 +426,7 @@ class TestConstructs:
             "name 'x.y' adjusted to 'x_y'")
 
     def test_note_inside_a_nested_expression_names_its_path(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#A"><rdfs:subClassOf rdf:resource="#B"/>'
             '<rdfs:subClassOf><daml:Class><daml:unionOf>'
             '<daml:Class rdf:about="#C"/><daml:intersectionOf>'
@@ -412,7 +438,7 @@ class TestConstructs:
             "daml:intersectionOf[1] unwrapped")
 
     def test_skip_ledger_keeps_the_first_location_of_each_name(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#A"><rdfs:label>a</rdfs:label>'
             '<rdfs:comment>c</rdfs:comment><rdfs:label>b</rdfs:label>'
             '</daml:Class><daml:Class rdf:about="#B"><rdfs:subClassOf>'
@@ -428,20 +454,20 @@ class TestConstructs:
             SkippedEntry("rdfs:label", 3, "rdf:RDF/daml:Class[1]/rdfs:label[1]"))
 
     def test_awkward_uri_characters_sanitized(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#amino.acid"/>'))
         assert report.ontology.classes[0].name == "amino_acid"
         assert any("adjusted" in n for n in report.notes)
 
     def test_slash_separated_uri_reduced_to_its_local_name(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="http://example.org/bio/Protein"/>'
             '<daml:Class rdf:about="http://example.org/bio/DNA/"/>'))
         assert [c.name for c in report.ontology.classes] == ["Protein", "DNA"]
         assert report.notes == ()
 
     def test_has_class_holding_an_anonymous_union(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#A"><rdfs:subClassOf><daml:Restriction>'
             '<daml:onProperty rdf:resource="#binds"/><daml:hasClass>'
             '<daml:Class><daml:unionOf><daml:Class rdf:about="#DNA"/>'
@@ -452,7 +478,7 @@ class TestConstructs:
                 "or", members=(named("DNA"), named("RNA")))))),)
 
     def test_unknown_restriction_child_skipped(self):
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<daml:Class rdf:about="#A"><rdfs:subClassOf><daml:Restriction>'
             '<rdfs:comment>c</rdfs:comment><daml:onProperty rdf:resource="#p"/>'
             '<daml:hasClass rdf:resource="#B"/></daml:Restriction>'
@@ -467,7 +493,7 @@ class TestConstructs:
         # document order names Kind, Source, Sink, Parent, holds, Cargo,
         # Member, uses, Tool; validation reports definitions, then axioms,
         # then property domains and ranges, then individuals
-        report = import_daml(doc(
+        report = checked_import(doc(
             '<rdf:Description rdf:about="#x"><rdf:type rdf:resource="#Kind"/>'
             '</rdf:Description>'
             '<daml:ObjectProperty rdf:about="#binds">'
@@ -561,20 +587,20 @@ SNIPPETS = [
 
 @pytest.mark.parametrize("body, note", BRANCHES)
 def test_branch_leaves_its_note(body, note):
-    assert note in import_daml(doc(body)).notes
+    assert note in checked_import(doc(body)).notes
 
 
 @pytest.mark.parametrize("body", SNIPPETS)
 def test_census_always_balances(body):
     text = doc(body)
-    report = import_daml(text)
+    report = checked_import(text)
     assert report.translated_total() + report.skipped_total() \
         == element_count(text)
 
 
 @pytest.mark.parametrize("body", SNIPPETS)
 def test_imports_always_validate_and_round_trip(body):
-    report = import_daml(doc(body))
+    report = checked_import(doc(body))
     assert validate_ontology(report.ontology) == []
     assert cot.parse(cot.serialize(report.ontology)) == report.ontology
 
@@ -613,7 +639,7 @@ class TestErrors:
     ])
     def test_raises(self, text, fragment):
         with pytest.raises(DamlImportError, match=fragment):
-            import_daml(text)
+            checked_import(text)
 
     @pytest.mark.parametrize("body,message", [
         ('<daml:Class rdf:about="#A"/><daml:Class rdf:about="#B">'
@@ -654,16 +680,16 @@ class TestErrors:
     ])
     def test_error_names_the_element_path(self, body, message):
         with pytest.raises(DamlImportError) as exc:
-            import_daml(doc(body))
+            checked_import(doc(body))
         assert str(exc.value) == message
 
     def test_depth_bound_is_exact(self):
         def chain(depth):
             # each level holds an empty <x/> and then the next level
             return doc("<x/><x>" * depth + "</x>" * depth)
-        assert import_daml(chain(MAX_DEPTH)).skipped_total() == 2 * MAX_DEPTH
+        assert checked_import(chain(MAX_DEPTH)).skipped_total() == 2 * MAX_DEPTH
         with pytest.raises(DamlImportError) as exc:
-            import_daml(chain(MAX_DEPTH + 1))
+            checked_import(chain(MAX_DEPTH + 1))
         assert str(exc.value) == (
             f"element nested deeper than {MAX_DEPTH} levels at rdf:RDF"
             + "/x[2]" * MAX_DEPTH + "/x[1]")
@@ -671,7 +697,7 @@ class TestErrors:
     def test_first_offence_in_document_order_is_reported(self):
         deep = "<x>" * MAX_DEPTH + "</x>" * MAX_DEPTH
         with pytest.raises(DamlImportError, match="nested deeper than"):
-            import_daml(doc(
+            checked_import(doc(
                 '<daml:Class rdf:about="#A"><rdfs:subClassOf>'
                 f'<daml:intersectionOf><daml:Class rdf:about="#B">{deep}'
                 '</daml:Class><daml:Restriction/></daml:intersectionOf>'
@@ -705,7 +731,112 @@ def mutated_protein_daml(draw):
 @given(mutated_protein_daml())
 def test_any_mutation_imports_or_raises_import_error(text):
     try:
-        report = import_daml(text)
+        report = checked_import(text)
     except DamlImportError:
         return
     assert isinstance(report, ImportReport)
+
+
+# the documents the mutations below start from
+BASES = [(FIXTURES / name).read_text() for name in ("protein.daml", "excess.daml")] \
+    + [doc(body) for body in SNIPPETS]
+# text an edit puts in: markup, references and characters of two, three
+# and four UTF-8 bytes, in names as well as between them
+PIECES = st.sampled_from(["<", ">", "/", '"', "=", " ", "x", "&amp;", "&bogus;",
+                          "<!--", "-->", "é", "名", "\U0001d49c", '<名 rdf:about="#é"/>',
+                          "</rdf:RDF>", "<rdf:RDF>"])
+# constructs that fail the import wherever they stand in a well-formed root
+BROKEN = ['<daml:Class rdf:about="#Q"><daml:intersectionOf/></daml:Class>',
+          '<daml:Class rdf:about="#Q">' + "<x>" * (MAX_DEPTH + 1)
+          + "</x>" * (MAX_DEPTH + 1) + "</daml:Class>"]
+
+
+def _root_body(text: str) -> tuple[int, int]:
+    """Where the root's content starts and where its end tag begins."""
+    return text.index(">", text.index("<rdf:RDF")) + 1, text.rindex("</rdf:RDF>")
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fixture or snippet document after one to three mutations in turn:
+    a span replaced by `PIECES`, a truncation, a span of another document
+    spliced in, a `BROKEN` construct made the root's first child, an
+    unclosed element before the root's end tag, a root renamed, or junk
+    after the root."""
+    text = draw(st.sampled_from(BASES))
+    for op in draw(st.lists(st.sampled_from(
+            ["edit", "truncate", "splice", "break", "unclose", "reroot", "junk"]),
+            min_size=1, max_size=3)):
+        at = draw(st.integers(0, len(text)))
+        if op == "edit":
+            end = draw(st.integers(at, min(len(text), at + 8)))
+            text = text[:at] + "".join(draw(st.lists(PIECES, max_size=4))) + text[end:]
+        elif op == "truncate":
+            text = text[:at]
+        elif op == "splice":
+            other = draw(st.sampled_from(BASES))
+            start = draw(st.integers(0, len(other)))
+            end = draw(st.integers(start, min(len(other), start + 200)))
+            text = text[:at] + other[start:end] + text[at:]
+        elif "<rdf:RDF" in text and "</rdf:RDF>" in text:
+            content, close = _root_body(text)
+            if op == "break":
+                text = text[:content] + draw(st.sampled_from(BROKEN)) + text[content:]
+            elif op == "unclose":
+                text = text[:close] + "<daml:Class>" + text[close:]
+            elif op == "reroot":
+                text = text.replace("rdf:RDF", "rdf:Bag")
+            else:
+                text += draw(st.sampled_from(["x", "<x/>", "</rdf:RDF>", "&amp;",
+                                              "<!-- c -->", "\n"]))
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@example(doc(BROKEN[0] + '<daml:Class rdf:about="#A"/>' * 20 + "<x>"))
+@example(doc(BROKEN[1] + '<daml:Class rdf:about="#A"/>' * 20 + "</y>"))
+@example(doc('<daml:Class rdf:about="#A"/>' * 20).replace("rdf:RDF", "rdf:Bag")
+         + "<x/>")
+# fed in slices, expat names another fault here than fed the whole text
+@example(doc('<daml:Class rdf:about="#A"/>') + "x<x/>")
+@given(mutated_documents())
+def test_streamed_import_agrees_with_the_tree_walk(text):
+    try:
+        checked_import(text)
+    except DamlImportError:
+        pass
+
+
+def lattice_daml(n: int) -> str:
+    """A diamond lattice of `n` classes: each below the classes at half and
+    a third of its number, with a label, a comment and a see-also the
+    importer skips."""
+    classes = "".join(
+        f'<daml:Class rdf:ID="C{i}">'
+        f'<rdfs:subClassOf rdf:resource="#C{i // 2}"/>'
+        f'<rdfs:subClassOf rdf:resource="#C{i // 3}"/>'
+        f"<rdfs:label>C{i}</rdfs:label>"
+        f"<rdfs:comment>class {i} of the lattice</rdfs:comment>"
+        f'<rdfs:seeAlso rdf:resource="#C{i - 1}"/></daml:Class>\n'
+        for i in range(1, n))
+    return doc('<daml:Class rdf:ID="C0"/>\n' + classes)
+
+
+def test_import_peak_is_below_half_of_the_tree():
+    # the tree a whole-document parse holds is what the importer lets go
+    text = lattice_daml(4500)
+    assert len(text) > 10 * damlxml._FEED_CHARS
+    tracemalloc.start()
+    try:
+        tree = ET.fromstring(text)
+        tree_peak = tracemalloc.get_traced_memory()[1]
+        del tree
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = import_daml(text)
+        import_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (report.translated_total(), report.skipped_total()) \
+        == (3 * 4500 - 2, 3 * 4499)
+    assert import_peak < tree_peak / 2, (import_peak, tree_peak)

@@ -17,6 +17,7 @@ from ont2cm.emit import (
     emit_model_json,
     emit_plantuml,
     emit_report,
+    iter_model_json,
     parse_model_json,
 )
 from ont2cm.model import (
@@ -303,8 +304,15 @@ class TestJsonOracle:
     @settings(max_examples=500, deadline=None)
     @given(models)
     def test_model_json_is_json_dumps(self, model):
-        assert emit_model_json(model) == \
-            json.dumps(model_doc(model), indent=2) + "\n"
+        expected = json.dumps(model_doc(model), indent=2) + "\n"
+        chunks = list(iter_model_json(model))
+        assert "".join(chunks) == expected
+        assert emit_model_json(model) == expected
+        # a chunk per record, and eleven for the name, the keys and the
+        # closing brackets
+        assert len(chunks) == 11 + sum(map(len, (
+            model.entity_types, model.relationships, model.generalizations,
+            model.constraints, model.instances)))
 
     @settings(max_examples=500, deadline=None)
     @given(gradings)
