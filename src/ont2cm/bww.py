@@ -11,7 +11,7 @@ intrinsic ones (carried by a single thing, datatype-valued) and mutual ones
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ontology import DATATYPE, DISJOINT, Ontology, OntologyIndex
 
@@ -20,22 +20,19 @@ INTRINSIC = "intrinsic"
 MUTUAL = "mutual"
 
 
-@dataclass(frozen=True, slots=True)
-class ConceptClassification:
+class ConceptClassification(NamedTuple):
     name: str
     category: str
     property_count: int
     law_count: int
 
 
-@dataclass(frozen=True, slots=True)
-class PropertyClassification:
+class PropertyClassification(NamedTuple):
     name: str
     category: str
 
 
-@dataclass(frozen=True, slots=True)
-class BwwReport:
+class BwwReport(NamedTuple):
     concepts: tuple[ConceptClassification, ...]
     properties: tuple[PropertyClassification, ...]
     notes: tuple[str, ...]

@@ -26,14 +26,15 @@ _HOMES = {
     "parse": "cot", "serialize": "cot", "ParseError": "cot",
     "import_daml": "damlxml", "DamlImportError": "damlxml",
     "validate_ontology": "ontology", "normalize": "ontology",
-    # no command calls these three; `bench/run.py --trace 1` wraps them
+    # no command calls these six; `bench/run.py --trace 1` wraps them
     "hoist_axiom_restrictions": "ontology",
     "collapse_equivalences": "ontology", "emit_model_json": "emit",
+    "emit_plantuml": "emit", "emit_dot": "emit", "emit_report": "emit",
     "classify": "bww", "emit_bww_json": "bww",
     "TransformConfig": "transform", "derive_model": "transform",
     "check_model": "model",
-    "iter_model_json": "emit", "emit_plantuml": "emit", "emit_dot": "emit",
-    "emit_report": "emit",
+    "iter_model_json": "emit", "iter_plantuml": "emit", "iter_dot": "emit",
+    "iter_report": "emit",
 }
 _lib = sys.modules[__name__]
 
@@ -51,10 +52,9 @@ def __getattr__(name: str):
 # where a render returns the artifact's text as an iterable of chunks
 _ARTIFACTS = {
     "json": (".model.json", lambda model, _: _lib.iter_model_json(model)),
-    "plantuml": (".puml", lambda model, _: (_lib.emit_plantuml(model),)),
-    "dot": (".dot", lambda model, _: (_lib.emit_dot(model),)),
-    "report": (".report.md",
-               lambda model, report: (_lib.emit_report(model, report),)),
+    "plantuml": (".puml", lambda model, _: _lib.iter_plantuml(model)),
+    "dot": (".dot", lambda model, _: _lib.iter_dot(model)),
+    "report": (".report.md", lambda model, report: _lib.iter_report(model, report)),
 }
 EMIT_KINDS = tuple(_ARTIFACTS)
 _XML_EXTENSIONS = (".daml", ".rdf", ".xml", ".owl")

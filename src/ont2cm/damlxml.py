@@ -17,7 +17,7 @@ import functools
 import re
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ontology import (
     DATATYPE,
@@ -83,15 +83,13 @@ class _Unmappable(Exception):
     the surrounding element gets skipped instead of aborting the import."""
 
 
-@dataclass(frozen=True, slots=True)
-class SkippedEntry:
+class SkippedEntry(NamedTuple):
     name: str
     count: int
     first_location: str
 
 
-@dataclass(frozen=True, slots=True)
-class ImportReport:
+class ImportReport(NamedTuple):
     ontology: Ontology
     translated: tuple[tuple[str, int], ...]
     skipped: tuple[SkippedEntry, ...]

@@ -7,8 +7,10 @@ gives byte-identical text.
 The model and grading JSON are written from fixed templates, one f-string
 per record, and equal json.dumps(doc, indent=2) + "\n" of the dict shape
 parse_model_json reads, as tests/test_emit.py checks against json.dumps.
-iter_model_json yields the model JSON a record at a time, so a writer never
-holds the whole document; emit_model_json joins it.
+All four `transform --emit` kinds stream: iter_model_json yields the model
+JSON a record at a time, and iter_plantuml, iter_dot and iter_report yield
+their text a line or a heading at a time, so a writer never holds a whole
+artifact. Each emit_* function joins its iter_* generator.
 The grading JSON is written by bww.emit_bww_json, next to the report it
 reads, so grading alone needs neither this module nor the transform;
 it is re-exported here with the other emitters.
@@ -162,34 +164,33 @@ def _member_label(names: dict[str, str], relationships: dict[str, Relationship],
 _CONSTRAINT_LABELS = {AND_GROUP: "and", DISJOINT_GROUP: "disjoint"}
 
 
-def _constraint_texts(model: ConceptualModel, names: dict[str, str]) -> list[str]:
+def _constraint_texts(model: ConceptualModel, names: dict[str, str]) -> Iterator[str]:
     """Note text per constraint, in model order."""
     # reversed, so the first relationship of a repeated id wins
     relationships = {r.id: r for r in reversed(model.relationships)}
-    texts = []
     for con in model.constraints:
         label = _CONSTRAINT_LABELS.get(con.kind, "or")
         members = ", ".join(_member_label(names, relationships, m)
                             for m in con.member_ids)
-        texts.append(f"{{{label}}}: {members}")
-    return texts
+        yield f"{{{label}}}: {members}"
 
 
-def emit_plantuml(model: ConceptualModel) -> str:
+def iter_plantuml(model: ConceptualModel) -> Iterator[str]:
+    """The PlantUML text a line, or a fixed heading, at a time."""
     names = _names(model)
-    lines = ["@startuml", f"title {model.name}"]
+    yield f"@startuml\ntitle {model.name}\n"
     for et in model.entity_types:
         head = f"class {et.name} <<{et.bww}>>"
         if et.attributes:
-            lines.append(head + " {")
+            yield head + " {\n"
             for a in et.attributes:
-                lines.append(f"  {a.name} : {a.datatype} "
-                             f"[{_mult_label(a.multiplicity)}]")
-            lines.append("}")
+                yield (f"  {a.name} : {a.datatype} "
+                       f"[{_mult_label(a.multiplicity)}]\n")
+            yield "}\n"
         else:
-            lines.append(head)
+            yield head + "\n"
     for g in model.generalizations:
-        lines.append(f"{names[g.super_id]} <|-- {names[g.sub_id]}")
+        yield f"{names[g.super_id]} <|-- {names[g.sub_id]}\n"
     for r in model.relationships:
         source = names[r.source_id]
         target = names[r.target_id]
@@ -198,29 +199,33 @@ def emit_plantuml(model: ConceptualModel) -> str:
             connector = "*--" if r.kind == COMPOSITION else "o--"
             whole = names[r.whole]
             part = target if r.whole == r.source_id else source
-            lines.append(f"{whole} {connector} {part} : {label}")
+            yield f"{whole} {connector} {part} : {label}\n"
         else:
-            lines.append(f'{source} "{_mult_label(r.source_mult)}" --> '
-                         f'"{_mult_label(r.target_mult)}" {target} : {label}')
+            yield (f'{source} "{_mult_label(r.source_mult)}" --> '
+                   f'"{_mult_label(r.target_mult)}" {target} : {label}\n')
     for n, text in enumerate(_constraint_texts(model, names), start=1):
-        lines.append(f'note "{text}" as N{n}')
-    lines.append("@enduml")
-    return "\n".join(lines) + "\n"
+        yield f'note "{text}" as N{n}\n'
+    yield "@enduml\n"
 
 
-def emit_dot(model: ConceptualModel) -> str:
+def emit_plantuml(model: ConceptualModel) -> str:
+    return "".join(iter_plantuml(model))
+
+
+def iter_dot(model: ConceptualModel) -> Iterator[str]:
+    """The Graphviz text a line, or a fixed heading, at a time."""
     names = _names(model)
-    lines = ["digraph model {", "  rankdir=BT;", "  node [shape=box];"]
+    yield "digraph model {\n  rankdir=BT;\n  node [shape=box];\n"
     for et in model.entity_types:
         label_parts = [f"{et.name} <<{et.bww}>>"]
         for a in et.attributes:
             label_parts.append(f"{a.name} : {a.datatype} "
                                f"[{_mult_label(a.multiplicity)}]")
         label = "\\n".join(label_parts)
-        lines.append(f'  "{et.name}" [label="{label}"];')
+        yield f'  "{et.name}" [label="{label}"];\n'
     for g in model.generalizations:
-        lines.append(f'  "{names[g.sub_id]}" -> "{names[g.super_id]}" '
-                     "[arrowhead=onormal];")
+        yield (f'  "{names[g.sub_id]}" -> "{names[g.super_id]}" '
+               "[arrowhead=onormal];\n")
     for r in model.relationships:
         source = names[r.source_id]
         target = names[r.target_id]
@@ -232,15 +237,18 @@ def emit_dot(model: ConceptualModel) -> str:
             whole = names[r.whole]
             part = target if r.whole == r.source_id else source
             tail = "diamond" if r.kind == COMPOSITION else "odiamond"
-            lines.append(f'  "{whole}" -> "{part}" [label="{label}", '
-                         f'dir=both, arrowtail={tail}, arrowhead=none];')
+            yield (f'  "{whole}" -> "{part}" [label="{label}", '
+                   f'dir=both, arrowtail={tail}, arrowhead=none];\n')
         else:
-            lines.append(f'  "{source}" -> "{target}" [label="{label}", '
-                         "arrowhead=vee];")
+            yield (f'  "{source}" -> "{target}" [label="{label}", '
+                   "arrowhead=vee];\n")
     for con, text in zip(model.constraints, _constraint_texts(model, names)):
-        lines.append(f'  "{con.id}" [shape=note, label="{text}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  "{con.id}" [shape=note, label="{text}"];\n'
+    yield "}\n"
+
+
+def emit_dot(model: ConceptualModel) -> str:
+    return "".join(iter_dot(model))
 
 
 # --------------------------------------------------------------------------
@@ -291,14 +299,13 @@ _SECTIONS = {
 FLAG_KINDS = tuple(_SECTIONS)
 
 
-def emit_report(model: ConceptualModel, report: ValidationReport) -> str:
-    lines = ["# Specialist validation report", "",
-             f"Model: {model.name}",
-             f"{len(report.items)} flag(s), {len(report.notes)} note(s)."]
+def iter_report(model: ConceptualModel, report: ValidationReport) -> Iterator[str]:
+    """The review report a line, or a heading, at a time."""
+    yield (f"# Specialist validation report\n\nModel: {model.name}\n"
+           f"{len(report.items)} flag(s), {len(report.notes)} note(s).\n")
     if not report.items and not report.notes:
-        lines.append("")
-        lines.append("Nothing flagged.")
-        return "\n".join(lines) + "\n"
+        yield "\nNothing flagged.\n"
+        return
     by_kind: dict[str, list] = {}
     for item in report.items:
         by_kind.setdefault(item.kind, []).append(item)
@@ -306,12 +313,14 @@ def emit_report(model: ConceptualModel, report: ValidationReport) -> str:
         items = sorted(by_kind.get(kind, ()), key=lambda i: (i.subject, i.detail))
         if not items:
             continue
-        lines.extend(["", f"## {title}", "", origin,
-                      f"Suggested action: {action}", ""])
+        yield f"\n## {title}\n\n{origin}\nSuggested action: {action}\n\n"
         for item in items:
-            lines.append(f"- `{item.subject}`: {item.detail}")
+            yield f"- `{item.subject}`: {item.detail}\n"
     if report.notes:
-        lines.extend(["", "## Notes", ""])
+        yield "\n## Notes\n\n"
         for note in report.notes:
-            lines.append(f"- {note}")
-    return "\n".join(lines) + "\n"
+            yield f"- {note}\n"
+
+
+def emit_report(model: ConceptualModel, report: ValidationReport) -> str:
+    return "".join(iter_report(model, report))

@@ -10,7 +10,7 @@ gatekeeper: a model coming out of the transformation must always pass it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 ASSOCIATION = "association"
 AGGREGATION = "aggregation"
@@ -21,8 +21,7 @@ OR_GROUP = "orGroup"
 DISJOINT_GROUP = "disjoint"
 
 
-@dataclass(frozen=True, slots=True)
-class Multiplicity:
+class Multiplicity(NamedTuple):
     lower: int
     upper: int | None = None  # None means unbounded
 
@@ -35,16 +34,14 @@ class Multiplicity:
 MANY = Multiplicity(0, None)
 
 
-@dataclass(frozen=True, slots=True)
-class Attribute:
+class Attribute(NamedTuple):
     name: str
     datatype: str
     multiplicity: Multiplicity
     origin_property: str
 
 
-@dataclass(frozen=True, slots=True)
-class EntityType:
+class EntityType(NamedTuple):
     id: str
     name: str
     origin_class: str
@@ -53,8 +50,7 @@ class EntityType:
     attributes: tuple[Attribute, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Relationship:
+class Relationship(NamedTuple):
     id: str
     name: str
     source_id: str
@@ -67,27 +63,23 @@ class Relationship:
     group_id: str | None = None  # and/or constraint this edge belongs to
 
 
-@dataclass(frozen=True, slots=True)
-class Generalization:
+class Generalization(NamedTuple):
     sub_id: str
     super_id: str
 
 
-@dataclass(frozen=True, slots=True)
-class SemanticConstraint:
+class SemanticConstraint(NamedTuple):
     id: str
     kind: str
     member_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Instance:
+class Instance(NamedTuple):
     name: str
     type_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class ConceptualModel:
+class ConceptualModel(NamedTuple):
     name: str
     entity_types: tuple[EntityType, ...] = ()
     relationships: tuple[Relationship, ...] = ()
@@ -96,8 +88,7 @@ class ConceptualModel:
     instances: tuple[Instance, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ModelDefect:
+class ModelDefect(NamedTuple):
     kind: str
     subject: str
     message: str
@@ -259,7 +250,7 @@ def _attributes_sorted(et: EntityType) -> EntityType:
     """The entity type with its attributes sorted by name; the same object
     when they already are."""
     attributes = tuple(sorted(et.attributes, key=lambda a: a.name))
-    return et if attributes == et.attributes else replace(et, attributes=attributes)
+    return et if attributes == et.attributes else et._replace(attributes=attributes)
 
 
 def canonical_order(model: ConceptualModel) -> ConceptualModel:

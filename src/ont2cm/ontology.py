@@ -3,17 +3,19 @@
 Everything here is assertion-only. Subsumption and equivalence are taken as
 written in the source document; no description-logic inference is performed.
 A value stores only what the document states; whether a class is defined
-is read off its definition. All values are frozen dataclasses with
-`__slots__`, so they are safe to share across threads, usable as dict keys
-and carry no instance `__dict__`: they take no extra attributes. The
-normalizing stages keep every class, property, axiom and individual they
-leave unchanged as the same object.
+is read off its definition. All values are `typing.NamedTuple`s, so they
+are immutable, safe to share across threads, usable as dict keys and carry
+no instance `__dict__`: they take no extra attributes. A value equals, and
+hashes like, the tuple of its fields, so values of two classes with equal
+fields compare equal; no collection mixes value classes. The normalizing
+stages keep every class, property, axiom and individual they leave
+unchanged as the same object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import chain, compress
+from typing import NamedTuple
 
 # Datatype names accepted for datatype-property ranges.
 DATATYPES = ("string", "integer", "decimal", "boolean", "date")
@@ -41,8 +43,7 @@ SUBCLASS = "subclass"
 SAME_CLASS = "same-class"
 DISJOINT = "disjoint"
 
-@dataclass(frozen=True, slots=True)
-class Restriction:
+class Restriction(NamedTuple):
     """A property constraint: some/only carry a target expression, the
     cardinality flavors carry a non-negative count."""
 
@@ -52,8 +53,7 @@ class Restriction:
     count: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class ClassExpression:
+class ClassExpression(NamedTuple):
     """Recursive class term.
 
     op is one of "named", "and", "or", "not", "restriction". Named terms use
@@ -90,23 +90,20 @@ def format_expr(expr: ClassExpression) -> str:
     return f"restriction({r.on_property}, {r.flavor}, {r.count})"
 
 
-@dataclass(frozen=True, slots=True)
-class ClassDefinition:
+class ClassDefinition(NamedTuple):
     name: str
     definition: ClassExpression | None = None
     local_restrictions: tuple[Restriction, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class PropertyDefinition:
+class PropertyDefinition(NamedTuple):
     name: str
     category: str
     domains: tuple[str, ...] = ()
     range: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Axiom:
+class Axiom(NamedTuple):
     """subclass/same-class pair a subject class with a target expression;
     disjoint requires the target to be a named expression."""
 
@@ -115,14 +112,12 @@ class Axiom:
     target: ClassExpression
 
 
-@dataclass(frozen=True, slots=True)
-class Individual:
+class Individual(NamedTuple):
     name: str
     types: tuple[ClassExpression, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Ontology:
+class Ontology(NamedTuple):
     name: str
     classes: tuple[ClassDefinition, ...] = ()
     properties: tuple[PropertyDefinition, ...] = ()
@@ -130,8 +125,7 @@ class Ontology:
     individuals: tuple[Individual, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class OntologyDefect:
+class OntologyDefect(NamedTuple):
     kind: str
     subject: str
     message: str
@@ -158,7 +152,7 @@ def rename_restriction(r: Restriction, mapping: dict[str, str]) -> Restriction:
     if r.target is None:
         return r
     target = rename_expression(r.target, mapping)
-    return r if target is r.target else replace(r, target=target)
+    return r if target is r.target else r._replace(target=target)
 
 
 def _terms(op: str, expr: ClassExpression) -> list[ClassExpression]:
@@ -354,10 +348,10 @@ def hoist_axiom_restrictions(ont: Ontology) -> Ontology:
     if not moved:
         return ont
     classes = tuple(
-        replace(c, local_restrictions=c.local_restrictions + tuple(moved[c.name]))
+        c._replace(local_restrictions=c.local_restrictions + tuple(moved[c.name]))
         if c.name in moved else c
         for c in ont.classes)
-    return replace(ont, classes=classes, axioms=tuple(kept))
+    return ont._replace(classes=classes, axioms=tuple(kept))
 
 
 def _strongly_connected(edges: dict[str, list[str]]) -> list[list[str]]:
@@ -494,8 +488,8 @@ def collapse_equivalences(ont: Ontology) -> tuple[Ontology, dict[str, str]]:
         types = tuple(rename_expression(t, mapping) for t in i.types)
         individuals.append(i if types == i.types else Individual(i.name, types))
 
-    collapsed = replace(ont, classes=tuple(classes), properties=tuple(properties),
-                        axioms=tuple(axioms), individuals=tuple(individuals))
+    collapsed = ont._replace(classes=tuple(classes), properties=tuple(properties),
+                             axioms=tuple(axioms), individuals=tuple(individuals))
     return collapsed, mapping
 
 

@@ -36,7 +36,7 @@ rather than silently dropped.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .bww import BwwReport, classify
 from .model import (
@@ -90,21 +90,18 @@ _COMPOSITION_TOKENS = frozenset({
 # tokens whose subject is the whole; for the others the subject is the part
 _WHOLE_AT_SOURCE = frozenset({"has", "haspart", "contains", "composedof"})
 
-@dataclass(frozen=True, slots=True)
-class TransformConfig:
+class TransformConfig(NamedTuple):
     composition_heuristics: bool = True
     include_instances: bool = True
 
 
-@dataclass(frozen=True, slots=True)
-class FlaggedItem:
+class FlaggedItem(NamedTuple):
     kind: str
     subject: str
     detail: str
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     items: tuple[FlaggedItem, ...] = ()
     notes: tuple[str, ...] = ()
 
@@ -329,8 +326,8 @@ def _whole_part(relationships: dict[str, Relationship],
         else:
             whole, part = rel.target_id, rel.source_id
         isolated = participation.get(part, 0) == 1
-        upgraded[rid] = replace(rel, kind=COMPOSITION if isolated else AGGREGATION,
-                                whole=whole)
+        upgraded[rid] = rel._replace(kind=COMPOSITION if isolated else AGGREGATION,
+                                     whole=whole)
         if isolated:
             found.flag("compositionCandidate", rid,
                        f"name marks {part} as a part of {whole} and nothing "

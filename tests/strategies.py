@@ -66,11 +66,13 @@ def restrictions(class_names, prop_names, target_strategy=None):
         on_property=st.sampled_from(prop_names),
         flavor=st.sampled_from(["some", "only"]),
         target=target_strategy,
+        count=st.none(),
     )
     counted = st.builds(
         Restriction,
         on_property=st.sampled_from(prop_names),
         flavor=st.sampled_from(["min", "max", "exactly"]),
+        target=st.none(),
         count=st.integers(0, 4),
     )
     return st.one_of(class_flavored, counted)

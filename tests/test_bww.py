@@ -1,6 +1,5 @@
 """Concept grading, checked against an independent closure-based oracle."""
 
-from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -116,8 +115,8 @@ class TestGrading:
     @given(st.data())
     def test_declaration_order_does_not_matter(self, data):
         o = data.draw(ontologies())
-        shuffled = replace(
-            o, classes=tuple(data.draw(st.permutations(o.classes))),
+        shuffled = o._replace(
+            classes=tuple(data.draw(st.permutations(o.classes))),
             properties=tuple(data.draw(st.permutations(o.properties))),
             axioms=tuple(data.draw(st.permutations(o.axioms))))
 

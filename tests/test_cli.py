@@ -299,11 +299,11 @@ def flat_cot(n: int) -> str:
 
 
 class TestStreamedArtifacts:
-    def test_peak_while_writing_is_below_the_model_json(self, tmp_path,
-                                                        monkeypatch):
-        # from the model check on, no artifact is held once written and the
-        # largest, the model JSON, is never held whole: it is written a
-        # record at a time
+    def test_peak_while_writing_is_below_the_smallest_diagram(self, tmp_path,
+                                                              monkeypatch):
+        # from the model check on, no artifact is ever held whole: each is
+        # written a record or a line at a time, so the peak stays below
+        # the smaller diagram, the PlantUML text
         source = tmp_path / "flat.cot"
         source.write_text(flat_cot(600))
         # a first run imports the modules the second one's peak leaves out
@@ -324,7 +324,7 @@ class TestStreamedArtifacts:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < (tmp_path / "flat.model.json").stat().st_size, peak
+        assert peak < (tmp_path / "flat.puml").stat().st_size, peak
 
 
 class TestCheck:
@@ -599,6 +599,8 @@ class TestLazyImports:
                 if name.startswith("ont2cm.")} == modules
         xml = any(name.startswith("xml.etree") for name in imported)
         assert xml == ("damlxml" in modules)
+        # values are NamedTuples: no command builds a dataclass
+        assert not imported & {"dataclasses", "inspect"}
 
     SCRIPT = """
 import json, sys
@@ -606,7 +608,8 @@ import run
 from ont2cm import cli
 
 names = sorted(set(run._CLI_CALLS)
-               | {"check_model", "normalize", "iter_model_json"})
+               | {"check_model", "normalize", "iter_model_json",
+                  "iter_plantuml", "iter_dot", "iter_report"})
 counts = dict.fromkeys(names, 0)
 
 def counting(name, fn):
@@ -625,9 +628,9 @@ print(json.dumps({"exit": code, "counts": counts,
     # hoist_axiom_restrictions and collapse_equivalences resolve, but only
     # normalize calls them
     GRADE = ["normalize", "classify", "emit_bww_json"]
-    # emit_model_json resolves, but transform writes iter_model_json's chunks
+    # the emit_* names resolve, but transform writes the iter_* chunks
     DERIVE = ["derive_model", "check_model", "iter_model_json",
-              "emit_plantuml", "emit_dot", "emit_report"]
+              "iter_plantuml", "iter_dot", "iter_report"]
 
     @pytest.mark.parametrize("command, source, path", [
         ("check", COT, ["parse"] + LOAD),

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ont2cm import cot
+from ont2cm.damlxml import import_daml
 from ont2cm.bww import BwwReport, ConceptClassification, PropertyClassification
 from ont2cm.emit import (
     emit_bww_json,
@@ -17,7 +18,10 @@ from ont2cm.emit import (
     emit_model_json,
     emit_plantuml,
     emit_report,
+    iter_dot,
     iter_model_json,
+    iter_plantuml,
+    iter_report,
     parse_model_json,
 )
 from ont2cm.model import (
@@ -207,6 +211,29 @@ class TestDeterminism:
         assert emit_dot(model).rstrip().endswith("}")
         assert emit_report(model, report).startswith("# Specialist")
         assert emit_bww_json(grading).startswith("{")
+
+
+class TestStreamed:
+    """What `transform` writes, chunk by chunk, is the joined text."""
+
+    @pytest.mark.parametrize("source", ["tambis-mini.cot", "review.cot",
+                                        "excess.daml", "protein.daml"])
+    def test_joined_chunks_are_the_golden_text(self, source):
+        path = FIXTURES / source
+        if path.suffix == ".daml":
+            imported = import_daml(path.read_text(), source_name=path.stem)
+            model, report = derive_model(imported.ontology,
+                                         import_report=imported)[:2]
+        else:
+            model, report = derive_model(cot.parse(path.read_text()))[:2]
+        for suffix, chunks, text in [
+                ("model.json", iter_model_json(model), emit_model_json(model)),
+                ("puml", iter_plantuml(model), emit_plantuml(model)),
+                ("dot", iter_dot(model), emit_dot(model)),
+                ("report.md", iter_report(model, report),
+                 emit_report(model, report))]:
+            golden = FIXTURES / "golden" / f"{path.stem}.{suffix}"
+            assert "".join(chunks) == text == golden.read_text(), suffix
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 inherited-feature resolution."""
 
 from collections import deque
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -178,7 +177,7 @@ def ontologies_with_cycles(draw):
                                ClassExpression("or", members=tuple(
                                    map(named, members)))))
     axioms = list(o.axioms) + extra
-    return replace(o, axioms=tuple(draw(st.permutations(axioms))))
+    return o._replace(axioms=tuple(draw(st.permutations(axioms))))
 
 
 def oracle_alias_map(o):
@@ -364,9 +363,8 @@ def reference_ancestors(index, cls):
 class TestOntologyIndex:
     def test_attached_properties_domains_first_each_once(self):
         o = chain_fixture()
-        mass = replace(o.properties[0], domains=("Macromolecule", "Gene"))
-        index = OntologyIndex(replace(
-            o,
+        mass = o.properties[0]._replace(domains=("Macromolecule", "Gene"))
+        index = OntologyIndex(o._replace(
             classes=o.classes + (ClassDefinition("Gene", local_restrictions=(
                 Restriction("catalyses", "some", target=named("Reaction")),
                 Restriction("undeclared", "min", count=1),

@@ -2,7 +2,6 @@
 unit tests, and the model invariants over generated ontologies."""
 
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import json
@@ -579,10 +578,10 @@ class TestDeterminism:
         data=None)
     def test_statement_order_does_not_matter(self, o, data):
         if data is None:
-            shuffled = replace(o, axioms=o.axioms[::-1])
+            shuffled = o._replace(axioms=o.axioms[::-1])
         else:
-            shuffled = replace(
-                o, classes=tuple(data.draw(st.permutations(o.classes))),
+            shuffled = o._replace(
+                classes=tuple(data.draw(st.permutations(o.classes))),
                 properties=tuple(data.draw(st.permutations(o.properties))),
                 axioms=tuple(data.draw(st.permutations(o.axioms))))
         assert artifacts(shuffled) == artifacts(o)
@@ -676,15 +675,14 @@ def rewrite_boolean(o: Ontology, op: str, rewrite) -> Ontology:
         return rewrite(op, members) if e.op == op else ClassExpression(e.op, members=members)
 
     def restriction(r):
-        return r if r.target is None else replace(r, target=expr(r.target))
+        return r if r.target is None else r._replace(target=expr(r.target))
 
-    return replace(
-        o,
-        classes=tuple(replace(c, definition=c.definition and expr(c.definition),
-                              local_restrictions=tuple(map(restriction, c.local_restrictions)))
+    return o._replace(
+        classes=tuple(c._replace(definition=c.definition and expr(c.definition),
+                                 local_restrictions=tuple(map(restriction, c.local_restrictions)))
                       for c in o.classes),
-        axioms=tuple(replace(ax, target=expr(ax.target)) for ax in o.axioms),
-        individuals=tuple(replace(i, types=tuple(map(expr, i.types)))
+        axioms=tuple(ax._replace(target=expr(ax.target)) for ax in o.axioms),
+        individuals=tuple(i._replace(types=tuple(map(expr, i.types)))
                           for i in o.individuals))
 
 
