@@ -25,6 +25,10 @@ of one named type. Such a line is matched whole by one pattern and builds
 its statement from the groups. Every other line, and every line before the
 header, goes through the token cursor. Both ways give the same statement,
 and a line the cursor rejects raises the same ParseError either way.
+
+The document is split into lines a chunk at a time, and its statements
+share equal values through one `ontology.Shared`: a named term per class
+name and a `domains` tuple per distinct domain list.
 """
 
 from __future__ import annotations
@@ -48,8 +52,8 @@ from .ontology import (
     Ontology,
     PropertyDefinition,
     Restriction,
+    Shared,
     format_expr,
-    named,
     restriction_expr,
 )
 
@@ -95,10 +99,12 @@ def _count(line: int, column: int, digits: str) -> int:
 
 
 class _Cursor:
-    """Token stream for a single statement line; a token is its regex match."""
+    """Token stream for a single statement line; a token is its regex match.
+    `shared` holds the document's shared values."""
 
-    def __init__(self, line_no: int, text: str):
+    def __init__(self, line_no: int, text: str, shared: Shared):
         self.line = line_no
+        self.shared = shared
         self.tokens = list(_TOKEN_RE.finditer(text))
         self.pos = 0
         self.width = len(text)
@@ -175,7 +181,7 @@ def _parse_expr(cur: _Cursor, depth: int = 1) -> ClassExpression:
         r = _restriction_body(cur, prop, flavor_tok, depth + 1)
         cur.literal(")")
         return restriction_expr(r)
-    return named(head)
+    return cur.shared[head]
 
 
 def _restriction_body(cur: _Cursor, prop: str, flavor_tok: re.Match,
@@ -203,7 +209,10 @@ def _parse_property(cur: _Cursor, category: str) -> PropertyDefinition:
         cur.literal("range")
         rng = cur.name("a range name")
     cur.done()
-    return PropertyDefinition(name, category, domains=tuple(domains), range=rng)
+    domains = tuple(domains)
+    return PropertyDefinition(name, category,
+                              domains=cur.shared.setdefault(domains, domains),
+                              range=rng)
 
 
 # A shape's builder interns every word it keeps, so the ontology holds each
@@ -211,20 +220,22 @@ def _parse_property(cur: _Cursor, category: str) -> PropertyDefinition:
 _intern = sys.intern
 
 
-def _restriction_shape(m: re.Match, line: int) -> tuple[str, Restriction]:
+def _restriction_shape(m: re.Match, line: int,
+                       shared: Shared) -> tuple[str, Restriction]:
     if m[3] is not None:
-        r = Restriction(_intern(m[2]), _intern(m[3]), target=named(_intern(m[4])))
+        r = Restriction(_intern(m[2]), _intern(m[3]), target=shared[m[4]])
     else:
         r = Restriction(_intern(m[2]), _intern(m[5]),
                         count=_count(line, m.start(6) + 1, m[6]))
     return _intern(m[1]), r
 
 
-def _property_shape(m: re.Match, line: int) -> PropertyDefinition:
+def _property_shape(m: re.Match, line: int,
+                    shared: Shared) -> PropertyDefinition:
     domains = tuple(map(_intern, _NAMES_RE.findall(m[3]))) if m[3] else ()
     return PropertyDefinition(_intern(m[2]),
                               OBJECT if m[1] == "objprop" else DATATYPE,
-                              domains=domains,
+                              domains=shared.setdefault(domains, domains),
                               range=None if m[4] is None else _intern(m[4]))
 
 
@@ -242,15 +253,15 @@ _SHAPES = (
                 rf"(?:\s+range\s+{_N})?\s*\Z"),
      _property_shape),
     (re.compile(rf"\s*class\s+{_N}\s*\Z"),
-     lambda m, line: partial(ClassDefinition, _intern(m[1]))),
+     lambda m, line, shared: partial(ClassDefinition, _intern(m[1]))),
     (re.compile(rf"\s*(subclass|same-class|disjoint)\s+{_N}\s+{_N}\s*\Z"),
-     lambda m, line: Axiom(_intern(m[1]), _intern(m[2]), named(_intern(m[3])))),
+     lambda m, line, shared: Axiom(_intern(m[1]), _intern(m[2]), shared[m[3]])),
     (re.compile(rf"\s*individual\s+{_N}\s+type\s+{_N}\s*\Z"),
-     lambda m, line: Individual(_intern(m[1]), types=(named(_intern(m[2])),))),
+     lambda m, line, shared: Individual(_intern(m[1]), types=(shared[m[2]],))),
 )
 
 
-def _statement(line_no: int, line: str, after_header: bool):
+def _statement(line_no: int, line: str, after_header: bool, shared: Shared):
     """The statement on one line: the ontology name of a header, a
     (class name, Restriction) pair for a restriction statement, for a class
     a partial ClassDefinition that takes its local restrictions, else the
@@ -259,8 +270,8 @@ def _statement(line_no: int, line: str, after_header: bool):
         for shape, build in _SHAPES:
             m = shape.match(line)
             if m is not None:
-                return build(m, line_no)
-    cur = _Cursor(line_no, line)
+                return build(m, line_no, shared)
+    cur = _Cursor(line_no, line, shared)
     keyword_tok = cur.next("a statement keyword")
     keyword = keyword_tok[0]
     if not after_header and keyword != "ontology":
@@ -296,7 +307,7 @@ def _statement(line_no: int, line: str, after_header: bool):
         first = cur.name("a class name")
         second = cur.name("a class name")
         cur.done()
-        return Axiom(DISJOINT, first, named(second))
+        return Axiom(DISJOINT, first, cur.shared[second])
     if keyword == "restriction":
         cls = cur.name("a class name")
         prop = cur.name("a property name")
@@ -315,6 +326,26 @@ def _statement(line_no: int, line: str, after_header: bool):
     raise cur.error(keyword_tok, f"unknown statement keyword {_echo(keyword)}")
 
 
+# characters of the document split into lines at a time
+_CHUNK_CHARS = 1 << 16
+
+
+def _lines(text: str):
+    """The document's lines. Only \n, \r\n and \r end a line
+    (str.splitlines also splits at \f, \x85...). The text is split a chunk
+    at a time, each chunk ending at a \n, so no list of all lines is built."""
+    start = 0
+    while True:
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        lines = text[start:end].replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if end == len(text):
+            yield from lines
+            return
+        lines.pop()  # the empty piece after the chunk's closing \n
+        yield from lines
+        start = end
+
+
 def parse(text: str) -> Ontology:
     """Parse a document into an Ontology. Raises ParseError with the line
     and column of the first offending token. No validation beyond syntax:
@@ -327,14 +358,13 @@ def parse(text: str) -> Ontology:
     properties: list[PropertyDefinition] = []
     axioms: list[Axiom] = []
     individuals: list[Individual] = []
+    shared = Shared()
 
-    # only \n, \r\n and \r end a line (str.splitlines also splits at \f, \x85...)
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        stmt = _statement(line_no, line, ontology_name is not None)
+        stmt = _statement(line_no, line, ontology_name is not None, shared)
         kind = type(stmt)
         if kind is tuple:
             pending_restrictions.setdefault(stmt[0], []).append(stmt[1])

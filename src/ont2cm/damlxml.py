@@ -33,7 +33,7 @@ from .ontology import (
     Ontology,
     PropertyDefinition,
     Restriction,
-    named,
+    Shared,
     restriction_expr,
     validate_ontology,
 )
@@ -163,6 +163,8 @@ class _Importer:
         # element name -> (count, locator of the first one)
         self.skipped: dict[str, tuple[int, _Loc]] = {}
         self.notes: dict[str, None] = {}  # insertion-ordered set
+        # one named term per class name however often the document names it
+        self.shared = Shared()
 
     # ---- bookkeeping
 
@@ -225,7 +227,7 @@ class _Importer:
             self.tally(el)
             if name is not None:
                 self.skip_children(el, path)
-                return named(name)
+                return self.shared[name]
             expr = None
             for child, cpath in _child_paths(el, path):
                 ctag = _prefixed(child.tag)
@@ -252,7 +254,7 @@ class _Importer:
             resource = el.attrib.get(_RDF_RESOURCE)
             if resource is not None:
                 self.skip_children(el, path)
-                return ClassExpression("not", members=(named(self.ref(resource)),))
+                return ClassExpression("not", members=(self.shared[self.ref(resource)],))
             members = [self._expr(child, cpath)
                        for child, cpath in _child_paths(el, path)]
             if len(members) != 1:
@@ -289,7 +291,7 @@ class _Importer:
                 resource = child.attrib.get(_RDF_RESOURCE)
                 if resource is not None:
                     self.skip_children(child, cpath)
-                    pending.append(("class", flavor, named(self.ref(resource)),
+                    pending.append(("class", flavor, self.shared[self.ref(resource)],
                                     cpath))
                     continue
                 targets = [self._expr(g, gpath)
@@ -371,7 +373,7 @@ class _Importer:
                     self.tally(child)
                     self.skip_children(child, cpath)
                     self.axioms.append(
-                        Axiom(DISJOINT, name, named(self.ref(resource))))
+                        Axiom(DISJOINT, name, self.shared[self.ref(resource)]))
             elif tag in _BOOLEAN_TAGS:
                 expr = self.parse_expr_entry(child, cpath, f"class {name}")
                 if expr is not None:
@@ -392,7 +394,7 @@ class _Importer:
         self.tally(child)
         if resource is not None:
             self.skip_children(child, cpath)
-            self.axioms.append(Axiom(SUBCLASS, subject, named(self.ref(resource))))
+            self.axioms.append(Axiom(SUBCLASS, subject, self.shared[self.ref(resource)]))
             return
         found = False
         for g, gpath in _child_paths(child, cpath):
@@ -409,7 +411,7 @@ class _Importer:
         self.tally(child)
         if resource is not None:
             self.skip_children(child, cpath)
-            self.axioms.append(Axiom(SAME_CLASS, name, named(self.ref(resource))))
+            self.axioms.append(Axiom(SAME_CLASS, name, self.shared[self.ref(resource)]))
             return
         for g, gpath in _child_paths(child, cpath):
             expr = self.parse_expr_entry(g, gpath, f"class {name}")
@@ -475,14 +477,14 @@ class _Importer:
             return
         self.tally(el)
         types = self.ind_types.setdefault(name, [])
-        if type_name is not None and named(type_name) not in types:
-            types.append(named(type_name))
+        if type_name is not None and self.shared[type_name] not in types:
+            types.append(self.shared[type_name])
         for child, cpath in _child_paths(el, path):
             resource = child.attrib.get(_RDF_RESOURCE)
             if _prefixed(child.tag) == "rdf:type" and resource is not None:
                 self.tally(child)
                 self.skip_children(child, cpath)
-                ref = named(self.ref(resource))
+                ref = self.shared[self.ref(resource)]
                 if ref not in types:
                     types.append(ref)
             else:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
+from functools import cache
 
 from .bww import _block, _str, emit_bww_json  # noqa: F401 (re-exported)
 from .model import (
@@ -65,14 +66,15 @@ def _array(records: Iterable[str]) -> Iterator[str]:
 
 def iter_model_json(model: ConceptualModel) -> Iterator[str]:
     """The model JSON a record at a time, so no more than one record is
-    laid out at once."""
+    laid out at once. Each distinct multiplicity is laid out once."""
+    mult_json = cache(_mult_json)
     yield f'{{\n  "name": {_str(model.name)},\n  "entityTypes": '
     yield from _array((
         f'{{\n      "id": {_str(et.id)},\n      "name": {_str(et.name)},\n'
         f'      "originClass": {_str(et.origin_class)},\n      "bww": {_str(et.bww)},\n'
         f'      "definitionKind": {_str(et.definition_kind)},\n      "attributes": ' + _block([
             f'{{\n          "name": {_str(a.name)},\n          "datatype": {_str(a.datatype)},\n'
-            f'          "multiplicity": {_mult_json(a.multiplicity, " " * 10)},\n'
+            f'          "multiplicity": {mult_json(a.multiplicity, " " * 10)},\n'
             f'          "originProperty": {_str(a.origin_property)}\n        }}'
             for a in et.attributes], " " * 6) + "\n    }"
         for et in model.entity_types))
@@ -80,8 +82,8 @@ def iter_model_json(model: ConceptualModel) -> Iterator[str]:
     yield from _array((
         f'{{\n      "id": {_str(r.id)},\n      "name": {_str(r.name)},\n'
         f'      "sourceId": {_str(r.source_id)},\n      "targetId": {_str(r.target_id)},\n'
-        f'      "sourceMult": {_mult_json(r.source_mult, " " * 6)},\n'
-        f'      "targetMult": {_mult_json(r.target_mult, " " * 6)},\n'
+        f'      "sourceMult": {mult_json(r.source_mult, " " * 6)},\n'
+        f'      "targetMult": {mult_json(r.target_mult, " " * 6)},\n'
         f'      "exclusive": {"true" if r.exclusive else "false"},\n'
         f'      "kind": {_str(r.kind)},\n'
         f'      "whole": {"null" if r.whole is None else _str(r.whole)},\n'
@@ -166,9 +168,11 @@ _CONSTRAINT_LABELS = {AND_GROUP: "and", DISJOINT_GROUP: "disjoint"}
 
 def _constraint_texts(model: ConceptualModel, names: dict[str, str]) -> Iterator[str]:
     """Note text per constraint, in model order."""
-    # reversed, so the first relationship of a repeated id wins
-    relationships = {r.id: r for r in reversed(model.relationships)}
+    relationships = None
     for con in model.constraints:
+        if relationships is None:
+            # reversed, so the first relationship of a repeated id wins
+            relationships = {r.id: r for r in reversed(model.relationships)}
         label = _CONSTRAINT_LABELS.get(con.kind, "or")
         members = ", ".join(_member_label(names, relationships, m)
                             for m in con.member_ids)
@@ -178,6 +182,7 @@ def _constraint_texts(model: ConceptualModel, names: dict[str, str]) -> Iterator
 def iter_plantuml(model: ConceptualModel) -> Iterator[str]:
     """The PlantUML text a line, or a fixed heading, at a time."""
     names = _names(model)
+    mult_label = cache(_mult_label)
     yield f"@startuml\ntitle {model.name}\n"
     for et in model.entity_types:
         head = f"class {et.name} <<{et.bww}>>"
@@ -185,7 +190,7 @@ def iter_plantuml(model: ConceptualModel) -> Iterator[str]:
             yield head + " {\n"
             for a in et.attributes:
                 yield (f"  {a.name} : {a.datatype} "
-                       f"[{_mult_label(a.multiplicity)}]\n")
+                       f"[{mult_label(a.multiplicity)}]\n")
             yield "}\n"
         else:
             yield head + "\n"
@@ -201,8 +206,8 @@ def iter_plantuml(model: ConceptualModel) -> Iterator[str]:
             part = target if r.whole == r.source_id else source
             yield f"{whole} {connector} {part} : {label}\n"
         else:
-            yield (f'{source} "{_mult_label(r.source_mult)}" --> '
-                   f'"{_mult_label(r.target_mult)}" {target} : {label}\n')
+            yield (f'{source} "{mult_label(r.source_mult)}" --> '
+                   f'"{mult_label(r.target_mult)}" {target} : {label}\n')
     for n, text in enumerate(_constraint_texts(model, names), start=1):
         yield f'note "{text}" as N{n}\n'
     yield "@enduml\n"
@@ -215,12 +220,13 @@ def emit_plantuml(model: ConceptualModel) -> str:
 def iter_dot(model: ConceptualModel) -> Iterator[str]:
     """The Graphviz text a line, or a fixed heading, at a time."""
     names = _names(model)
+    mult_label = cache(_mult_label)
     yield "digraph model {\n  rankdir=BT;\n  node [shape=box];\n"
     for et in model.entity_types:
         label_parts = [f"{et.name} <<{et.bww}>>"]
         for a in et.attributes:
             label_parts.append(f"{a.name} : {a.datatype} "
-                               f"[{_mult_label(a.multiplicity)}]")
+                               f"[{mult_label(a.multiplicity)}]")
         label = "\\n".join(label_parts)
         yield f'  "{et.name}" [label="{label}"];\n'
     for g in model.generalizations:
@@ -229,8 +235,8 @@ def iter_dot(model: ConceptualModel) -> Iterator[str]:
     for r in model.relationships:
         source = names[r.source_id]
         target = names[r.target_id]
-        label = (f"{r.name} ({_mult_label(r.source_mult)}, "
-                 f"{_mult_label(r.target_mult)})")
+        label = (f"{r.name} ({mult_label(r.source_mult)}, "
+                 f"{mult_label(r.target_mult)})")
         if r.exclusive:
             label += " {exclusive}"
         if r.kind in (AGGREGATION, COMPOSITION):

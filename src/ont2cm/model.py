@@ -10,6 +10,7 @@ gatekeeper: a model coming out of the transformation must always pass it.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import NamedTuple
 
 ASSOCIATION = "association"
@@ -258,13 +259,15 @@ def canonical_order(model: ConceptualModel) -> ConceptualModel:
     models with the same content compare equal after ordering."""
     entity_types = tuple(sorted(map(_attributes_sorted, model.entity_types),
                                 key=lambda et: et.name))
-    relationships = tuple(sorted(
-        model.relationships,
-        key=lambda r: (r.name, r.source_id, r.target_id)))
+    # by (name, source_id, target_id): stable sorts, the least significant
+    # key first, so no key tuple is built per relationship
+    relationships = sorted(model.relationships, key=attrgetter("target_id"))
+    relationships.sort(key=attrgetter("source_id"))
+    relationships.sort(key=attrgetter("name"))
     generalizations = tuple(sorted(
         model.generalizations, key=lambda g: (g.sub_id, g.super_id)))
     constraints = tuple(sorted(
         model.constraints, key=lambda c: (c.kind, c.member_ids, c.id)))
     instances = tuple(sorted(model.instances, key=lambda i: i.name))
-    return ConceptualModel(model.name, entity_types, relationships,
+    return ConceptualModel(model.name, entity_types, tuple(relationships),
                            generalizations, constraints, instances)

@@ -10,10 +10,18 @@ hashes like, the tuple of its fields, so values of two classes with equal
 fields compare equal; no collection mixes value classes. The normalizing
 stages keep every class, property, axiom and individual they leave
 unchanged as the same object.
+
+Equal values are shared where a document repeats them: each front end
+keeps a `Shared` for the document it reads, so the ontology holds one named
+term per class however often the document names it, and `cot.parse` builds
+one `domains` tuple per distinct domain list. `OntologyIndex` keeps a
+class's own `local_restrictions` tuple as its direct restrictions unless
+an axiom or its definition adds some.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import chain, compress
 from typing import NamedTuple
 
@@ -69,6 +77,19 @@ class ClassExpression(NamedTuple):
 
 def named(name: str) -> ClassExpression:
     return ClassExpression("named", name=name)
+
+
+class Shared(dict):
+    """Equal values of one document, each built once and reused: a front
+    end keeps one for the document it reads. `shared[name]` is the named
+    term of a class name, built at its first lookup with the name
+    interned; `shared.setdefault(value, value)` is the first of any other
+    equal values. A name is a string, so it never equals another value."""
+
+    def __missing__(self, name: str) -> ClassExpression:
+        name = sys.intern(name)
+        term = self[name] = named(name)
+        return term
 
 
 def restriction_expr(r: Restriction) -> ClassExpression:
@@ -524,7 +545,7 @@ def superclass_statements(ont: Ontology):
             yield kind, subject, expr, sources[kind], conjuncts(expr)
 
 
-def _asserted(ont: Ontology) -> tuple[dict[str, list[Restriction]],
+def _asserted(ont: Ontology) -> tuple[dict[str, tuple[Restriction, ...]],
                                       dict[str, tuple[str, ...]]]:
     """Per class, the restrictions asserted on it and the declared
     properties attached to it; see `OntologyIndex.direct_restrictions` and
@@ -540,15 +561,18 @@ def _asserted(ont: Ontology) -> tuple[dict[str, list[Restriction]],
     for ax in ont.axioms:
         if ax.kind in (SUBCLASS, SAME_CLASS):
             targets_of.setdefault(ax.subject, []).append(ax.target)
-    direct: dict[str, list[Restriction]] = {}
+    direct: dict[str, tuple[Restriction, ...]] = {}
     attached: dict[str, tuple[str, ...]] = {}
     for cls in ont.classes:
-        restrictions = list(cls.local_restrictions)
-        stated = targets_of.get(cls.name, [])
+        stated = targets_of.get(cls.name, ())
         if cls.definition is not None:
-            stated = [cls.definition, *stated]
-        restrictions.extend(t.restriction for expr in stated
-                            for t in conjuncts(expr) if t.op == "restriction")
+            stated = (cls.definition, *stated)
+        stated_restrictions = tuple(t.restriction for expr in stated
+                                    for t in conjuncts(expr)
+                                    if t.op == "restriction")
+        # a class with nothing stated keeps its own tuple
+        restrictions = (cls.local_restrictions + stated_restrictions
+                        if stated_restrictions else cls.local_restrictions)
         direct[cls.name] = restrictions
         names = dict.fromkeys(domains_of.get(cls.name, ()))
         names.update(dict.fromkeys(r.on_property for r in restrictions
@@ -686,9 +710,9 @@ class OntologyIndex:
         ancestors, for a class that asserts none on `prop` itself."""
         hits = (self._occurrence_bits.get(cls, 0)
                 & self._cardinality_mask.get(prop, 0))
-        return list(_decode(hits, self._occurrences))
+        return list(_decode(hits, self._occurrences)) if hits else []
 
-    def direct_restrictions(self, cls: str) -> list[Restriction]:
+    def direct_restrictions(self, cls: str) -> tuple[Restriction, ...]:
         """Restrictions asserted on the class itself: local ones, plus
         restriction conjuncts of its subclass/same-class axiom targets and of
         its definition."""

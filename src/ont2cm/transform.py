@@ -35,7 +35,6 @@ rather than silently dropped.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 from .bww import BwwReport, classify
@@ -110,10 +109,13 @@ def normalize_token(name: str) -> str:
     return name.lower().replace("-", "").replace("_", "")
 
 
-def merged_multiplicity(index: OntologyIndex, cls: str, prop: str) -> Multiplicity:
+def merged_multiplicity(index: OntologyIndex, cls: str, prop: str,
+                        bounds: dict[Multiplicity, Multiplicity]) -> Multiplicity:
     """Fold cardinality restrictions on (cls, prop) into one bound. Direct
     restrictions win over inherited ones; with neither the bound stays at
-    the open default (0, unbounded), the shared `MANY`."""
+    the open default (0, unbounded), the shared `MANY`. Any other bound is
+    the first equal one in `bounds`, so the calls sharing `bounds` return
+    one object per distinct bound."""
     picked = [r for r in index.direct_restrictions(cls)
               if r.on_property == prop and r.flavor in CARDINALITY_FLAVORS]
     if not picked:
@@ -124,18 +126,23 @@ def merged_multiplicity(index: OntologyIndex, cls: str, prop: str) -> Multiplici
             lower = max(lower, r.count)
         if r.flavor in (MAX, EXACTLY):
             upper = r.count if upper is None else min(upper, r.count)
-    if upper is None:
-        return MANY if lower == 0 else Multiplicity(lower)
-    return Multiplicity(lower, upper)
+    if upper is None and lower == 0:
+        return MANY
+    mult = Multiplicity(lower, upper)
+    return bounds.setdefault(mult, mult)
 
 
 class _Findings:
-    """Review flags and notes as the stages raise them; the report keeps
-    the first of each repeat."""
+    """What the stages find: review flags and notes as they raise them,
+    the report keeping the first of each repeat, and the names of the
+    properties that map to nothing. Also the merged bounds so far, for
+    `merged_multiplicity`."""
 
     def __init__(self) -> None:
         self.flags: list[FlaggedItem] = []
         self.notes: list[str] = []
+        self.dropped: set[str] = set()
+        self.bounds: dict[Multiplicity, Multiplicity] = {}
 
     def flag(self, kind: str, subject: str, detail: str) -> None:
         self.flags.append(FlaggedItem(kind, subject, detail))
@@ -147,25 +154,37 @@ class _Findings:
 
 def _bounded(index: OntologyIndex, found: _Findings, cls: str,
              prop: str) -> Multiplicity:
-    mult = merged_multiplicity(index, cls, prop)
+    mult = merged_multiplicity(index, cls, prop, found.bounds)
     if mult.unsatisfiable:
         found.flag("unsatisfiableMultiplicity", f"{cls}.{prop}",
                    f"merged bounds ({mult.lower}, {mult.upper}) cannot be met")
     return mult
 
 
-def _attributes(ont: Ontology, index: OntologyIndex,
-                sites: dict[str, list[str]],
-                found: _Findings) -> dict[str, list[Attribute]]:
+def _entity_types(ont: Ontology, index: OntologyIndex,
+                  sites: dict[str, list[str]], entity_ids: dict[str, str],
+                  categories: dict[str, str],
+                  found: _Findings) -> tuple[EntityType, ...]:
+    """One entity type per class, with an attribute for each datatype
+    property attached to it. Takes the datatype properties' sites out of
+    `sites`."""
     attributes: dict[str, list[Attribute]] = {c.name: [] for c in ont.classes}
     for p in ont.properties:
         if p.category != DATATYPE:
             continue
         datatype = p.range if p.range in DATATYPES else "string"
-        for site in sites[p.name]:
+        p_sites = sites.pop(p.name)
+        if not p_sites:
+            found.dropped.add(p.name)
+        for site in p_sites:
             attributes[site].append(Attribute(
                 p.name, datatype, _bounded(index, found, site, p.name), p.name))
-    return attributes
+    return tuple(
+        EntityType(entity_ids[cls.name], cls.name, cls.name,
+                   categories[cls.name],
+                   PRIMITIVE if cls.definition is None else DEFINED,
+                   tuple(attributes[cls.name]))
+        for cls in ont.classes)
 
 
 def _generalizations(ont: Ontology, index: OntologyIndex,
@@ -220,13 +239,15 @@ def _relationships(ont: Ontology, index: OntologyIndex,
                               dict[str, tuple[str, list[str]]]]:
     """One relationship per (object property, site, target), by id, and
     the kind and member ids of each and/or group, by group id. Each group
-    joins the two or more targets of one and/or pool."""
+    joins the two or more targets of one and/or pool. Takes the object
+    properties' sites out of `sites`."""
     relationships: dict[str, Relationship] = {}
     groups: dict[str, tuple[str, list[str]]] = {}
     for p in ont.properties:
         if p.category != OBJECT:
             continue
-        for site in sites[p.name]:
+        before = len(relationships)
+        for site in sites.pop(p.name):
             where = f"restriction {site}.{p.name}"
             specs: list[tuple[str, str | None, str | None]] = []
             for r in index.direct_restrictions(site):
@@ -257,14 +278,15 @@ def _relationships(ont: Ontology, index: OntologyIndex,
             for target, _, pool in specs:
                 if pool is not None and pool_of.get(target) != "or":
                     pool_of[target] = pool
-            pool_size = Counter(pool_of.values())
+            ors = sum(pool == "or" for pool in pool_of.values())
+            ands = len(pool_of) - ors
 
             mult = _bounded(index, found, site, p.name)
             for target in dict.fromkeys(spec[0] for spec in specs):
                 pool = pool_of.get(target)
                 rid = relationship_id(p.name, site, target)
                 group_id = None
-                if pool is not None and pool_size[pool] >= 2:
+                if pool is not None and (ors if pool == "or" else ands) >= 2:
                     group_id = f"con:{pool}:{site}:{p.name}"
                     kind = AND_GROUP if pool == "and" else OR_GROUP
                     groups.setdefault(group_id, (kind, []))[1].append(rid)
@@ -282,16 +304,15 @@ def _relationships(ont: Ontology, index: OntologyIndex,
                     found.notes.append(
                         f"property {p.name}: declared range {p.range} is "
                         f"unrelated to restriction target {target} on {site}")
+        if len(relationships) == before:
+            found.dropped.add(p.name)
     return relationships, groups
 
 
-def _dropped_properties(ont: Ontology, attributes: dict[str, list[Attribute]],
-                        relationships: dict[str, Relationship],
-                        found: _Findings) -> None:
-    mapped = {a.origin_property for attrs in attributes.values() for a in attrs}
-    mapped.update(rel.name for rel in relationships.values())
+def _dropped_properties(ont: Ontology, found: _Findings) -> None:
+    """Flag the properties that map to nothing, in declaration order."""
     for p in ont.properties:
-        if p.name in mapped:
+        if p.name not in found.dropped:
             continue
         if p.category == OBJECT:
             found.flag("droppedProperty", p.name,
@@ -434,16 +455,22 @@ def transform(ont: Ontology, *, bww_report: BwwReport, index: OntologyIndex,
 
     found = _Findings()
     entity_ids = {cls.name: entity_id(cls.name) for cls in ont.classes}
-    # property attachment sites, in class declaration order per property
+    categories = {c.name: c.category for c in bww_report.concepts}
+    # property attachment sites, in class declaration order per property;
+    # the stages mapping the properties take them out as they go
     sites: dict[str, list[str]] = {p.name: [] for p in ont.properties}
     for cls in ont.classes:
         for name in index.attached_properties(cls.name):
             sites[name].append(cls.name)
 
-    attributes = _attributes(ont, index, sites, found)
+    entity_types = _entity_types(ont, index, sites, entity_ids, categories, found)
     generalizations, union_groups = _generalizations(ont, index, entity_ids, found)
     relationships, groups = _relationships(ont, index, sites, entity_ids, found)
-    _dropped_properties(ont, attributes, relationships, found)
+    # the sites left are those of properties of neither category, which
+    # map to nothing; the table stays the size of a full one until freed
+    found.dropped.update(sites)
+    del sites
+    _dropped_properties(ont, found)
     if config.composition_heuristics:
         relationships = _whole_part(relationships, found)
     constraints = _constraints(ont, union_groups, groups, entity_ids, found)
@@ -454,15 +481,8 @@ def transform(ont: Ontology, *, bww_report: BwwReport, index: OntologyIndex,
         if ont.individuals:
             found.notes.append(f"{len(ont.individuals)} individual(s) excluded "
                                "by configuration")
-    categories = {c.name: c.category for c in bww_report.concepts}
     _diagnostics(ont, categories, config, alias_map, import_report, found)
 
-    entity_types = tuple(
-        EntityType(entity_ids[cls.name], cls.name, cls.name,
-                   categories[cls.name],
-                   PRIMITIVE if cls.definition is None else DEFINED,
-                   tuple(attributes[cls.name]))
-        for cls in ont.classes)
     model = canonical_order(ConceptualModel(
         ont.name,
         entity_types=entity_types,

@@ -299,15 +299,16 @@ def flat_cot(n: int) -> str:
 
 
 class TestStreamedArtifacts:
-    def test_peak_while_writing_is_below_the_smallest_diagram(self, tmp_path,
-                                                              monkeypatch):
-        # from the model check on, no artifact is ever held whole: each is
-        # written a record or a line at a time, so the peak stays below
-        # the smaller diagram, the PlantUML text
+    @staticmethod
+    def peak_while_writing(tmp_path, *options) -> int:
+        """The traced peak of `transform` on `flat_cot(600)` from the model
+        check to exit, above the memory in use at the check."""
+        tmp_path.mkdir(exist_ok=True)
         source = tmp_path / "flat.cot"
         source.write_text(flat_cot(600))
         # a first run imports the modules the second one's peak leaves out
-        assert run("transform", str(source), "--out", str(tmp_path / "first")) == 0
+        assert run("transform", str(source), "--out", str(tmp_path / "first"),
+                   *options) == 0
         check_model, start = cli.check_model, []
 
         def checked(model):
@@ -316,15 +317,31 @@ class TestStreamedArtifacts:
             tracemalloc.reset_peak()
             return defects
 
-        monkeypatch.setattr(cli, "check_model", checked)
-        tracemalloc.start()
-        try:
-            code = run("transform", str(source), "--out", str(tmp_path))
-            peak = tracemalloc.get_traced_memory()[1] - start[0]
-        finally:
-            tracemalloc.stop()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "check_model", checked)
+            tracemalloc.start()
+            try:
+                code = run("transform", str(source), "--out", str(tmp_path),
+                           *options)
+                peak = tracemalloc.get_traced_memory()[1] - start[0]
+            finally:
+                tracemalloc.stop()
         assert code == 0
+        return peak
+
+    def test_peak_while_writing_is_below_the_smallest_diagram(self, tmp_path):
+        # from the model check on, no artifact is ever held whole: each is
+        # written a record or a line at a time, so the peak stays below
+        # the smaller diagram, the PlantUML text
+        peak = self.peak_while_writing(tmp_path)
         assert peak < (tmp_path / "flat.puml").stat().st_size, peak
+
+    def test_plantuml_without_constraints_peaks_as_low_as_dot(self, tmp_path):
+        # the flat ontology has no constraints, so the PlantUML notes look
+        # up no relationship by id and need no map of them
+        peaks = {kind: self.peak_while_writing(tmp_path / kind, "--emit", kind)
+                 for kind in ("plantuml", "dot")}
+        assert peaks["plantuml"] < 1.5 * peaks["dot"], peaks
 
 
 class TestCheck:

@@ -159,6 +159,30 @@ class TestErrors:
             cot.parse(text)
         assert exc.value.line == 4
 
+    MIXED = "ontology x\r\nclass A\rclass B\n\r\nclass C # c\r\rclass D"
+
+    # the document is split into lines a chunk at a time; any chunk size,
+    # down to one character, gives the lines of a whole-text split
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 1 << 16])
+    def test_mixed_line_ends_in_any_chunks(self, chunk, monkeypatch):
+        monkeypatch.setattr(cot, "_CHUNK_CHARS", chunk)
+        # the last line has no line end
+        assert [c.name for c in cot.parse(self.MIXED).classes] == list("ABCD")
+        with pytest.raises(cot.ParseError) as exc:
+            cot.parse(self.MIXED + " junk")
+        assert (exc.value.line, exc.value.column) == (7, 9)
+        with pytest.raises(cot.ParseError) as exc:
+            cot.parse(self.MIXED.replace("class B", "class B junk"))
+        assert (exc.value.line, exc.value.column) == (3, 9)
+
+    def test_error_on_the_last_line_of_many_chunks(self):
+        ends = ("\n", "\r\n", "\r")
+        text = "".join(f"class C{i}{ends[i % 3]}" for i in range(30000))
+        assert len(text) > 4 * cot._CHUNK_CHARS
+        with pytest.raises(cot.ParseError) as exc:
+            cot.parse(f"ontology x\n{text}class C junk")
+        assert (exc.value.line, exc.value.column) == (30002, 9)
+
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(st.sampled_from(["", "ontology t\n"]), st.one_of(
         st.text(max_size=60),
@@ -212,7 +236,7 @@ class TestShapes:
         read = []
         cursor = cot._Cursor
         monkeypatch.setattr(cot, "_Cursor",
-                            lambda line, text: read.append(line) or cursor(line, text))
+                            lambda line, *rest: read.append(line) or cursor(line, *rest))
         cot.parse(SAMPLE)
         # the header, the definition and the individual of two types
         assert read == [2, 6, 14]

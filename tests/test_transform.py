@@ -755,10 +755,11 @@ class TestIndexAgainstReferences:
         # uncollapsed, so cycle co-members inherit from each other
         index = OntologyIndex(o)
         names = [c.name for c in o.classes]
+        bounds = {}
         for cls in names:
             above = reference_ancestors(index, cls)
             for p in o.properties:
-                assert merged_multiplicity(index, cls, p.name) == \
+                assert merged_multiplicity(index, cls, p.name, bounds) == \
                     reference_multiplicity(index, above, cls, p.name), (cls, p.name)
             # the range test in `_relationships`, for every (range, target)
             for sup in names:

@@ -1,8 +1,10 @@
-"""Value classes stay frozen and take no per-instance dict, and the
+"""Value classes stay frozen and take no per-instance dict, the
 normalizing stages keep as the same object every value they leave
-unchanged."""
+unchanged, equal values a document repeats are built once, and the
+pipeline holds little beside what it keeps."""
 
 import gc
+import tracemalloc
 
 import pytest
 
@@ -13,7 +15,10 @@ from ont2cm.ontology import (
     collapse_equivalences,
     hoist_axiom_restrictions,
 )
-from ont2cm.transform import merged_multiplicity
+from ont2cm.transform import derive_model, merged_multiplicity
+
+from test_cli import flat_cot
+from test_daml import doc
 
 # every value class is a NamedTuple: a tuple subclass with `_fields`
 VALUE_CLASSES = [
@@ -95,4 +100,113 @@ def test_open_bound_is_the_shared_many():
                     "restriction B p some A\nsubclass B A\n")
     index = OntologyIndex(ont)
     for cls, prop in (("A", "p"), ("B", "p"), ("B", "q")):
-        assert merged_multiplicity(index, cls, prop) is MANY
+        assert merged_multiplicity(index, cls, prop, {}) is MANY
+
+
+def expressions(ont):
+    """Every class expression the ontology holds, nested ones included."""
+    stack = [c.definition for c in ont.classes if c.definition is not None]
+    stack += [r.target for c in ont.classes for r in c.local_restrictions
+              if r.target is not None]
+    stack += [ax.target for ax in ont.axioms]
+    stack += [t for ind in ont.individuals for t in ind.types]
+    while stack:
+        expr = stack.pop()
+        yield expr
+        stack.extend(expr.members)
+        if expr.restriction is not None and expr.restriction.target is not None:
+            stack.append(expr.restriction.target)
+
+
+def assert_one_term_per_name(ont):
+    terms = {}
+    for expr in expressions(ont):
+        if expr.op == "named":
+            terms.setdefault(expr.name, set()).add(id(expr))
+    assert terms and all(len(ids) == 1 for ids in terms.values()), terms
+
+
+def test_parse_builds_one_term_per_class_and_one_tuple_per_domain_list():
+    ont = cot.parse("ontology t\nclass A\nclass B\nclass C\n"
+                    "objprop p domain A, B range C\ndataprop d domain A,B\n"
+                    "objprop q domain A\ndataprop e domain A\n"
+                    "restriction A p some B\nrestriction B p only B\n"
+                    "restriction C p some or(A, B)\n"
+                    "subclass A B\nsame-class C and(A, not(B))\ndisjoint A B\n"
+                    "defined-class D = and(B, restriction(p, some, B))\n"
+                    "individual i type B\nindividual j type A, not(B)\n")
+    assert_one_term_per_name(ont)
+    p, d, q, e = ont.properties
+    assert p.domains is d.domains
+    assert q.domains is e.domains
+
+
+def test_import_builds_one_term_per_class():
+    ont = damlxml.import_daml(doc("""
+      <daml:Class rdf:ID="A">
+        <rdfs:subClassOf rdf:resource="#B"/>
+        <daml:disjointWith rdf:resource="#C"/>
+        <rdfs:subClassOf><daml:Restriction>
+          <daml:onProperty rdf:resource="#p"/>
+          <daml:hasClass rdf:resource="#B"/>
+        </daml:Restriction></rdfs:subClassOf>
+      </daml:Class>
+      <daml:Class rdf:ID="B">
+        <daml:sameClassAs rdf:resource="#C"/>
+        <rdfs:subClassOf><daml:Class>
+          <daml:complementOf rdf:resource="#A"/>
+        </daml:Class></rdfs:subClassOf>
+      </daml:Class>
+      <daml:Class rdf:ID="C">
+        <daml:unionOf rdf:parseType="daml:collection">
+          <daml:Class rdf:about="#A"/><daml:Class rdf:about="#B"/>
+        </daml:unionOf>
+      </daml:Class>
+      <daml:ObjectProperty rdf:ID="p"/>
+      <rdf:Description rdf:ID="i"><rdf:type rdf:resource="#B"/></rdf:Description>
+      <A rdf:ID="j"><rdf:type rdf:resource="#C"/></A>
+    """)).ontology
+    assert_one_term_per_name(ont)
+    assert len(list(expressions(ont))) > 3 * len(ont.classes)
+
+
+def test_a_class_without_stated_restrictions_keeps_its_own_tuple():
+    ont = cot.parse("ontology t\nclass A\nclass B\nobjprop p\n"
+                    "restriction A p some B\nrestriction B p some A\n"
+                    "subclass B restriction(p, only, A)\n")
+    index = OntologyIndex(ont)
+    a, b = ont.classes
+    assert index.direct_restrictions("A") is a.local_restrictions
+    assert index.direct_restrictions("B") == (
+        *b.local_restrictions, ont.axioms[0].target.restriction)
+
+
+def test_one_multiplicity_per_distinct_bound():
+    model, *_ = derive_model(cot.parse(flat_cot(40)))
+    bounds = [a.multiplicity for et in model.entity_types for a in et.attributes]
+    bounds += [m for r in model.relationships for m in (r.source_mult, r.target_mult)]
+    assert len({id(m) for m in bounds}) == len(set(bounds)) == 6
+
+
+def traced(call, *args) -> tuple[int, int]:
+    """The traced memory `call(*args)` keeps in its result, and its traced
+    peak."""
+    tracemalloc.start()
+    try:
+        result = call(*args)  # noqa: F841 (kept alive while measured)
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_holds_no_list_of_all_lines():
+    text = flat_cot(2000)
+    kept, peak = traced(cot.parse, text)
+    assert peak - kept < 3 * len(text), (peak, kept, len(text))
+
+
+def test_derive_model_holds_little_beside_its_result():
+    # no per-property scaffolding or copied restriction lists live at the
+    # peak, so it exceeds what the call returns by less than half
+    kept, peak = traced(derive_model, cot.parse(flat_cot(2000)))
+    assert peak - kept < kept / 2, (peak, kept)
