@@ -122,7 +122,8 @@ def _build_parser() -> _Parser:
 
 
 def _load(path_text: str, fmt: str | None):
-    """(ontology, the import report of an RDF/XML input or None)."""
+    """(ontology, its validation defects, the import report of an RDF/XML
+    input or None). An RDF/XML import validates what it builds itself."""
     path = Path(path_text)
     if fmt is None:
         fmt = "damlxml" if path.suffix.lower() in _XML_EXTENSIONS else "cot"
@@ -138,17 +139,18 @@ def _load(path_text: str, fmt: str | None):
             report = _lib.import_daml(text, source_name=path.stem)
         except _lib.DamlImportError as exc:
             raise _Error(f"{path}: {exc}")
-        return report.ontology, report
+        return report.ontology, report.defects, report
     try:
-        return _lib.parse(text), None
+        ontology = _lib.parse(text)
     except _lib.ParseError as exc:
         raise _Error(f"{path}: {exc}")
+    return ontology, _lib.validate_ontology(ontology), None
 
 
-def _validated(ontology) -> int:
-    defects = _lib.validate_ontology(ontology)
+def _reported(defects, prefix: str = "defect") -> int:
+    """Print each defect as a `prefix [kind] subject: message` line; count them."""
     for defect in defects:
-        _info(f"defect [{defect.kind}] {defect.subject}: {defect.message}")
+        _info(f"{prefix} [{defect.kind}] {defect.subject}: {defect.message}")
     return len(defects)
 
 
@@ -204,8 +206,8 @@ def _cmd_transform(args) -> int:
     if args.out == "-" and len(kinds) != 1:
         raise _UsageError("ont2cm: error: --out - needs exactly one "
                           "--emit format")
-    ontology, import_report = _load(args.input, args.format)
-    if _validated(ontology):
+    ontology, defects, import_report = _load(args.input, args.format)
+    if _reported(defects):
         return 2
     config = _lib.TransformConfig(
         composition_heuristics=args.composition_heuristics == "on",
@@ -214,11 +216,7 @@ def _cmd_transform(args) -> int:
         ontology, config=config, import_report=import_report)[:2]
     # only the model and the review report stay live while rendering
     del ontology, import_report
-    defects = _lib.check_model(model)
-    if defects:
-        for defect in defects:
-            _info(f"internal defect [{defect.kind}] {defect.subject}: "
-                  f"{defect.message}")
+    if _reported(_lib.check_model(model), "internal defect"):
         return 3
     _info(f"{model.name}: {len(model.entity_types)} entity type(s), "
           f"{len(model.relationships)} relationship(s), "
@@ -231,8 +229,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    ontology, _ = _load(args.input, args.format)
-    if _validated(ontology):
+    ontology, defects, _ = _load(args.input, args.format)
+    if _reported(defects):
         return 2
     collapsed, _, index = _lib.normalize(ontology)
     grading = _lib.classify(collapsed, index)
@@ -242,16 +240,15 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    ontology, _ = _load(args.input, args.format)
-    count = _validated(ontology)
-    if count:
+    ontology, defects, _ = _load(args.input, args.format)
+    if _reported(defects):
         return 2
     _info(f"{ontology.name}: no defects")
     return 0
 
 
 def _cmd_import(args) -> int:
-    ontology, report = _load(args.input, "damlxml")
+    ontology, _, report = _load(args.input, "damlxml")
     assert report is not None
     _info(f"{ontology.name}: {report.translated_total()} element(s) "
           f"translated, {report.skipped_total()} skipped")

@@ -8,7 +8,7 @@ translated and let go once the next one starts, so the importer's memory
 grows with the largest top-level element rather than with the document.
 A name the source uses but never declares is declared automatically, with
 a note, exactly when `ontology.validate_ontology` reports it dangling and
-in the order it reports it, so an imported ontology always validates.
+in the order it reports it; the report carries every other defect found.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .ontology import (
     DATATYPES,
     DISJOINT,
     OBJECT,
+    Finding,
     SAME_CLASS,
     SUBCLASS,
     Axiom,
@@ -94,6 +95,7 @@ class ImportReport(NamedTuple):
     translated: tuple[tuple[str, int], ...]
     skipped: tuple[SkippedEntry, ...]
     notes: tuple[str, ...]
+    defects: tuple[Finding, ...] = ()  # every validation defect but a dangling name
 
     def translated_total(self) -> int:
         return sum(count for _, count in self.translated)
@@ -550,7 +552,10 @@ class _Importer:
     def finish(self, source_name: str | None) -> ImportReport:
         """The report, with each name `validate_ontology` finds dangling
         declared in the order it reports them: classes first, then the
-        properties, assumed to be object properties."""
+        properties, assumed to be object properties. A declared class has
+        no definition or restriction and a declared property no domain or
+        range, so declaring raises no defect and leaves every other one as
+        it was: those are the report's defects."""
         ontology = self.build(source_name)
         defects = validate_ontology(ontology)
         classes = dict.fromkeys(d.subject for d in defects
@@ -570,7 +575,9 @@ class _Importer:
         translated = tuple(sorted(self.translated.items()))
         skipped = tuple(SkippedEntry(name, count, _where(first))
                         for name, (count, first) in sorted(self.skipped.items()))
-        return ImportReport(ontology, translated, skipped, tuple(self.notes))
+        others = tuple(d for d in defects
+                       if d.kind not in ("danglingClass", "danglingProperty"))
+        return ImportReport(ontology, translated, skipped, tuple(self.notes), others)
 
 
 def _whole_text_error(text: str) -> ET.ParseError | None:

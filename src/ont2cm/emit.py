@@ -316,12 +316,12 @@ def iter_report(model: ConceptualModel, report: ValidationReport) -> Iterator[st
     for item in report.items:
         by_kind.setdefault(item.kind, []).append(item)
     for kind, (title, origin, action) in _SECTIONS.items():
-        items = sorted(by_kind.get(kind, ()), key=lambda i: (i.subject, i.detail))
+        items = sorted(by_kind.get(kind, ()), key=lambda i: (i.subject, i.message))
         if not items:
             continue
         yield f"\n## {title}\n\n{origin}\nSuggested action: {action}\n\n"
         for item in items:
-            yield f"- `{item.subject}`: {item.detail}\n"
+            yield f"- `{item.subject}`: {item.message}\n"
     if report.notes:
         yield "\n## Notes\n\n"
         for note in report.notes:

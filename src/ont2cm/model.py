@@ -13,6 +13,8 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import NamedTuple
 
+from .ontology import Finding
+
 ASSOCIATION = "association"
 AGGREGATION = "aggregation"
 COMPOSITION = "composition"
@@ -89,12 +91,6 @@ class ConceptualModel(NamedTuple):
     instances: tuple[Instance, ...] = ()
 
 
-class ModelDefect(NamedTuple):
-    kind: str
-    subject: str
-    message: str
-
-
 def entity_id(name: str) -> str:
     return f"et:{name}"
 
@@ -103,18 +99,18 @@ def relationship_id(name: str, source: str, target: str) -> str:
     return f"rel:{name}:{source}:{target}"
 
 
-def _check_multiplicity(m: Multiplicity, subject: str, defects: list[ModelDefect]) -> None:
+def _check_multiplicity(m: Multiplicity, subject: str, defects: list[Finding]) -> None:
     if m.lower < 0:
-        defects.append(ModelDefect("badMultiplicity", subject,
-                                   f"{subject}: lower bound {m.lower} is negative"))
+        defects.append(Finding("badMultiplicity", subject,
+                               f"{subject}: lower bound {m.lower} is negative"))
 
 
-def check_model(model: ConceptualModel) -> list[ModelDefect]:
+def check_model(model: ConceptualModel) -> list[Finding]:
     """Structural well-formedness: unique ids, resolvable references,
     non-negative lower bounds, acyclic generalization, constraint groups of
     at least two homogeneous members. Crossed bounds pass: they read as
     unsatisfiable, which the review report flags."""
-    defects: list[ModelDefect] = []
+    defects: list[Finding] = []
     entity_ids = [et.id for et in model.entity_types]
     entity_id_set = set(entity_ids)
     rel_ids = [r.id for r in model.relationships]
@@ -125,7 +121,7 @@ def check_model(model: ConceptualModel) -> list[ModelDefect]:
         seen, dup = set(), set()
         for i in ids:
             if i in seen and i not in dup:
-                defects.append(ModelDefect("duplicateId", i, f"{what} id {i!r} repeats"))
+                defects.append(Finding("duplicateId", i, f"{what} id {i!r} repeats"))
                 dup.add(i)
             seen.add(i)
 
@@ -136,13 +132,13 @@ def check_model(model: ConceptualModel) -> list[ModelDefect]:
     seen_names: set[str] = set()
     for et in model.entity_types:
         if et.name in seen_names:
-            defects.append(ModelDefect("duplicateName", et.name,
-                                       f"entity name {et.name!r} repeats"))
+            defects.append(Finding("duplicateName", et.name,
+                                   f"entity name {et.name!r} repeats"))
         seen_names.add(et.name)
         attr_names: set[str] = set()
         for attr in et.attributes:
             if attr.name in attr_names:
-                defects.append(ModelDefect(
+                defects.append(Finding(
                     "duplicateAttribute", f"{et.name}.{attr.name}",
                     f"attribute {attr.name!r} repeats on {et.name}"))
             attr_names.add(attr.name)
@@ -152,39 +148,39 @@ def check_model(model: ConceptualModel) -> list[ModelDefect]:
     for rel in model.relationships:
         for end in (rel.source_id, rel.target_id):
             if end not in entity_id_set:
-                defects.append(ModelDefect("danglingReference", rel.id,
-                                           f"{rel.id} endpoint {end!r} is unknown"))
+                defects.append(Finding("danglingReference", rel.id,
+                                       f"{rel.id} endpoint {end!r} is unknown"))
         _check_multiplicity(rel.source_mult, f"{rel.id} source", defects)
         _check_multiplicity(rel.target_mult, f"{rel.id} target", defects)
         if rel.kind in (AGGREGATION, COMPOSITION):
             if rel.whole not in (rel.source_id, rel.target_id):
-                defects.append(ModelDefect(
+                defects.append(Finding(
                     "badWhole", rel.id,
                     f"{rel.id} is a {rel.kind} but its whole {rel.whole!r} "
                     "is not an endpoint"))
         elif rel.whole is not None:
-            defects.append(ModelDefect("badWhole", rel.id,
-                                       f"association {rel.id} must not name a whole"))
+            defects.append(Finding("badWhole", rel.id,
+                                   f"association {rel.id} must not name a whole"))
         if rel.group_id is not None and rel.group_id not in constraint_by_id:
-            defects.append(ModelDefect("danglingReference", rel.id,
-                                       f"{rel.id} names unknown group {rel.group_id!r}"))
+            defects.append(Finding("danglingReference", rel.id,
+                                   f"{rel.id} names unknown group {rel.group_id!r}"))
 
     gen_edges: dict[str, list[str]] = {}
     seen_gens: set[tuple[str, str]] = set()
     for gen in model.generalizations:
         pair = (gen.sub_id, gen.super_id)
         if pair in seen_gens:
-            defects.append(ModelDefect("duplicateId", f"{gen.sub_id}->{gen.super_id}",
-                                       "generalization repeats"))
+            defects.append(Finding("duplicateId", f"{gen.sub_id}->{gen.super_id}",
+                                   "generalization repeats"))
         seen_gens.add(pair)
         for end in pair:
             if end not in entity_id_set:
-                defects.append(ModelDefect(
+                defects.append(Finding(
                     "danglingReference", f"{gen.sub_id}->{gen.super_id}",
                     f"generalization endpoint {end!r} is unknown"))
         if gen.sub_id == gen.super_id:
-            defects.append(ModelDefect("generalizationCycle", gen.sub_id,
-                                       f"{gen.sub_id} generalizes itself"))
+            defects.append(Finding("generalizationCycle", gen.sub_id,
+                                   f"{gen.sub_id} generalizes itself"))
         gen_edges.setdefault(gen.sub_id, []).append(gen.super_id)
 
     # depth-first cycle sweep over the generalization graph; an explicit
@@ -200,7 +196,7 @@ def check_model(model: ConceptualModel) -> list[ModelDefect]:
             for nxt in pending[-1]:
                 if state.get(nxt) == 1:
                     cycle = trail[trail.index(nxt):] + [nxt]
-                    defects.append(ModelDefect(
+                    defects.append(Finding(
                         "generalizationCycle", nxt,
                         "generalization cycle: " + " -> ".join(cycle)))
                 elif nxt not in state:
@@ -214,8 +210,8 @@ def check_model(model: ConceptualModel) -> list[ModelDefect]:
 
     for con in model.constraints:
         if len(con.member_ids) < 2:
-            defects.append(ModelDefect("badConstraint", con.id,
-                                       f"{con.id} needs at least 2 members"))
+            defects.append(Finding("badConstraint", con.id,
+                                   f"{con.id} needs at least 2 members"))
         if con.kind == DISJOINT_GROUP:
             pool, what = entity_id_set, "entity"
         elif con.kind in (AND_GROUP, OR_GROUP):
@@ -224,25 +220,25 @@ def check_model(model: ConceptualModel) -> list[ModelDefect]:
                 else entity_id_set
             what = "member"
         else:
-            defects.append(ModelDefect("badConstraint", con.id,
-                                       f"{con.id} has unknown kind {con.kind!r}"))
+            defects.append(Finding("badConstraint", con.id,
+                                   f"{con.id} has unknown kind {con.kind!r}"))
             continue
         for m in con.member_ids:
             if m not in pool:
-                defects.append(ModelDefect(
+                defects.append(Finding(
                     "danglingReference", con.id,
                     f"{con.id} references unknown {what} {m!r}"))
 
     seen_instances: set[str] = set()
     for inst in model.instances:
         if inst.name in seen_instances:
-            defects.append(ModelDefect("duplicateName", inst.name,
-                                       f"instance {inst.name!r} repeats"))
+            defects.append(Finding("duplicateName", inst.name,
+                                   f"instance {inst.name!r} repeats"))
         seen_instances.add(inst.name)
         for t in inst.type_ids:
             if t not in entity_id_set:
-                defects.append(ModelDefect("danglingReference", inst.name,
-                                           f"instance {inst.name} has unknown type {t!r}"))
+                defects.append(Finding("danglingReference", inst.name,
+                                       f"instance {inst.name} has unknown type {t!r}"))
 
     return defects
 

@@ -146,7 +146,8 @@ class Ontology(NamedTuple):
     individuals: tuple[Individual, ...] = ()
 
 
-class OntologyDefect(NamedTuple):
+class Finding(NamedTuple):
+    """A validation defect, a model check defect or a review flag."""
     kind: str
     subject: str
     message: str
@@ -227,7 +228,7 @@ def outermost_complements(ont: Ontology):
 # validation
 
 
-def validate_ontology(ont: Ontology) -> list[OntologyDefect]:
+def validate_ontology(ont: Ontology) -> list[Finding]:
     """Collect every dangling reference, duplicate name and malformed
     expression. An empty result means the ontology is well-formed. Pure:
     the input is never mutated.
@@ -235,60 +236,60 @@ def validate_ontology(ont: Ontology) -> list[OntologyDefect]:
     After the duplicate names, the walk visits classes, axioms, properties
     and then individuals, each in declaration order. The RDF/XML importer
     declares the dangling names in this report order."""
-    defects: list[OntologyDefect] = []
+    defects: list[Finding] = []
     class_names = {c.name for c in ont.classes}
     property_names = {p.name for p in ont.properties}
 
     def check_expr(expr: ClassExpression, where: str) -> None:
         if expr.op == "named":
             if expr.name not in class_names:
-                defects.append(OntologyDefect(
+                defects.append(Finding(
                     "danglingClass", expr.name,
                     f"{where} references undeclared class {expr.name!r}"))
         elif expr.op in ("and", "or"):
             if len(expr.members) < 2:
-                defects.append(OntologyDefect(
+                defects.append(Finding(
                     "malformedExpression", where,
                     f"{expr.op}-expression needs at least 2 members"))
             for m in expr.members:
                 check_expr(m, where)
         elif expr.op == "not":
             if len(expr.members) != 1:
-                defects.append(OntologyDefect(
+                defects.append(Finding(
                     "malformedExpression", where,
                     "complement needs exactly 1 member"))
             for m in expr.members:
                 check_expr(m, where)
         elif expr.op == "restriction":
             if expr.restriction is None:
-                defects.append(OntologyDefect(
+                defects.append(Finding(
                     "malformedExpression", where,
                     "restriction expression without a restriction"))
             else:
                 check_restriction(expr.restriction, where)
         else:
-            defects.append(OntologyDefect(
+            defects.append(Finding(
                 "malformedExpression", where, f"unknown operator {expr.op!r}"))
 
     def check_restriction(r: Restriction, where: str) -> None:
         if r.on_property not in property_names:
-            defects.append(OntologyDefect(
+            defects.append(Finding(
                 "danglingProperty", r.on_property,
                 f"{where} restricts undeclared property {r.on_property!r}"))
         if r.flavor in CLASS_FLAVORS:
             if r.target is None:
-                defects.append(OntologyDefect(
+                defects.append(Finding(
                     "malformedExpression", where,
                     f"{r.flavor}-restriction needs a target expression"))
             else:
                 check_expr(r.target, where)
         elif r.flavor in CARDINALITY_FLAVORS:
             if r.count is None or r.count < 0:
-                defects.append(OntologyDefect(
+                defects.append(Finding(
                     "badCardinality", where,
                     f"{r.flavor}-restriction needs a count >= 0"))
         else:
-            defects.append(OntologyDefect(
+            defects.append(Finding(
                 "malformedExpression", where,
                 f"unknown restriction flavor {r.flavor!r}"))
 
@@ -297,7 +298,7 @@ def validate_ontology(ont: Ontology) -> list[OntologyDefect]:
         reported: set[str] = set()
         for name in names:
             if name in seen and name not in reported:
-                defects.append(OntologyDefect(
+                defects.append(Finding(
                     "duplicateName", name, f"{what} {name!r} declared more than once"))
                 reported.add(name)
             seen.add(name)
@@ -316,10 +317,10 @@ def validate_ontology(ont: Ontology) -> list[OntologyDefect]:
     for ax in ont.axioms:
         where = f"axiom {ax.kind} {ax.subject}"
         if ax.subject not in class_names:
-            defects.append(OntologyDefect(
+            defects.append(Finding(
                 "danglingClass", ax.subject, f"{where} has undeclared subject"))
         if ax.kind == DISJOINT and ax.target.op != "named":
-            defects.append(OntologyDefect(
+            defects.append(Finding(
                 "malformedExpression", where, "disjoint target must be a named class"))
         check_expr(ax.target, where)
 
@@ -327,22 +328,22 @@ def validate_ontology(ont: Ontology) -> list[OntologyDefect]:
         where = f"property {prop.name}"
         for d in prop.domains:
             if d not in class_names:
-                defects.append(OntologyDefect(
+                defects.append(Finding(
                     "danglingClass", d, f"{where} has undeclared domain class {d!r}"))
         if prop.range is not None:
             if prop.category == OBJECT and prop.range not in class_names:
-                defects.append(OntologyDefect(
+                defects.append(Finding(
                     "danglingClass", prop.range,
                     f"{where} has undeclared range class {prop.range!r}"))
             if prop.category == DATATYPE and prop.range not in DATATYPES:
-                defects.append(OntologyDefect(
+                defects.append(Finding(
                     "badDatatype", prop.range,
                     f"{where} has unsupported datatype {prop.range!r}"))
 
     for ind in ont.individuals:
         where = f"individual {ind.name}"
         if not ind.types:
-            defects.append(OntologyDefect(
+            defects.append(Finding(
                 "missingType", ind.name, f"{where} has no type expression"))
         for t in ind.types:
             check_expr(t, where)

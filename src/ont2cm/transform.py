@@ -72,6 +72,7 @@ from .ontology import (
     ONLY,
     PRIMITIVE,
     SOME,
+    Finding,
     Ontology,
     OntologyIndex,
     conjuncts,
@@ -94,14 +95,8 @@ class TransformConfig(NamedTuple):
     include_instances: bool = True
 
 
-class FlaggedItem(NamedTuple):
-    kind: str
-    subject: str
-    detail: str
-
-
 class ValidationReport(NamedTuple):
-    items: tuple[FlaggedItem, ...] = ()
+    items: tuple[Finding, ...] = ()
     notes: tuple[str, ...] = ()
 
 
@@ -139,13 +134,13 @@ class _Findings:
     `merged_multiplicity`."""
 
     def __init__(self) -> None:
-        self.flags: list[FlaggedItem] = []
+        self.flags: list[Finding] = []
         self.notes: list[str] = []
         self.dropped: set[str] = set()
         self.bounds: dict[Multiplicity, Multiplicity] = {}
 
-    def flag(self, kind: str, subject: str, detail: str) -> None:
-        self.flags.append(FlaggedItem(kind, subject, detail))
+    def flag(self, kind: str, subject: str, message: str) -> None:
+        self.flags.append(Finding(kind, subject, message))
 
     def report(self) -> ValidationReport:
         return ValidationReport(tuple(dict.fromkeys(self.flags)),
@@ -324,16 +319,14 @@ def _dropped_properties(ont: Ontology, found: _Findings) -> None:
                        "and no class restricts it")
 
 
-def _whole_part(relationships: dict[str, Relationship],
-                found: _Findings) -> dict[str, Relationship]:
+def _whole_part(relationships: dict[str, Relationship], found: _Findings) -> None:
     """Upgrade whole-part names to composition when the part joins nothing
-    else, to aggregation otherwise."""
+    else, to aggregation otherwise, in `relationships` itself."""
     participation: dict[str, int] = {}
     for rel in relationships.values():
         participation[rel.source_id] = participation.get(rel.source_id, 0) + 1
         if rel.target_id != rel.source_id:
             participation[rel.target_id] = participation.get(rel.target_id, 0) + 1
-    upgraded = dict(relationships)
     for rid, rel in relationships.items():
         token = normalize_token(rel.name)
         if token not in _COMPOSITION_TOKENS:
@@ -347,8 +340,8 @@ def _whole_part(relationships: dict[str, Relationship],
         else:
             whole, part = rel.target_id, rel.source_id
         isolated = participation.get(part, 0) == 1
-        upgraded[rid] = rel._replace(kind=COMPOSITION if isolated else AGGREGATION,
-                                     whole=whole)
+        relationships[rid] = rel._replace(
+            kind=COMPOSITION if isolated else AGGREGATION, whole=whole)
         if isolated:
             found.flag("compositionCandidate", rid,
                        f"name marks {part} as a part of {whole} and nothing "
@@ -357,7 +350,6 @@ def _whole_part(relationships: dict[str, Relationship],
             found.flag("aggregationCandidate", rid,
                        f"name marks {part} as a part of {whole} but the part "
                        "joins other relationships")
-    return upgraded
 
 
 def _constraints(ont: Ontology, union_groups: list[tuple[str, tuple[str, ...]]],
@@ -472,7 +464,7 @@ def transform(ont: Ontology, *, bww_report: BwwReport, index: OntologyIndex,
     del sites
     _dropped_properties(ont, found)
     if config.composition_heuristics:
-        relationships = _whole_part(relationships, found)
+        _whole_part(relationships, found)
     constraints = _constraints(ont, union_groups, groups, entity_ids, found)
     if config.include_instances:
         instances = _instances(ont, entity_ids, found)

@@ -13,7 +13,7 @@ import pytest
 from ont2cm import cli, cot, damlxml
 from ont2cm.bww import emit_bww_json
 from ont2cm.damlxml import import_daml
-from ont2cm.model import ModelDefect
+from ont2cm.ontology import Finding
 from ont2cm.transform import derive_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -82,7 +82,7 @@ class TestTransform:
 
     def test_model_defect_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "check_model", lambda model: [
-            ModelDefect("duplicateId", "et:X", "forced for the test")])
+            Finding("duplicateId", "et:X", "forced for the test")])
         code = run("transform", str(FIXTURES / "rule1.cot"),
                    "--out", str(tmp_path))
         assert code == 3
@@ -352,6 +352,21 @@ class TestCheck:
     def test_defective_ontology(self, capsys):
         assert run("check", str(FIXTURES / "dangling.cot")) == 2
         assert "danglingClass" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "classify", "transform"])
+    def test_import_defects_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # an RDF/XML input is validated by its import alone, so a defect
+        # the import reports stops each command that reads the ontology
+        def defective(text, source_name=None):
+            return import_daml(text, source_name)._replace(defects=(
+                Finding("badDatatype", "xsd:float", "forced for the test"),))
+
+        monkeypatch.setattr(cli, "import_daml", defective)
+        out = [] if command == "check" else ["--out", str(tmp_path)]
+        assert run(command, str(FIXTURES / "protein.daml"), *out) == 2
+        assert capsys.readouterr().err \
+            == "defect [badDatatype] xsd:float: forced for the test\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_utf8_input_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "latin1.cot"
@@ -641,6 +656,8 @@ code = cli.main(sys.argv[1:])
 print(json.dumps({"exit": code, "counts": counts,
                   "unknown": hasattr(cli, "no_such_name")}))
 """
+    # a COT ontology is validated by the command, an RDF/XML one by its
+    # import alone
     LOAD = ["validate_ontology"]
     # hoist_axiom_restrictions and collapse_equivalences resolve, but only
     # normalize calls them
@@ -652,9 +669,9 @@ print(json.dumps({"exit": code, "counts": counts,
     @pytest.mark.parametrize("command, source, path", [
         ("check", COT, ["parse"] + LOAD),
         ("classify", COT, ["parse"] + LOAD + GRADE),
-        ("classify", DAML, ["import_daml"] + LOAD + GRADE),
+        ("classify", DAML, ["import_daml"] + GRADE),
         ("transform", COT, ["parse"] + LOAD + DERIVE),
-        ("transform", DAML, ["import_daml"] + LOAD + DERIVE),
+        ("transform", DAML, ["import_daml"] + DERIVE),
     ], ids=["check", "classify", "classify-daml", "transform",
             "transform-daml"])
     def test_replaced_names_are_called(self, tmp_path, command, source, path):

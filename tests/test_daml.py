@@ -77,7 +77,10 @@ def checked_import(text: str, source_name: str | None = None) -> ImportReport:
     for size in (1, 7, len(text) + 1):
         with mock.patch.object(damlxml, "_FEED_CHARS", size):
             assert _outcome(import_daml, text, source_name) == expected, size
-    return import_daml(text, source_name)
+    report = import_daml(text, source_name)
+    # what the declarations left is what validating the result finds
+    assert report.defects == tuple(validate_ontology(report.ontology))
+    return report
 
 
 def element_count(text: str) -> int:

@@ -152,7 +152,7 @@ class TestRelationships:
         (con,) = model.constraints
         assert (con.id, con.kind, con.member_ids) == ("con:and:B:q", "andGroup", ids)
         assert all(r.group_id == con.id for r in model.relationships)
-        assert not any("target part" in i.detail
+        assert not any("target part" in i.message
                        for i in flags_of(report, "unmappedConstruct"))
 
     def test_union_target_forms_or_group(self):
@@ -302,7 +302,7 @@ class TestGeneralizations:
             "subclass A or(B, C)\n")
         assert model.generalizations == ()
         assert any(i.kind == "unmappedConstruct"
-                   for i in report.items if "union" in i.detail)
+                   for i in report.items if "union" in i.message)
 
     def test_cycle_closing_equivalence_collapses(self):
         model, report = from_text(
@@ -311,7 +311,7 @@ class TestGeneralizations:
         assert [et.name for et in model.entity_types] == ["A"]
         assert model.generalizations == ()
         (flag,) = flags_of(report, "equivalenceCollapsed")
-        assert (flag.subject, flag.detail) == (
+        assert (flag.subject, flag.message) == (
             "A", "absorbed equivalent class(es): B")
 
     def test_repeated_assertion_noted_once(self):
@@ -330,7 +330,7 @@ class TestGeneralizations:
         assert names == ["A", "C"]
         (flag,) = flags_of(report, "equivalenceCollapsed")
         assert flag.subject == "A"
-        assert "B" in flag.detail
+        assert "B" in flag.message
 
 
 class TestWholePart:
@@ -388,7 +388,7 @@ class TestInstancesAndConstraints:
             f"individual i type {type_expr}\n")
         (inst,) = model.instances
         assert inst.type_ids == ("et:A", "et:B")
-        assert [(i.subject, i.detail) for i in flags_of(report, "unmappedConstruct")] \
+        assert [(i.subject, i.message) for i in flags_of(report, "unmappedConstruct")] \
             == [("individual i", "type part or(C, D) has no direct mapping")]
 
     def test_union_typed_instance_flagged_not_linked(self):
@@ -435,7 +435,7 @@ class TestInstancesAndConstraints:
             "subclass A not(B)\n"
             "defined-class D = and(A, not(B))\n")
         complements = [i for i in flags_of(report, "unmappedConstruct")
-                       if "complement" in i.detail]
+                       if "complement" in i.message]
         assert len(complements) == 2
 
     def test_only_the_outermost_complement_is_flagged(self):
@@ -443,8 +443,8 @@ class TestInstancesAndConstraints:
         inner = "not(" * (depth - 1) + "B" + ")" * (depth - 1)
         _, report = from_text(f"ontology t\nclass A\nclass B\nsubclass A {inner}\n")
         (flag,) = [i for i in flags_of(report, "unmappedConstruct")
-                   if "complement" in i.detail]
-        assert flag.detail == f"complement expression {inner} has no mapping"
+                   if "complement" in i.message]
+        assert flag.message == f"complement expression {inner} has no mapping"
 
     def test_thing_set_entities_flagged(self):
         _, report = derive("rule1.cot")
@@ -455,7 +455,7 @@ class TestInstancesAndConstraints:
         _, report = from_text(
             "ontology t\nclass A\nclass B\nindividual x type and(A, not(B))\n",
             TransformConfig(include_instances=False))
-        assert not any("complement" in i.detail
+        assert not any("complement" in i.message
                        for i in flags_of(report, "unmappedConstruct"))
 
 
@@ -468,7 +468,7 @@ class TestHoistDecides:
             "ontology t\nclass A\nclass B\nobjprop p\n"
             "subclass A restriction(p, some, not(B))\n")
         (flag,) = [i for i in flags_of(report, "unmappedConstruct")
-                   if "complement" in i.detail]
+                   if "complement" in i.message]
         assert flag.subject == "restriction A.p"
 
     def test_restriction_restated_by_an_absorbed_class_is_one_law(self):
