@@ -22,9 +22,19 @@ MUTUAL = "mutual"
 
 class ConceptClassification(NamedTuple):
     name: str
-    category: str
     property_count: int
     law_count: int
+
+    @property
+    def category(self) -> str:
+        """The grade the two counts give (see the module docstring)."""
+        if self.property_count == 0:
+            return "thingSet"
+        if self.property_count == 1:
+            return "bwwClass"
+        if self.law_count == 0:
+            return "kind"
+        return "naturalKind"
 
 
 class PropertyClassification(NamedTuple):
@@ -35,7 +45,14 @@ class PropertyClassification(NamedTuple):
 class BwwReport(NamedTuple):
     concepts: tuple[ConceptClassification, ...]
     properties: tuple[PropertyClassification, ...]
-    notes: tuple[str, ...]
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """A note per concept graded a class although laws bind it."""
+        return tuple(f"{c.name}: laws present but only one common property; "
+                     "graded as a class, not a natural kind"
+                     for c in self.concepts
+                     if c.property_count == 1 and c.law_count > 0)
 
 
 _str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps calls
@@ -67,16 +84,6 @@ def classify_property(category: str) -> str:
     return INTRINSIC if category == DATATYPE else MUTUAL
 
 
-def _categorize(property_count: int, law_count: int) -> str:
-    if property_count == 0:
-        return "thingSet"
-    if property_count == 1:
-        return "bwwClass"
-    if law_count == 0:
-        return "kind"
-    return "naturalKind"
-
-
 def classify(ont: Ontology, index: OntologyIndex) -> BwwReport:
     """Grade every class and property of a normalized ontology, reading
     what reaches each class from its index (see `ontology.normalize`).
@@ -90,20 +97,14 @@ def classify(ont: Ontology, index: OntologyIndex) -> BwwReport:
                 disjoint_mentions[side] = disjoint_mentions.get(side, 0) + 1
 
     concepts = []
-    notes = []
     for cls in sorted(ont.classes, key=lambda c: c.name):
         property_count, law_count = index.reach(cls.name)
-        law_count += disjoint_mentions.get(cls.name, 0)
         concepts.append(ConceptClassification(
-            cls.name, _categorize(property_count, law_count), property_count,
-            law_count))
-        if property_count == 1 and law_count > 0:
-            notes.append(
-                f"{cls.name}: laws present but only one common property; "
-                "graded as a class, not a natural kind")
+            cls.name, property_count,
+            law_count + disjoint_mentions.get(cls.name, 0)))
 
     properties = tuple(
         PropertyClassification(p.name, classify_property(p.category))
         for p in sorted(ont.properties, key=lambda p: p.name))
 
-    return BwwReport(tuple(concepts), properties, tuple(notes))
+    return BwwReport(tuple(concepts), properties)

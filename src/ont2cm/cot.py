@@ -18,6 +18,9 @@ Forward references are allowed, so statements may arrive in any order.
          | restriction(PROPERTY, some|only, EXPR)
          | restriction(PROPERTY, min|max|exactly, INT)
 
+A NAME follows `ontology`'s name rule (NAME_START, then NAME_CHARS), and a
+ParseError quotes an offending token as `ontology.echo` cuts it.
+
 Most lines have one of a few fixed shapes: `class N`, a property with its
 domains and range, a restriction whose target is a name or a count, a
 subclass, same-class or disjoint axiom between two names, and an individual
@@ -28,19 +31,22 @@ and a line the cursor rejects raises the same ParseError either way.
 
 The document is split into lines a chunk at a time, and its statements
 share equal values through one `ontology.Shared`: a named term per class
-name and a `domains` tuple per distinct domain list.
+name and a `domains` tuple per distinct domain list. A class statement
+builds its ClassDefinition whole; at the end, each class's last declaration
+takes its restrictions; those on an undeclared class become subclass axioms.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from functools import partial
 
 from .ontology import (
     CARDINALITY_FLAVORS,
     CLASS_FLAVORS,
     DATATYPE,
+    NAME_CHARS,
+    NAME_START,
     OBJECT,
     SUBCLASS,
     SAME_CLASS,
@@ -53,11 +59,12 @@ from .ontology import (
     PropertyDefinition,
     Restriction,
     Shared,
+    echo,
     format_expr,
     restriction_expr,
 )
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_-]*"
+_NAME = rf"[{NAME_START}][{NAME_CHARS}]*"
 _TOKEN_RE = re.compile(rf"{_NAME}|\d+|[(),=]|\S")
 _NAME_RE = re.compile(rf"{_NAME}\Z")
 _INT_RE = re.compile(r"\d+\Z")
@@ -77,17 +84,6 @@ class ParseError(ValueError):
 
 
 _EOL = "end of line"
-
-# characters of an offending token a message repeats
-_ECHO_CHARS = 32
-
-
-def _echo(token: str) -> str:
-    """The token quoted, cut to its first _ECHO_CHARS characters and
-    `...` when longer, so a message does not grow with the input."""
-    if len(token) <= _ECHO_CHARS:
-        return repr(token)
-    return f"{token[:_ECHO_CHARS]!r}..."
 
 
 def _count(line: int, column: int, digits: str) -> int:
@@ -126,19 +122,19 @@ class _Cursor:
     def name(self, what: str = "a name") -> str:
         tok = self.next(what)
         if not _NAME_RE.match(tok[0]):
-            raise self.error(tok, f"expected {what}, got {_echo(tok[0])}")
+            raise self.error(tok, f"expected {what}, got {echo(tok[0])}")
         return tok[0]
 
     def integer(self) -> int:
         tok = self.next("an integer")
         if not _INT_RE.match(tok[0]):
-            raise self.error(tok, f"expected an integer, got {_echo(tok[0])}")
+            raise self.error(tok, f"expected an integer, got {echo(tok[0])}")
         return _count(self.line, tok.start() + 1, tok[0])
 
     def literal(self, text: str) -> None:
         tok = self.next(repr(text))
         if tok[0] != text:
-            raise self.error(tok, f"expected {text!r}, got {_echo(tok[0])}")
+            raise self.error(tok, f"expected {text!r}, got {echo(tok[0])}")
 
     def at(self, text: str) -> bool:
         tok = self.peek()
@@ -147,14 +143,14 @@ class _Cursor:
     def done(self) -> None:
         tok = self.peek()
         if tok is not None:
-            raise self.error(tok, f"unexpected {_echo(tok[0])} after statement")
+            raise self.error(tok, f"unexpected {echo(tok[0])} after statement")
 
 
 def _parse_expr(cur: _Cursor, depth: int = 1) -> ClassExpression:
     tok = cur.next("a class expression")
     head = tok[0]
     if not _NAME_RE.match(head):
-        raise cur.error(tok, f"expected a class expression, got {_echo(head)}")
+        raise cur.error(tok, f"expected a class expression, got {echo(head)}")
     if depth > MAX_NESTING:
         raise cur.error(tok, f"expression nested deeper than {MAX_NESTING} levels")
     if head in ("and", "or") and cur.at("("):
@@ -192,7 +188,7 @@ def _restriction_body(cur: _Cursor, prop: str, flavor_tok: re.Match,
         return Restriction(prop, flavor, target=_parse_expr(cur, depth))
     if flavor in CARDINALITY_FLAVORS:
         return Restriction(prop, flavor, count=cur.integer())
-    raise cur.error(flavor_tok, f"unknown restriction flavor {_echo(flavor)}")
+    raise cur.error(flavor_tok, f"unknown restriction flavor {echo(flavor)}")
 
 
 def _parse_property(cur: _Cursor, category: str) -> PropertyDefinition:
@@ -253,7 +249,7 @@ _SHAPES = (
                 rf"(?:\s+range\s+{_N})?\s*\Z"),
      _property_shape),
     (re.compile(rf"\s*class\s+{_N}\s*\Z"),
-     lambda m, line, shared: partial(ClassDefinition, _intern(m[1]))),
+     lambda m, line, shared: ClassDefinition(_intern(m[1]))),
     (re.compile(rf"\s*(subclass|same-class|disjoint)\s+{_N}\s+{_N}\s*\Z"),
      lambda m, line, shared: Axiom(_intern(m[1]), _intern(m[2]), shared[m[3]])),
     (re.compile(rf"\s*individual\s+{_N}\s+type\s+{_N}\s*\Z"),
@@ -263,9 +259,9 @@ _SHAPES = (
 
 def _statement(line_no: int, line: str, after_header: bool, shared: Shared):
     """The statement on one line: the ontology name of a header, a
-    (class name, Restriction) pair for a restriction statement, for a class
-    a partial ClassDefinition that takes its local restrictions, else the
-    PropertyDefinition, Axiom or Individual it declares."""
+    (class name, Restriction) pair for a restriction statement, else the
+    ClassDefinition, PropertyDefinition, Axiom or Individual it declares;
+    a class's local restrictions are attached by `parse`."""
     if after_header:
         for shape, build in _SHAPES:
             m = shape.match(line)
@@ -287,13 +283,13 @@ def _statement(line_no: int, line: str, after_header: bool, shared: Shared):
     if keyword == "class":
         name = cur.name("a class name")
         cur.done()
-        return partial(ClassDefinition, name)
+        return ClassDefinition(name)
     if keyword == "defined-class":
         name = cur.name("a class name")
         cur.literal("=")
         expr = _parse_expr(cur)
         cur.done()
-        return partial(ClassDefinition, name, expr)
+        return ClassDefinition(name, expr)
     if keyword == "objprop":
         return _parse_property(cur, OBJECT)
     if keyword == "dataprop":
@@ -323,7 +319,7 @@ def _statement(line_no: int, line: str, after_header: bool, shared: Shared):
             types.append(_parse_expr(cur))
         cur.done()
         return Individual(name, types=tuple(types))
-    raise cur.error(keyword_tok, f"unknown statement keyword {_echo(keyword)}")
+    raise cur.error(keyword_tok, f"unknown statement keyword {echo(keyword)}")
 
 
 # characters of the document split into lines at a time
@@ -352,7 +348,7 @@ def parse(text: str) -> Ontology:
     dangling references survive parsing and are reported by
     validate_ontology."""
     ontology_name: str | None = None
-    declarations: list[partial] = []
+    classes: list[ClassDefinition] = []
     class_index: dict[str, int] = {}
     pending_restrictions: dict[str, list[Restriction]] = {}
     properties: list[PropertyDefinition] = []
@@ -368,9 +364,9 @@ def parse(text: str) -> Ontology:
         kind = type(stmt)
         if kind is tuple:
             pending_restrictions.setdefault(stmt[0], []).append(stmt[1])
-        elif kind is partial:
-            class_index[stmt.args[0]] = len(declarations)
-            declarations.append(stmt)
+        elif kind is ClassDefinition:
+            class_index[stmt.name] = len(classes)
+            classes.append(stmt)
         elif kind is PropertyDefinition:
             properties.append(stmt)
         elif kind is Axiom:
@@ -384,7 +380,6 @@ def parse(text: str) -> Ontology:
         raise ParseError(1, 1, "missing ontology header")
 
     # the restrictions on a class go to its last declaration
-    restricted: dict[int, tuple[Restriction, ...]] = {}
     for cls_name, restrictions in pending_restrictions.items():
         idx = class_index.get(cls_name)
         if idx is None:
@@ -393,11 +388,9 @@ def parse(text: str) -> Ontology:
             for r in restrictions:
                 axioms.append(Axiom(SUBCLASS, cls_name, restriction_expr(r)))
         else:
-            restricted[idx] = tuple(restrictions)
-    classes = tuple(declare(local_restrictions=restricted.get(idx, ()))
-                    for idx, declare in enumerate(declarations))
+            classes[idx] = classes[idx]._replace(local_restrictions=tuple(restrictions))
 
-    return Ontology(ontology_name, classes=classes,
+    return Ontology(ontology_name, classes=tuple(classes),
                     properties=tuple(properties), axioms=tuple(axioms),
                     individuals=tuple(individuals))
 

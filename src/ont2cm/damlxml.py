@@ -6,6 +6,9 @@ location, so the two tallies always add up to the document's element count.
 The document is parsed a slice at a time, and each top-level element is
 translated and let go once the next one starts, so the importer's memory
 grows with the largest top-level element rather than with the document.
+An element translated by its attributes alone is tallied and what it holds
+skipped (`_Importer.leaf`). Names follow `ontology`'s name rule, as in COT;
+one the document spells otherwise is adjusted, with a note.
 A name the source uses but never declares is declared automatically, with
 a note, exactly when `ontology.validate_ontology` reports it dangling and
 in the order it reports it; the report carries every other defect found.
@@ -23,6 +26,8 @@ from .ontology import (
     DATATYPE,
     DATATYPES,
     DISJOINT,
+    NAME_CHARS,
+    NAME_START,
     OBJECT,
     Finding,
     SAME_CLASS,
@@ -35,6 +40,7 @@ from .ontology import (
     PropertyDefinition,
     Restriction,
     Shared,
+    echo,
     restriction_expr,
     validate_ontology,
 )
@@ -67,12 +73,10 @@ _FEED_CHARS = 1 << 16
 # the recursion of the expression parser and of the skip ledger.
 MAX_DEPTH = 200
 
-_UNSAFE_RE = re.compile(r"[^A-Za-z0-9_-]")
-_NAME_START_RE = re.compile(r"[A-Za-z_]")
+_UNSAFE_RE = re.compile(rf"[^{NAME_CHARS}]")
+_NAME_START_RE = re.compile(rf"[{NAME_START}]")
 # what int() reads as an integer, whatever its number of digits
 _INT_RE = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
-# characters of a malformed value an error message repeats
-_ECHO_CHARS = 32
 
 
 class DamlImportError(ValueError):
@@ -149,7 +153,7 @@ def _local_name(uri: str) -> str:
     if "#" in uri:
         uri = uri.rsplit("#", 1)[1]
     elif "/" in uri:
-        uri = uri.rstrip("/").rsplit("/", 1)[1]
+        uri = uri.rstrip("/").rsplit("/", 1)[-1]
     return uri
 
 
@@ -176,6 +180,12 @@ class _Importer:
     def tally(self, el) -> None:
         name = _prefixed(el.tag)
         self.translated[name] = self.translated.get(name, 0) + 1
+
+    def leaf(self, el, path: _Loc) -> None:
+        """`el` is translated by its attributes alone: it is tallied and
+        whatever it holds is skipped."""
+        self.tally(el)
+        self.skip_children(el, path)
 
     def skip_tree(self, el, path: _Loc) -> None:
         name = _prefixed(el.tag)
@@ -226,10 +236,10 @@ class _Importer:
         tag = _prefixed(el.tag)
         if tag in _CLASS_TAGS:
             name = self.name_of(el)
-            self.tally(el)
             if name is not None:
-                self.skip_children(el, path)
+                self.leaf(el, path)
                 return self.shared[name]
+            self.tally(el)
             expr = None
             for child, cpath in _child_paths(el, path):
                 ctag = _prefixed(child.tag)
@@ -252,11 +262,11 @@ class _Importer:
             op = "and" if tag == "daml:intersectionOf" else "or"
             return ClassExpression(op, members=tuple(members))
         if tag == "daml:complementOf":
-            self.tally(el)
             resource = el.attrib.get(_RDF_RESOURCE)
             if resource is not None:
-                self.skip_children(el, path)
+                self.leaf(el, path)
                 return ClassExpression("not", members=(self.shared[self.ref(resource)],))
+            self.tally(el)
             members = [self._expr(child, cpath)
                        for child, cpath in _child_paths(el, path)]
             if len(members) != 1:
@@ -285,17 +295,16 @@ class _Importer:
                     raise DamlImportError(
                         f"onProperty at {_where(cpath)} lacks rdf:resource")
                 on_property = self.ref(resource)
-                self.tally(child)
-                self.skip_children(child, cpath)
+                self.leaf(child, cpath)
             elif tag in ("daml:hasClass", "daml:toClass"):
-                self.tally(child)
                 flavor = "some" if tag == "daml:hasClass" else "only"
                 resource = child.attrib.get(_RDF_RESOURCE)
                 if resource is not None:
-                    self.skip_children(child, cpath)
+                    self.leaf(child, cpath)
                     pending.append(("class", flavor, self.shared[self.ref(resource)],
                                     cpath))
                     continue
+                self.tally(child)
                 targets = [self._expr(g, gpath)
                            for g, gpath in _child_paths(child, cpath)]
                 if len(targets) != 1:
@@ -303,8 +312,7 @@ class _Importer:
                                           f"{_where(cpath)} needs exactly one target")
                 pending.append(("class", flavor, targets[0], cpath))
             elif tag in _CARDINALITY_TAGS:
-                self.tally(child)
-                self.skip_children(child, cpath)
+                self.leaf(child, cpath)
                 pending.append(("count", _CARDINALITY_TAGS[tag],
                                 (child.text or "").strip(), cpath))
             elif tag == "daml:hasValue":
@@ -327,10 +335,9 @@ class _Importer:
                         raise DamlImportError(
                             f"cardinality at {_where(vpath)}: integer longer than "
                             f"{sys.get_int_max_str_digits()} digits") from None
-                    more = "..." if len(value) > _ECHO_CHARS else ""
                     raise DamlImportError(
                         f"cardinality at {_where(vpath)} is not an integer: "
-                        f"{value[:_ECHO_CHARS]!r}{more}")
+                        f"{echo(value)}")
                 parts.append(Restriction(on_property, flavor, count=count))
         if not parts:
             raise DamlImportError(f"Restriction at {_where(path)} has no constraint")
@@ -372,8 +379,7 @@ class _Importer:
                     self.skip_tree(child, cpath)
                     self.note(f"class {name}: non-named disjointWith skipped")
                 else:
-                    self.tally(child)
-                    self.skip_children(child, cpath)
+                    self.leaf(child, cpath)
                     self.axioms.append(
                         Axiom(DISJOINT, name, self.shared[self.ref(resource)]))
             elif tag in _BOOLEAN_TAGS:
@@ -393,11 +399,11 @@ class _Importer:
 
     def _axiom_child(self, subject: str, child, cpath: _Loc) -> None:
         resource = child.attrib.get(_RDF_RESOURCE)
-        self.tally(child)
         if resource is not None:
-            self.skip_children(child, cpath)
+            self.leaf(child, cpath)
             self.axioms.append(Axiom(SUBCLASS, subject, self.shared[self.ref(resource)]))
             return
+        self.tally(child)
         found = False
         for g, gpath in _child_paths(child, cpath):
             expr = self.parse_expr_entry(g, gpath, f"class {subject}")
@@ -410,11 +416,11 @@ class _Importer:
 
     def _equivalence_child(self, name: str, child, cpath: _Loc) -> None:
         resource = child.attrib.get(_RDF_RESOURCE)
-        self.tally(child)
         if resource is not None:
-            self.skip_children(child, cpath)
+            self.leaf(child, cpath)
             self.axioms.append(Axiom(SAME_CLASS, name, self.shared[self.ref(resource)]))
             return
+        self.tally(child)
         for g, gpath in _child_paths(child, cpath):
             expr = self.parse_expr_entry(g, gpath, f"class {name}")
             if expr is not None:
@@ -432,8 +438,7 @@ class _Importer:
             tag = _prefixed(child.tag)
             resource = child.attrib.get(_RDF_RESOURCE)
             if tag == "rdfs:domain" and resource is not None:
-                self.tally(child)
-                self.skip_children(child, cpath)
+                self.leaf(child, cpath)
                 domain = self.ref(resource)
                 if domain not in record["domains"]:
                     record["domains"].append(domain)
@@ -444,32 +449,21 @@ class _Importer:
 
     def _range_child(self, name: str, record: dict, child, cpath: _Loc,
                      resource: str) -> None:
-        uri_is_xsd = resource.startswith(_XSD)
-        if record["category"] == OBJECT:
-            if uri_is_xsd:
-                self.skip_tree(child, cpath)
-                self.note(f"object property {name}: datatype range "
-                          f"{_local_name(resource)} dropped")
-                return
-            self.tally(child)
-            self.skip_children(child, cpath)
-            if record["range"] is None:
-                record["range"] = self.ref(resource)
-            else:
-                self.note(f"property {name}: extra range ignored")
+        local = _local_name(resource)
+        is_object = record["category"] == OBJECT
+        if is_object and resource.startswith(_XSD):
+            self.skip_tree(child, cpath)
+            self.note(f"object property {name}: datatype range {local} dropped")
+            return
+        if not is_object and local not in DATATYPES:
+            self.note(f"datatype {local} on property {name} mapped to string")
+        self.leaf(child, cpath)
+        if record["range"] is not None:
+            self.note(f"property {name}: extra range ignored")
+        elif is_object:
+            record["range"] = self.sanitize(local)
         else:
-            self.tally(child)
-            self.skip_children(child, cpath)
-            local = _local_name(resource)
-            if local in DATATYPES:
-                mapped = local
-            else:
-                mapped = "string"
-                self.note(f"datatype {local} on property {name} mapped to string")
-            if record["range"] is None:
-                record["range"] = mapped
-            else:
-                self.note(f"property {name}: extra range ignored")
+            record["range"] = local if local in DATATYPES else "string"
 
     def individual_element(self, el, path: _Loc, type_name: str | None) -> None:
         name = self.name_of(el)
@@ -484,8 +478,7 @@ class _Importer:
         for child, cpath in _child_paths(el, path):
             resource = child.attrib.get(_RDF_RESOURCE)
             if _prefixed(child.tag) == "rdf:type" and resource is not None:
-                self.tally(child)
-                self.skip_children(child, cpath)
+                self.leaf(child, cpath)
                 ref = self.shared[self.ref(resource)]
                 if ref not in types:
                     types.append(ref)
@@ -495,11 +488,10 @@ class _Importer:
     def top_level(self, el, path: _Loc) -> None:
         tag = _prefixed(el.tag)
         if tag == "daml:Ontology":
-            self.tally(el)
+            self.leaf(el, path)
             name = self.name_of(el)
             if name is not None and self.ontology_name is None:
                 self.ontology_name = name
-            self.skip_children(el, path)
         elif tag in _CLASS_TAGS:
             name = self.name_of(el)
             if name is None:

@@ -71,11 +71,11 @@ def iter_model_json(model: ConceptualModel) -> Iterator[str]:
     yield f'{{\n  "name": {_str(model.name)},\n  "entityTypes": '
     yield from _array((
         f'{{\n      "id": {_str(et.id)},\n      "name": {_str(et.name)},\n'
-        f'      "originClass": {_str(et.origin_class)},\n      "bww": {_str(et.bww)},\n'
+        f'      "originClass": {_str(et.name)},\n      "bww": {_str(et.bww)},\n'
         f'      "definitionKind": {_str(et.definition_kind)},\n      "attributes": ' + _block([
             f'{{\n          "name": {_str(a.name)},\n          "datatype": {_str(a.datatype)},\n'
             f'          "multiplicity": {mult_json(a.multiplicity, " " * 10)},\n'
-            f'          "originProperty": {_str(a.origin_property)}\n        }}'
+            f'          "originProperty": {_str(a.name)}\n        }}'
             for a in et.attributes], " " * 6) + "\n    }"
         for et in model.entity_types))
     yield ',\n  "relationships": '
@@ -111,14 +111,14 @@ def emit_model_json(model: ConceptualModel) -> str:
 
 
 def parse_model_json(text: str) -> ConceptualModel:
+    """The model a model JSON text holds. `originClass` and `originProperty`
+    repeat their record's `name`, stored once, so they are not read."""
     doc = json.loads(text)
     entity_types = tuple(
         EntityType(
-            et["id"], et["name"], et["originClass"], et["bww"],
-            et["definitionKind"],
+            et["id"], et["name"], et["bww"], et["definitionKind"],
             tuple(Attribute(a["name"], a["datatype"],
-                            _mult_from_json(a["multiplicity"]),
-                            a["originProperty"])
+                            _mult_from_json(a["multiplicity"]))
                   for a in et["attributes"]))
         for et in doc["entityTypes"])
     relationships = tuple(

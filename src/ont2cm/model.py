@@ -41,13 +41,11 @@ class Attribute(NamedTuple):
     name: str
     datatype: str
     multiplicity: Multiplicity
-    origin_property: str
 
 
 class EntityType(NamedTuple):
     id: str
     name: str
-    origin_class: str
     bww: str
     definition_kind: str
     attributes: tuple[Attribute, ...] = ()

@@ -51,6 +51,19 @@ SUBCLASS = "subclass"
 SAME_CLASS = "same-class"
 DISJOINT = "disjoint"
 
+# The name rule of both front ends, as regex character-class bodies: a name
+# is a character of NAME_START, then any of NAME_CHARS.
+NAME_START = "A-Za-z_"
+NAME_CHARS = "A-Za-z0-9_-"
+ECHO_CHARS = 32  # characters of an offending token or value a message repeats
+
+
+def echo(token: str) -> str:
+    """The token quoted, cut to its first ECHO_CHARS characters and `...`
+    when longer, so a message does not grow with the input."""
+    return repr(token) if len(token) <= ECHO_CHARS else f"{token[:ECHO_CHARS]!r}..."
+
+
 class Restriction(NamedTuple):
     """A property constraint: some/only carry a target expression, the
     cardinality flavors carry a non-negative count."""

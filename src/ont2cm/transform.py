@@ -173,10 +173,9 @@ def _entity_types(ont: Ontology, index: OntologyIndex,
             found.dropped.add(p.name)
         for site in p_sites:
             attributes[site].append(Attribute(
-                p.name, datatype, _bounded(index, found, site, p.name), p.name))
+                p.name, datatype, _bounded(index, found, site, p.name)))
     return tuple(
-        EntityType(entity_ids[cls.name], cls.name, cls.name,
-                   categories[cls.name],
+        EntityType(entity_ids[cls.name], cls.name, categories[cls.name],
                    PRIMITIVE if cls.definition is None else DEFINED,
                    tuple(attributes[cls.name]))
         for cls in ont.classes)

@@ -22,25 +22,24 @@ def assert_model_invariants(ont, model, report, config=None) -> None:
     collapsed, _ = collapse_equivalences(hoist_axiom_restrictions(ont))
 
     # classes and entity types correspond one to one
-    assert sorted(et.origin_class for et in model.entity_types) == \
+    assert sorted(et.name for et in model.entity_types) == \
         sorted(c.name for c in collapsed.classes)
     assert len({et.id for et in model.entity_types}) == len(model.entity_types)
 
     # an entity type is defined exactly when its class has a definition
     has_definition = {c.name: c.definition is not None for c in collapsed.classes}
     for et in model.entity_types:
-        assert (et.definition_kind == DEFINED) == has_definition[et.origin_class], et.id
+        assert (et.definition_kind == DEFINED) == has_definition[et.name], et.id
 
     # structural closure: ids resolve, generalizations acyclic, groups sane
     assert check_model(model) == []
 
     # every property is carried over or flagged as dropped, never both
-    attr_origins = {a.origin_property
-                    for et in model.entity_types for a in et.attributes}
+    attr_names = {a.name for et in model.entity_types for a in et.attributes}
     rel_names = {r.name for r in model.relationships}
     dropped = {i.subject for i in flags_of(report, "droppedProperty")}
     for p in collapsed.properties:
-        carried = p.name in attr_origins or p.name in rel_names
+        carried = p.name in attr_names or p.name in rel_names
         assert carried != (p.name in dropped), p.name
 
     # every flag is of a kind the review report has a section for, so the
@@ -56,7 +55,7 @@ def assert_model_invariants(ont, model, report, config=None) -> None:
     # a multiplicity is flagged unsatisfiable exactly where an attribute or
     # a relationship target carries crossed bounds, once per class.property
     names = {et.id: et.name for et in model.entity_types}
-    crossed = {f"{et.name}.{a.origin_property}" for et in model.entity_types
+    crossed = {f"{et.name}.{a.name}" for et in model.entity_types
                for a in et.attributes if a.multiplicity.unsatisfiable}
     crossed.update(f"{names[r.source_id]}.{r.name}" for r in model.relationships
                    if r.target_mult.unsatisfiable)

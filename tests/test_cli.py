@@ -3,9 +3,11 @@
 import errno
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -139,6 +141,32 @@ class TestGoldenArtifacts:
         artifact = source.stem + suffix
         assert (tmp_path / artifact).read_bytes() \
             == (FIXTURES / "golden" / artifact).read_bytes()
+
+
+class TestElementOrder:
+    """The top-level elements of an RDF/XML fixture in any order give the
+    fixture's model JSON and grading, byte for byte. The review report is
+    left out: its skip entries name the first location of each element
+    kind, which follows element order."""
+
+    @pytest.mark.parametrize("name, elements", [("protein", 8), ("excess", 5)])
+    def test_shuffled_elements_give_the_goldens(self, tmp_path, name, elements):
+        root = ET.fromstring((FIXTURES / f"{name}.daml").read_text())
+        assert len(root) == elements
+        for seed in range(10):
+            order = list(root)
+            random.Random(seed).shuffle(order)
+            root[:] = order
+            source = tmp_path / str(seed) / f"{name}.daml"
+            source.parent.mkdir()
+            source.write_text(ET.tostring(root, encoding="unicode"))
+            out = str(source.parent)
+            assert run("transform", str(source), "--emit", "json", "--out", out) == 0
+            assert run("classify", str(source), "--out", out) == 0
+            for suffix in (".model.json", ".bww.json"):
+                assert (source.parent / f"{name}{suffix}").read_bytes() \
+                    == (FIXTURES / "golden" / f"{name}{suffix}").read_bytes(), \
+                    (seed, suffix)
 
 
 class TestClassify:

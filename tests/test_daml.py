@@ -8,6 +8,7 @@ import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
+from xml.sax.saxutils import quoteattr
 
 import pytest
 from hypothesis import example, given, settings
@@ -606,6 +607,30 @@ def test_imports_always_validate_and_round_trip(body):
     report = checked_import(doc(body))
     assert validate_ontology(report.ontology) == []
     assert cot.parse(cot.serialize(report.ontology)) == report.ontology
+
+
+# the characters XML 1.0 allows in a document
+XML_CHARS = st.characters(blacklist_categories=("Cs",)).filter(
+    lambda c: c in "\t\n\r" or (c >= " " and c not in "\ufffe\uffff"))
+
+
+@settings(max_examples=300, deadline=None)
+@example("Protein")
+@example("part-of")
+@example("_9")
+@example("9lives")
+@example("a b-c\u00e9")
+@example("bio#Gene")
+@example("a/")  # the last path segment, once the trailing slash is stripped
+@given(st.text(XML_CHARS, min_size=1, max_size=12))
+def test_an_imported_name_is_a_cot_name(raw):
+    report = checked_import(doc(f"<daml:Class rdf:ID={quoteattr(raw)}/>"))
+    for cls in report.ontology.classes:
+        assert cot._NAME_RE.match(cls.name), cls.name
+    assert cot.parse(cot.serialize(report.ontology)) == report.ontology
+    if cot._NAME_RE.match(raw):
+        assert [c.name for c in report.ontology.classes] == [raw]
+        assert not any("adjusted" in n for n in report.notes)
 
 
 class TestErrors:

@@ -252,12 +252,12 @@ def model_doc(model):
     return {
         "name": model.name,
         "entityTypes": [
-            {"id": et.id, "name": et.name, "originClass": et.origin_class,
+            {"id": et.id, "name": et.name, "originClass": et.name,
              "bww": et.bww, "definitionKind": et.definition_kind,
              "attributes": [
                  {"name": a.name, "datatype": a.datatype,
                   "multiplicity": mult_doc(a.multiplicity),
-                  "originProperty": a.origin_property}
+                  "originProperty": a.name}
                  for a in et.attributes]}
             for et in model.entity_types],
         "relationships": [
@@ -303,9 +303,9 @@ multiplicities = st.builds(Multiplicity, counts, st.none() | counts)
 id_lists = st.lists(names, max_size=3).map(tuple)
 models = st.builds(
     ConceptualModel, texts,
-    st.lists(st.builds(EntityType, names, names, names, names, names,
+    st.lists(st.builds(EntityType, names, names, names, names,
                        st.lists(st.builds(Attribute, names, names,
-                                          multiplicities, names),
+                                          multiplicities),
                                 max_size=2).map(tuple)),
              max_size=3).map(tuple),
     st.lists(st.builds(Relationship, names, names, names, names,
@@ -320,11 +320,10 @@ models = st.builds(
     st.lists(st.builds(Instance, names, id_lists), max_size=2).map(tuple))
 gradings = st.builds(
     BwwReport,
-    st.lists(st.builds(ConceptClassification, names, names, counts, counts),
+    st.lists(st.builds(ConceptClassification, names, counts, counts),
              max_size=6).map(tuple),
     st.lists(st.builds(PropertyClassification, names, names),
-             max_size=6).map(tuple),
-    st.lists(texts, max_size=4).map(tuple))
+             max_size=6).map(tuple))
 
 
 class TestJsonOracle:
@@ -357,8 +356,8 @@ class TestJsonMemory:
         for n in range(2500):
             name, other = f"Concept{n:04d}", f"Concept{(n + 1) % 2500:04d}"
             entity_types.append(EntityType(
-                f"et:{name}", name, name, "bwwClass", "primitive",
-                (Attribute(f"label{n}", "string", one, f"label{n}"),)))
+                f"et:{name}", name, "bwwClass", "primitive",
+                (Attribute(f"label{n}", "string", one),)))
             for prop in ("binds", "regulates"):
                 relationships.append(Relationship(
                     f"rel:{prop}:{name}:{other}", prop, f"et:{name}",

@@ -30,7 +30,7 @@ from ont2cm.transform import derive_model
 
 
 def et(name, attributes=(), bww="thingSet"):
-    return EntityType(entity_id(name), name, name, bww, "primitive",
+    return EntityType(entity_id(name), name, bww, "primitive",
                       tuple(attributes))
 
 
@@ -46,7 +46,7 @@ def clean_model():
         entity_types=(
             et("DNA"),
             et("Protein", attributes=(
-                Attribute("accession", "string", Multiplicity(1, 1), "accession"),)),
+                Attribute("accession", "string", Multiplicity(1, 1)),)),
         ),
         relationships=(rel("binds", "Protein", "DNA"),),
         generalizations=(Generalization(entity_id("Protein"), entity_id("DNA")),),
@@ -63,13 +63,13 @@ class TestCheckModel:
     @pytest.mark.parametrize("model,kind", [
         (ConceptualModel("m", entity_types=(et("A"), et("A"))), "duplicateId"),
         (ConceptualModel("m", entity_types=(
-            EntityType("et:A", "A", "A", "thingSet", "primitive"),
-            EntityType("et:A2", "A", "A", "thingSet", "primitive"))), "duplicateName"),
+            EntityType("et:A", "A", "thingSet", "primitive"),
+            EntityType("et:A2", "A", "thingSet", "primitive"))), "duplicateName"),
         (ConceptualModel("m", entity_types=(et("A"),),
                          relationships=(rel("p", "A", "B"),)), "danglingReference"),
         (ConceptualModel("m", entity_types=(
-            et("A", attributes=(Attribute("x", "string", Multiplicity(1, 1), "x"),
-                                Attribute("x", "string", MANY, "x"))),)),
+            et("A", attributes=(Attribute("x", "string", Multiplicity(1, 1)),
+                                Attribute("x", "string", MANY))),)),
          "duplicateAttribute"),
         (ConceptualModel("m", entity_types=(et("A"), et("B")),
                          relationships=(Relationship(
@@ -103,7 +103,7 @@ class TestCheckModel:
          "danglingReference"),
         (ConceptualModel("m", entity_types=(
             et("A", attributes=(Attribute("x", "string",
-                                          Multiplicity(-1, 1), "x"),)),)),
+                                          Multiplicity(-1, 1)),)),)),
          "badMultiplicity"),
         (ConceptualModel("m", entity_types=(et("A"), et("B")),
                          generalizations=(Generalization("et:A", "et:B"),
@@ -128,7 +128,7 @@ class TestCheckModel:
         crossed = Multiplicity(2, 1)
         assert crossed.unsatisfiable
         m = ConceptualModel("m", entity_types=(
-            et("A", attributes=(Attribute("x", "string", crossed, "x"),)),))
+            et("A", attributes=(Attribute("x", "string", crossed),)),))
         assert check_model(m) == []
 
     def test_aggregation_with_endpoint_whole_passes(self):
@@ -190,8 +190,8 @@ class TestCanonicalOrder:
         m = ConceptualModel(
             "m",
             entity_types=(et("B"), et("A", attributes=(
-                Attribute("z", "string", MANY, "z"),
-                Attribute("a", "string", MANY, "a")))),
+                Attribute("z", "string", MANY),
+                Attribute("a", "string", MANY)))),
             relationships=(rel("q", "B", "A"), rel("p", "B", "A"),
                            rel("p", "A", "B")),
             generalizations=(Generalization("et:B", "et:A"),

@@ -632,7 +632,7 @@ class TestInvariants:
 
 def derived_relationships(model):
     """The model's relationships in the form of `oracle_relationships`."""
-    classes = {et.id: et.origin_class for et in model.entity_types}
+    classes = {et.id: et.name for et in model.entity_types}
     kinds = {c.id: c.kind for c in model.constraints}
     derived = {}
     for rel in model.relationships:

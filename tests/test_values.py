@@ -84,8 +84,8 @@ def test_collapse_keeps_what_the_alias_map_leaves_unchanged():
 
 def test_canonical_order_keeps_an_ordered_entity_type():
     mult = model.Multiplicity(1, 1)
-    ordered = EntityType("et:A", "A", "A", "kind", "primitive", (
-        Attribute("a", "string", mult, "a"), Attribute("b", "string", mult, "b")))
+    ordered = EntityType("et:A", "A", "kind", "primitive", (
+        Attribute("a", "string", mult), Attribute("b", "string", mult)))
     shuffled = ordered._replace(id="et:B", name="B",
                                 attributes=ordered.attributes[::-1])
     result = canonical_order(model.ConceptualModel("m", (shuffled, ordered)))
