@@ -7,8 +7,10 @@ The document is parsed a slice at a time, and each top-level element is
 translated and let go once the next one starts, so the importer's memory
 grows with the largest top-level element rather than with the document.
 An element translated by its attributes alone is tallied and what it holds
-skipped (`_Importer.leaf`). Names follow `ontology`'s name rule, as in COT;
-one the document spells otherwise is adjusted, with a note.
+skipped (`_Importer.leaf`). The importer keeps each class, property and
+individual as the value it returns, by name; a later element naming it
+again replaces it with an updated one. Names follow `ontology`'s name
+rule, as in COT; one the document spells otherwise is adjusted, with a note.
 A name the source uses but never declares is declared automatically, with
 a note, exactly when `ontology.validate_ontology` reports it dangling and
 in the order it reports it; the report carries every other defect found.
@@ -161,10 +163,10 @@ class _Importer:
     def __init__(self):
         # declarations are kept in insertion order, which is output order
         self.ontology_name: str | None = None
-        self.definitions: dict[str, ClassExpression | None] = {}
-        self.props: dict[str, dict] = {}
+        self.classes: dict[str, ClassDefinition] = {}
+        self.props: dict[str, PropertyDefinition] = {}
         self.axioms: list[Axiom] = []
-        self.ind_types: dict[str, list[ClassExpression]] = {}
+        self.individuals: dict[str, Individual] = {}
         self.translated: dict[str, int] = {}
         # element name -> (count, locator of the first one)
         self.skipped: dict[str, tuple[int, _Loc]] = {}
@@ -221,14 +223,15 @@ class _Importer:
         return self.sanitize(_local_name(uri))
 
     # ---- declarations
+    # A declaration met again is rebuilt whole rather than by `_replace`,
+    # which leaves one spare tuple per call in CPython's tuple free list,
+    # up to 2,000 of them, kept until a full garbage collection.
 
-    def declare_property(self, name: str, category: str) -> dict:
-        if name not in self.props:
-            self.props[name] = {"category": category, "domains": [], "range": None}
-        elif self.props[name]["category"] != category:
+    def declare_property(self, name: str, category: str) -> None:
+        kept = self.props.setdefault(name, PropertyDefinition(name, category))
+        if kept.category != category:
             self.note(f"property {name} declared with conflicting categories; "
-                      f"keeping {self.props[name]['category']}")
-        return self.props[name]
+                      f"keeping {kept.category}")
 
     # ---- class expressions (parse_expr_entry rolls back a failed one)
 
@@ -366,7 +369,7 @@ class _Importer:
 
     def class_element(self, el, path: _Loc, name: str) -> None:
         self.tally(el)
-        self.definitions.setdefault(name)
+        self.classes.setdefault(name, ClassDefinition(name))
         for child, cpath in _child_paths(el, path):
             tag = _prefixed(child.tag)
             if tag == "rdfs:subClassOf":
@@ -390,8 +393,8 @@ class _Importer:
                 self.skip_tree(child, cpath)
 
     def _attach_definition(self, name: str, expr: ClassExpression) -> None:
-        if self.definitions[name] is None:
-            self.definitions[name] = expr
+        if self.classes[name].definition is None:
+            self.classes[name] = ClassDefinition(name, expr)
         else:
             self.note(f"class {name}: extra definition kept as an "
                       "equivalence axiom")
@@ -433,24 +436,25 @@ class _Importer:
             self.note("anonymous property element skipped")
             return
         self.tally(el)
-        record = self.declare_property(name, category)
+        self.declare_property(name, category)
         for child, cpath in _child_paths(el, path):
             tag = _prefixed(child.tag)
             resource = child.attrib.get(_RDF_RESOURCE)
             if tag == "rdfs:domain" and resource is not None:
                 self.leaf(child, cpath)
-                domain = self.ref(resource)
-                if domain not in record["domains"]:
-                    record["domains"].append(domain)
+                domain, prop = self.ref(resource), self.props[name]
+                if domain not in prop.domains:
+                    self.props[name] = PropertyDefinition(
+                        name, prop.category, (*prop.domains, domain), prop.range)
             elif tag == "rdfs:range" and resource is not None:
-                self._range_child(name, record, child, cpath, resource)
+                self._range_child(name, child, cpath, resource)
             else:
                 self.skip_tree(child, cpath)
 
-    def _range_child(self, name: str, record: dict, child, cpath: _Loc,
-                     resource: str) -> None:
+    def _range_child(self, name: str, child, cpath: _Loc, resource: str) -> None:
         local = _local_name(resource)
-        is_object = record["category"] == OBJECT
+        prop = self.props[name]
+        is_object = prop.category == OBJECT
         if is_object and resource.startswith(_XSD):
             self.skip_tree(child, cpath)
             self.note(f"object property {name}: datatype range {local} dropped")
@@ -458,12 +462,13 @@ class _Importer:
         if not is_object and local not in DATATYPES:
             self.note(f"datatype {local} on property {name} mapped to string")
         self.leaf(child, cpath)
-        if record["range"] is not None:
+        if prop.range is not None:
             self.note(f"property {name}: extra range ignored")
-        elif is_object:
-            record["range"] = self.sanitize(local)
         else:
-            record["range"] = local if local in DATATYPES else "string"
+            rng = (self.sanitize(local) if is_object
+                   else local if local in DATATYPES else "string")
+            self.props[name] = PropertyDefinition(name, prop.category,
+                                                  prop.domains, rng)
 
     def individual_element(self, el, path: _Loc, type_name: str | None) -> None:
         name = self.name_of(el)
@@ -472,18 +477,18 @@ class _Importer:
             self.note("individual without a name skipped")
             return
         self.tally(el)
-        types = self.ind_types.setdefault(name, [])
-        if type_name is not None and self.shared[type_name] not in types:
-            types.append(self.shared[type_name])
+        # the types so far, in first-seen order, each once
+        types = dict.fromkeys(self.individuals.get(name, Individual(name)).types)
+        if type_name is not None:
+            types[self.shared[type_name]] = None
         for child, cpath in _child_paths(el, path):
             resource = child.attrib.get(_RDF_RESOURCE)
             if _prefixed(child.tag) == "rdf:type" and resource is not None:
                 self.leaf(child, cpath)
-                ref = self.shared[self.ref(resource)]
-                if ref not in types:
-                    types.append(ref)
+                types[self.shared[self.ref(resource)]] = None
             else:
                 self.skip_tree(child, cpath)
+        self.individuals[name] = Individual(name, tuple(types))
 
     def top_level(self, el, path: _Loc) -> None:
         tag = _prefixed(el.tag)
@@ -527,19 +532,11 @@ class _Importer:
     # ---- assembly
 
     def build(self, source_name: str | None) -> Ontology:
-        classes = tuple(ClassDefinition(name, expr)
-                        for name, expr in self.definitions.items())
-        properties = tuple(
-            PropertyDefinition(name, record["category"],
-                               domains=tuple(record["domains"]),
-                               range=record["range"])
-            for name, record in self.props.items())
-        individuals = tuple(Individual(name, types=tuple(types))
-                            for name, types in self.ind_types.items())
-
         return Ontology(self.ontology_name or source_name or "imported",
-                        classes=classes, properties=properties,
-                        axioms=tuple(self.axioms), individuals=individuals)
+                        classes=tuple(self.classes.values()),
+                        properties=tuple(self.props.values()),
+                        axioms=tuple(self.axioms),
+                        individuals=tuple(self.individuals.values()))
 
     def finish(self, source_name: str | None) -> ImportReport:
         """The report, with each name `validate_ontology` finds dangling
@@ -555,7 +552,7 @@ class _Importer:
         properties = dict.fromkeys(d.subject for d in defects
                                    if d.kind == "danglingProperty")
         for name in classes:
-            self.definitions[name] = None
+            self.classes[name] = ClassDefinition(name)
             self.note(f"class {name} referenced but never declared; "
                       "declared automatically")
         for name in properties:

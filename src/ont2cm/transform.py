@@ -3,23 +3,29 @@
 `transform` runs these stages in order, each a function returning what it
 builds; every class becomes an entity type first:
   - attributes: datatype properties become attributes at the classes that
-    declare them as domain or restrict them directly
+    declare them as domain or restrict them directly; a class target of
+    such a restriction is flagged
   - generalizations: `OntologyIndex.superclass_edges`, each pair once;
     `collapse_equivalences` has already folded every cycle of those edges,
-    so they form no cycle. Unions these edges cannot carry are flagged
+    so they form no cycle. Unions these edges cannot carry are flagged; a
+    union a class is defined as or same as becomes an or-group
   - relationships: object properties become relationships at each class
     that is a domain or direct restriction site; targets come from that
     class's direct some/only restrictions, falling back to the declared
     range. Cardinality restrictions tighten the target multiplicity;
-    universal restrictions mark the relationship exclusive
-  - dropped properties: properties that became neither
+    universal restrictions mark the relationship exclusive; and/or target
+    pools become and/or groups
   - whole-part: whole-part naming upgrades a relationship to composition
     when the part joins nothing else, aggregation otherwise
-  - constraints: union membership, and/or target groups and disjointness
-    become constraint groups
+  - disjointness: disjoint pairs become disjoint groups, which join the
+    or-groups and the and/or groups as the model's constraints
   - instances: individuals become instances linked to their named types
   - diagnostics: collapsed equivalences, multi-domain properties,
     complements, import skips and entities no property reaches
+
+A property that maps to nothing is flagged by the stage that maps its
+category, attributes or relationships; one of neither category is
+flagged by `transform` itself.
 
 Every stage takes an intersection apart with `ontology.conjuncts` and a
 union with `ontology.disjuncts`, nested ones flattened. The superclass
@@ -90,6 +96,10 @@ _COMPOSITION_TOKENS = frozenset({
 # tokens whose subject is the whole; for the others the subject is the part
 _WHOLE_AT_SOURCE = frozenset({"has", "haspart", "contains", "composedof"})
 
+# the flag of a property that maps to nothing and is not an object property
+_NO_ATTRIBUTE = ("no attribute could be derived: the property has no domain "
+                 "and no class restricts it")
+
 class TransformConfig(NamedTuple):
     composition_heuristics: bool = True
     include_instances: bool = True
@@ -129,14 +139,12 @@ def merged_multiplicity(index: OntologyIndex, cls: str, prop: str,
 
 class _Findings:
     """What the stages find: review flags and notes as they raise them,
-    the report keeping the first of each repeat, and the names of the
-    properties that map to nothing. Also the merged bounds so far, for
-    `merged_multiplicity`."""
+    the report keeping the first of each repeat. Also the merged bounds so
+    far, for `merged_multiplicity`."""
 
     def __init__(self) -> None:
         self.flags: list[Finding] = []
         self.notes: list[str] = []
-        self.dropped: set[str] = set()
         self.bounds: dict[Multiplicity, Multiplicity] = {}
 
     def flag(self, kind: str, subject: str, message: str) -> None:
@@ -161,8 +169,8 @@ def _entity_types(ont: Ontology, index: OntologyIndex,
                   categories: dict[str, str],
                   found: _Findings) -> tuple[EntityType, ...]:
     """One entity type per class, with an attribute for each datatype
-    property attached to it. Takes the datatype properties' sites out of
-    `sites`."""
+    property attached to it; a class target restricting the property is
+    flagged there. Takes the datatype properties' sites out of `sites`."""
     attributes: dict[str, list[Attribute]] = {c.name: [] for c in ont.classes}
     for p in ont.properties:
         if p.category != DATATYPE:
@@ -170,10 +178,15 @@ def _entity_types(ont: Ontology, index: OntologyIndex,
         datatype = p.range if p.range in DATATYPES else "string"
         p_sites = sites.pop(p.name)
         if not p_sites:
-            found.dropped.add(p.name)
+            found.flag("droppedProperty", p.name, _NO_ATTRIBUTE)
         for site in p_sites:
             attributes[site].append(Attribute(
                 p.name, datatype, _bounded(index, found, site, p.name)))
+            for r in index.direct_restrictions(site):
+                if r.on_property == p.name and r.flavor in CLASS_FLAVORS:
+                    found.flag("unmappedConstruct", f"restriction {site}.{p.name}",
+                               f"{r.flavor} target {format_expr(r.target)} of a "
+                               "datatype property has no direct mapping")
     return tuple(
         EntityType(entity_ids[cls.name], cls.name, categories[cls.name],
                    PRIMITIVE if cls.definition is None else DEFINED,
@@ -184,12 +197,12 @@ def _entity_types(ont: Ontology, index: OntologyIndex,
 def _generalizations(ont: Ontology, index: OntologyIndex,
                      entity_ids: dict[str, str], found: _Findings
                      ) -> tuple[tuple[Generalization, ...],
-                                list[tuple[str, tuple[str, ...]]]]:
+                                dict[str, SemanticConstraint]]:
     """One generalization per superclass edge pair, noting the pairs
     asserted more than one way. Also flag the unions an edge cannot carry
-    and collect the or-group of each union on the right of a same-class
-    axiom or a definition."""
-    union_groups: list[tuple[str, tuple[str, ...]]] = []
+    and give the or-group of each union on the right of a same-class axiom
+    or a definition, by id, the first of each id kept."""
+    union_groups: dict[str, SemanticConstraint] = {}
     for kind, subject, expr, source, terms in superclass_statements(ont):
         site = (f"class {subject} definition" if kind == "definition"
                 else f"axiom {kind} {subject}")
@@ -201,7 +214,9 @@ def _generalizations(ont: Ontology, index: OntologyIndex,
             member_ids = {entity_ids[m.name] for m in terms
                           if m.op == "named" and m.name in entity_ids}
             if len(member_ids) >= 2:
-                union_groups.append((subject, tuple(sorted(member_ids))))
+                cid = f"con:union:{subject}"
+                union_groups.setdefault(cid, SemanticConstraint(
+                    cid, OR_GROUP, tuple(sorted(member_ids))))
             found.notes.append(f"{site}: union definition; members recorded as "
                                f"subtypes of {subject}, review the or-group")
         elif expr.op == "or":
@@ -230,13 +245,12 @@ def _relationships(ont: Ontology, index: OntologyIndex,
                    sites: dict[str, list[str]], entity_ids: dict[str, str],
                    found: _Findings
                    ) -> tuple[dict[str, Relationship],
-                              dict[str, tuple[str, list[str]]]]:
+                              dict[str, SemanticConstraint]]:
     """One relationship per (object property, site, target), by id, and
-    the kind and member ids of each and/or group, by group id. Each group
-    joins the two or more targets of one and/or pool. Takes the object
-    properties' sites out of `sites`."""
+    each and/or group, by id. Each group joins the two or more targets of
+    one and/or pool. Takes the object properties' sites out of `sites`."""
     relationships: dict[str, Relationship] = {}
-    groups: dict[str, tuple[str, list[str]]] = {}
+    groups: dict[tuple[str, str], list[str]] = {}  # (id, kind) -> members
     for p in ont.properties:
         if p.category != OBJECT:
             continue
@@ -283,7 +297,7 @@ def _relationships(ont: Ontology, index: OntologyIndex,
                 if pool is not None and (ors if pool == "or" else ands) >= 2:
                     group_id = f"con:{pool}:{site}:{p.name}"
                     kind = AND_GROUP if pool == "and" else OR_GROUP
-                    groups.setdefault(group_id, (kind, []))[1].append(rid)
+                    groups.setdefault((group_id, kind), []).append(rid)
                 relationships[rid] = Relationship(
                     rid, p.name, entity_ids[site], entity_ids[target], MANY, mult,
                     exclusive=target in exclusive, group_id=group_id)
@@ -299,23 +313,11 @@ def _relationships(ont: Ontology, index: OntologyIndex,
                         f"property {p.name}: declared range {p.range} is "
                         f"unrelated to restriction target {target} on {site}")
         if len(relationships) == before:
-            found.dropped.add(p.name)
-    return relationships, groups
-
-
-def _dropped_properties(ont: Ontology, found: _Findings) -> None:
-    """Flag the properties that map to nothing, in declaration order."""
-    for p in ont.properties:
-        if p.name not in found.dropped:
-            continue
-        if p.category == OBJECT:
             found.flag("droppedProperty", p.name,
                        "no relationship could be derived: the property needs a "
                        "domain or restriction site and a resolvable target")
-        else:
-            found.flag("droppedProperty", p.name,
-                       "no attribute could be derived: the property has no domain "
-                       "and no class restricts it")
+    return relationships, {gid: SemanticConstraint(gid, kind, tuple(sorted(members)))
+                           for (gid, kind), members in groups.items()}
 
 
 def _whole_part(relationships: dict[str, Relationship], found: _Findings) -> None:
@@ -351,18 +353,10 @@ def _whole_part(relationships: dict[str, Relationship], found: _Findings) -> Non
                        "joins other relationships")
 
 
-def _constraints(ont: Ontology, union_groups: list[tuple[str, tuple[str, ...]]],
-                 groups: dict[str, tuple[str, list[str]]],
-                 entity_ids: dict[str, str],
-                 found: _Findings) -> tuple[SemanticConstraint, ...]:
-    """Union or-groups, relationship and/or groups and disjoint pairs, the
-    first constraint of each id kept."""
+def _disjointness(ont: Ontology, entity_ids: dict[str, str],
+                  found: _Findings) -> dict[str, SemanticConstraint]:
+    """One disjoint group per pair of distinct classes, by id."""
     constraints: dict[str, SemanticConstraint] = {}
-    for subject, member_ids in union_groups:
-        cid = f"con:union:{subject}"
-        constraints.setdefault(cid, SemanticConstraint(cid, OR_GROUP, member_ids))
-    for gid, (kind, members) in groups.items():
-        constraints[gid] = SemanticConstraint(gid, kind, tuple(sorted(members)))
     for ax in ont.axioms:
         if ax.kind != DISJOINT or ax.target.op != "named":
             continue
@@ -376,7 +370,7 @@ def _constraints(ont: Ontology, union_groups: list[tuple[str, tuple[str, ...]]],
         cid = f"con:disjoint:{lo}:{hi}"
         constraints.setdefault(cid, SemanticConstraint(
             cid, DISJOINT_GROUP, (entity_ids[lo], entity_ids[hi])))
-    return tuple(constraints.values())
+    return constraints
 
 
 def _instances(ont: Ontology, entity_ids: dict[str, str],
@@ -459,12 +453,12 @@ def transform(ont: Ontology, *, bww_report: BwwReport, index: OntologyIndex,
     relationships, groups = _relationships(ont, index, sites, entity_ids, found)
     # the sites left are those of properties of neither category, which
     # map to nothing; the table stays the size of a full one until freed
-    found.dropped.update(sites)
+    for name in sites:
+        found.flag("droppedProperty", name, _NO_ATTRIBUTE)
     del sites
-    _dropped_properties(ont, found)
     if config.composition_heuristics:
         _whole_part(relationships, found)
-    constraints = _constraints(ont, union_groups, groups, entity_ids, found)
+    constraints = {**union_groups, **groups, **_disjointness(ont, entity_ids, found)}
     if config.include_instances:
         instances = _instances(ont, entity_ids, found)
     else:
@@ -479,7 +473,7 @@ def transform(ont: Ontology, *, bww_report: BwwReport, index: OntologyIndex,
         entity_types=entity_types,
         relationships=tuple(relationships.values()),
         generalizations=generalizations,
-        constraints=constraints,
+        constraints=tuple(constraints.values()),
         instances=instances))
     return model, found.report()
 

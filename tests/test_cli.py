@@ -90,6 +90,28 @@ class TestTransform:
         assert code == 3
         assert "internal defect" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,text", [
+        ("dt.cot", "ontology t\nclass A\nclass B\ndataprop d\n"
+                   "restriction B d some A\n"),
+        ("dt.daml", '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+                    ' xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"'
+                    ' xmlns:daml="http://www.daml.org/2001/03/daml+oil#">'
+                    '<daml:Class rdf:ID="A"/><daml:DatatypeProperty rdf:ID="d"/>'
+                    '<daml:Class rdf:ID="B"><rdfs:subClassOf><daml:Restriction>'
+                    '<daml:onProperty rdf:resource="#d"/>'
+                    '<daml:hasClass rdf:resource="#A"/>'
+                    '</daml:Restriction></rdfs:subClassOf></daml:Class></rdf:RDF>')])
+    def test_class_target_of_a_datatype_property_flagged(self, tmp_path, name, text):
+        # the attribute stays and the run is clean; the target is flagged
+        source = tmp_path / name
+        source.write_text(text)
+        assert run("transform", str(source), "--out", str(tmp_path)) == 0
+        model = json.loads((tmp_path / "dt.model.json").read_text())
+        (b,) = [et for et in model["entityTypes"] if et["name"] == "B"]
+        assert [(a["name"], a["datatype"]) for a in b["attributes"]] == [("d", "string")]
+        assert "\n- `restriction B.d`: some target A of a datatype property has no " \
+            "direct mapping\n" in (tmp_path / "dt.report.md").read_text()
+
     def test_daml_input_autodetected(self, tmp_path):
         code = run("transform", str(FIXTURES / "protein.daml"),
                    "--out", str(tmp_path))

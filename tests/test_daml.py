@@ -371,14 +371,52 @@ class TestConstructs:
                 restriction_expr(Restriction("p", SOME, target=named("B"))),
                 restriction_expr(Restriction("p", "max", count=4))))),)
 
-    def test_duplicate_declarations_merge(self):
-        report = checked_import(doc(
-            '<daml:ObjectProperty rdf:about="#binds">'
-            '<rdfs:domain rdf:resource="#A"/></daml:ObjectProperty>'
-            '<daml:ObjectProperty rdf:about="#binds">'
-            '<rdfs:domain rdf:resource="#B"/></daml:ObjectProperty>'))
-        assert len(report.ontology.properties) == 1
-        assert report.ontology.properties[0].domains == ("A", "B")
+    @pytest.mark.parametrize("body,merged,axioms,note", [
+        # each element's domain, in order
+        ('<daml:ObjectProperty rdf:about="#binds">'
+         '<rdfs:domain rdf:resource="#A"/></daml:ObjectProperty>'
+         '<daml:ObjectProperty rdf:about="#binds">'
+         '<rdfs:domain rdf:resource="#B"/></daml:ObjectProperty>',
+         PropertyDefinition("binds", OBJECT, domains=("A", "B")), (), None),
+        # a repeated domain, kept once
+        ('<daml:ObjectProperty rdf:about="#binds">'
+         '<rdfs:domain rdf:resource="#A"/><rdfs:domain rdf:resource="#A"/>'
+         '</daml:ObjectProperty><daml:ObjectProperty rdf:about="#binds">'
+         '<rdfs:domain rdf:resource="#A"/></daml:ObjectProperty>',
+         PropertyDefinition("binds", OBJECT, domains=("A",)), (), None),
+        # a second range: the first kept
+        ('<daml:ObjectProperty rdf:about="#binds">'
+         '<rdfs:range rdf:resource="#A"/></daml:ObjectProperty>'
+         '<daml:ObjectProperty rdf:about="#binds">'
+         '<rdfs:range rdf:resource="#B"/></daml:ObjectProperty>',
+         PropertyDefinition("binds", OBJECT, range="A"), (),
+         "property binds: extra range ignored"),
+        # a typed node, then rdf:type children of a second element
+        ('<bio:Protein rdf:about="#p53"/><rdf:Description rdf:about="#p53">'
+         '<rdf:type rdf:resource="#DNA"/><rdf:type rdf:resource="#Protein"/>'
+         '</rdf:Description>',
+         Individual("p53", types=(named("Protein"), named("DNA"))), (), None),
+        # a second definition: an equivalence axiom
+        ('<daml:Class rdf:about="#X"><daml:intersectionOf>'
+         '<daml:Class rdf:about="#A"/><daml:Class rdf:about="#B"/>'
+         '</daml:intersectionOf></daml:Class>'
+         '<daml:Class rdf:about="#X"><daml:unionOf>'
+         '<daml:Class rdf:about="#A"/><daml:Class rdf:about="#B"/>'
+         '</daml:unionOf></daml:Class>',
+         ClassDefinition("X", ClassExpression("and", members=(named("A"), named("B")))),
+         (Axiom(SAME_CLASS, "X", ClassExpression("or", members=(named("A"), named("B")))),),
+         "class X: extra definition kept as an equivalence axiom"),
+    ])
+    def test_duplicate_declarations_merge(self, body, merged, axioms, note):
+        """Coverage of the merge paths, where a later element names a
+        class, property or individual again: one value is kept per name."""
+        report = checked_import(doc(body))
+        ont = report.ontology
+        kept = {ClassDefinition: ont.classes, PropertyDefinition: ont.properties,
+                Individual: ont.individuals}[type(merged)]
+        assert [v for v in kept if v.name == merged.name] == [merged]
+        assert ont.axioms == axioms
+        assert note is None or note in report.notes
 
     def test_skipped_expression_leaves_no_trace_but_its_skip(self):
         # the adjusted name and the census of the walk into the expression

@@ -237,6 +237,20 @@ class TestAttributes:
         assert attr.multiplicity == Multiplicity(1, 1)
         assert flags_of(report, "droppedProperty") == ()
 
+    @pytest.mark.parametrize("statement,message", [
+        ("restriction B d some A", "some target A"),
+        ("restriction B d only or(A, B)", "only target or(A, B)"),
+        ("subclass B restriction(d, some, A)", "some target A")])
+    def test_class_target_of_a_datatype_property_flagged(self, statement, message):
+        model, report = from_text(
+            f"ontology t\nclass A\nclass B\ndataprop d\n{statement}\n")
+        (attr,) = entities(model)["et:B"].attributes
+        assert (attr.name, attr.datatype) == ("d", "string")
+        assert [(i.subject, i.message) for i in flags_of(report, "unmappedConstruct")] \
+            == [("restriction B.d",
+                 f"{message} of a datatype property has no direct mapping")]
+        assert flags_of(report, "droppedProperty") == ()
+
     def test_missing_range_defaults_to_string(self):
         model, _ = from_text("ontology t\nclass A\ndataprop d domain A\n")
         (attr,) = entities(model)["et:A"].attributes
