@@ -3,17 +3,20 @@
 Concepts are graded by how much structure they actually carry: a bare set of
 things, a class held together by one common property, a kind with several,
 or a natural kind whose members are additionally bound by laws. Laws here
-are restrictions and disjointness between two classes. Properties split into
-intrinsic ones (carried by a single thing, datatype-valued) and mutual ones
-(shared between things, object-valued).
+are restrictions and disjointness between two classes. A property's grade
+follows from its category: a datatype property is intrinsic (carried by a
+single thing), an object property mutual (shared between things). So the
+grading keeps the ontology's own property definitions and reads each grade
+off the category when it is written.
 """
 
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from typing import NamedTuple
 
-from .ontology import DATATYPE, DISJOINT, Ontology, OntologyIndex
+from .ontology import DATATYPE, DISJOINT, Ontology, OntologyIndex, PropertyDefinition
 
 
 INTRINSIC = "intrinsic"
@@ -37,14 +40,9 @@ class ConceptClassification(NamedTuple):
         return "naturalKind"
 
 
-class PropertyClassification(NamedTuple):
-    name: str
-    category: str
-
-
 class BwwReport(NamedTuple):
     concepts: tuple[ConceptClassification, ...]
-    properties: tuple[PropertyClassification, ...]
+    properties: tuple[PropertyDefinition, ...]  # graded by classify_property
 
     @property
     def notes(self) -> tuple[str, ...]:
@@ -73,7 +71,7 @@ def emit_bww_json(report: BwwReport) -> str:
         f'      "propertyCount": {c.property_count},\n      "lawCount": {c.law_count}\n    }}'
         for name, c in {c.name: c for c in report.concepts}.items()], "  ", "{}")
     properties = _block([
-        f'{_str(name)}: {{\n      "category": {_str(p.category)}\n    }}'
+        f'{_str(name)}: {{\n      "category": {_str(classify_property(p.category))}\n    }}'
         for name, p in {p.name: p for p in report.properties}.items()], "  ", "{}")
     notes = _block([_str(n) for n in report.notes], "  ")
     return (f'{{\n  "concepts": {concepts},\n  "properties": {properties},\n'
@@ -103,8 +101,5 @@ def classify(ont: Ontology, index: OntologyIndex) -> BwwReport:
             cls.name, property_count,
             law_count + disjoint_mentions.get(cls.name, 0)))
 
-    properties = tuple(
-        PropertyClassification(p.name, classify_property(p.category))
-        for p in sorted(ont.properties, key=lambda p: p.name))
-
+    properties = tuple(sorted(ont.properties, key=attrgetter("name")))
     return BwwReport(tuple(concepts), properties)

@@ -123,28 +123,33 @@ def _build_parser() -> _Parser:
 
 def _load(path_text: str, fmt: str | None):
     """(ontology, its validation defects, the import report of an RDF/XML
-    input or None). An RDF/XML import validates what it builds itself."""
+    input or None). An RDF/XML import validates what it builds itself. The
+    front end reads the open file as it parses, a leading byte order mark
+    dropped; a decode error anywhere in the file wins over a parse error."""
     path = Path(path_text)
     if fmt is None:
         fmt = "damlxml" if path.suffix.lower() in _XML_EXTENSIONS else "cot"
+    failure = _lib.DamlImportError if fmt == "damlxml" else _lib.ParseError
     try:
-        # a leading byte order mark is dropped
-        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
+        # on either error the file is decoded again whole: a decode error
+        # further on wins, and its message gives its byte offset in the file
+        try:
+            with open(path, encoding="utf-8-sig") as source:
+                loaded = (_lib.import_daml(source, source_name=path.stem)
+                          if fmt == "damlxml" else _lib.parse(source))
+        except failure as exc:
+            path.read_text(encoding="utf-8")
+            raise _Error(f"{path}: {exc}")
+        except UnicodeDecodeError:
+            path.read_text(encoding="utf-8")
+            raise
     except OSError as exc:
         raise _Error(f"cannot read {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         raise _Error(f"{path}: not UTF-8 text: {exc}")
     if fmt == "damlxml":
-        try:
-            report = _lib.import_daml(text, source_name=path.stem)
-        except _lib.DamlImportError as exc:
-            raise _Error(f"{path}: {exc}")
-        return report.ontology, report.defects, report
-    try:
-        ontology = _lib.parse(text)
-    except _lib.ParseError as exc:
-        raise _Error(f"{path}: {exc}")
-    return ontology, _lib.validate_ontology(ontology), None
+        return loaded.ontology, loaded.defects, loaded
+    return loaded, _lib.validate_ontology(loaded), None
 
 
 def _reported(defects, prefix: str = "defect") -> int:

@@ -29,7 +29,7 @@ its statement from the groups. Every other line, and every line before the
 header, goes through the token cursor. Both ways give the same statement,
 and a line the cursor rejects raises the same ParseError either way.
 
-The document is split into lines a chunk at a time, and its statements
+The document is split into lines a piece at a time, and its statements
 share equal values through one `ontology.Shared`: a named term per class
 name and a `domains` tuple per distinct domain list. A class statement
 builds its ClassDefinition whole; at the end, each class's last declaration
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import re
 import sys
+from typing import TextIO
 
 from .ontology import (
     CARDINALITY_FLAVORS,
@@ -61,6 +62,7 @@ from .ontology import (
     Shared,
     echo,
     format_expr,
+    pieces,
     restriction_expr,
 )
 
@@ -322,31 +324,31 @@ def _statement(line_no: int, line: str, after_header: bool, shared: Shared):
     raise cur.error(keyword_tok, f"unknown statement keyword {echo(keyword)}")
 
 
-# characters of the document split into lines at a time
-_CHUNK_CHARS = 1 << 16
+def _lines(source: str | TextIO):
+    """The document's lines, read a piece at a time (`ontology.pieces`), so
+    no list of all lines is built. Only \n, \r\n and \r end a line
+    (str.splitlines also splits at \f, \x85...); a \r\n split between two
+    pieces is one line end."""
+    open_line: list[str] = []  # the pieces of the line not yet ended
+    after_cr = False
+    for piece in pieces(source):
+        if after_cr and piece.startswith("\n"):
+            piece = piece[1:]
+        after_cr = piece.endswith("\r")
+        head, *ended = piece.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        open_line.append(head)
+        if ended:
+            yield "".join(open_line)
+            open_line = [ended.pop()]
+            yield from ended
+    yield "".join(open_line)
 
 
-def _lines(text: str):
-    """The document's lines. Only \n, \r\n and \r end a line
-    (str.splitlines also splits at \f, \x85...). The text is split a chunk
-    at a time, each chunk ending at a \n, so no list of all lines is built."""
-    start = 0
-    while True:
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        lines = text[start:end].replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        if end == len(text):
-            yield from lines
-            return
-        lines.pop()  # the empty piece after the chunk's closing \n
-        yield from lines
-        start = end
-
-
-def parse(text: str) -> Ontology:
-    """Parse a document into an Ontology. Raises ParseError with the line
-    and column of the first offending token. No validation beyond syntax:
-    dangling references survive parsing and are reported by
-    validate_ontology."""
+def parse(source: str | TextIO) -> Ontology:
+    """Parse a document, a text or a file open for reading text, into an
+    Ontology. Raises ParseError with the line and column of the first
+    offending token. No validation beyond syntax: dangling references
+    survive parsing and are reported by validate_ontology."""
     ontology_name: str | None = None
     classes: list[ClassDefinition] = []
     class_index: dict[str, int] = {}
@@ -356,7 +358,7 @@ def parse(text: str) -> Ontology:
     individuals: list[Individual] = []
     shared = Shared()
 
-    for line_no, raw in enumerate(_lines(text), start=1):
+    for line_no, raw in enumerate(_lines(source), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue

@@ -3,9 +3,10 @@
 The importer is total over well-formed XML: every element is either
 translated into the in-memory ontology or recorded as skipped with its
 location, so the two tallies always add up to the document's element count.
-The document is parsed a slice at a time, and each top-level element is
-translated and let go once the next one starts, so the importer's memory
-grows with the largest top-level element rather than with the document.
+The document, a text or an open file, is parsed a piece at a time
+(`ontology.pieces`), and each top-level element is translated and let go
+once the next one starts, so the importer's memory grows with the largest
+top-level element rather than with the document.
 An element translated by its attributes alone is tallied and what it holds
 skipped (`_Importer.leaf`). The importer keeps each class, property and
 individual as the value it returns, by name; a later element naming it
@@ -22,7 +23,7 @@ import functools
 import re
 import sys
 import xml.etree.ElementTree as ET
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from .ontology import (
     DATATYPE,
@@ -43,6 +44,7 @@ from .ontology import (
     Restriction,
     Shared,
     echo,
+    pieces,
     restriction_expr,
     validate_ontology,
 )
@@ -65,10 +67,6 @@ _CARDINALITY_TAGS = {"daml:cardinality": "exactly", "daml:minCardinality": "min"
 # the same constraints as attributes of a daml:Restriction
 _CARDINALITY_ATTRS = {f"{{{_DAML}}}{tag.removeprefix('daml:')}": flavor
                       for tag, flavor in _CARDINALITY_TAGS.items()}
-
-
-# Characters of the document handed to the XML parser at a time.
-_FEED_CHARS = 1 << 16
 
 # Deepest element nesting below rdf:RDF a document may use. Every descent
 # of the importer goes through _child_paths, so its check there also bounds
@@ -569,24 +567,34 @@ class _Importer:
         return ImportReport(ontology, translated, skipped, tuple(self.notes), others)
 
 
-def _whole_text_error(text: str) -> ET.ParseError | None:
-    """The error the XML parser reports on `text` fed whole, with no tree
-    built. Fed in slices it can report another: after the root element,
-    "x" alone is junk, but "x<" an invalid token one column on."""
+def _whole_text_error(source: str | TextIO) -> ET.ParseError | None:
+    """The error the XML parser reports on the document fed whole, with no
+    tree built; a file is read again from its start, and one that cannot
+    seek, such as a pipe, gives None. Fed in pieces the parser can report
+    another error: after the root element, "x" alone is junk, but "x<" an
+    invalid token one column on."""
+    if not isinstance(source, str):
+        if not source.seekable():
+            return None
+        source.seek(0)
+        source = source.read()
     parser = ET.XMLParser(target=object())
     try:
-        parser.feed(text)
+        parser.feed(source)
         parser.close()
     except ET.ParseError as exc:
         return exc
     return None
 
 
-def import_daml(text: str, source_name: str | None = None) -> ImportReport:
-    """Translate an RDF/XML document. Raises DamlImportError on malformed
-    XML or structurally broken constructs; everything merely unsupported is
-    skipped and reported instead. Malformed XML anywhere in the document
-    wins over the first broken construct, which wins over any later one."""
+def import_daml(source: str | TextIO,
+                source_name: str | None = None) -> ImportReport:
+    """Translate an RDF/XML document, a text or a file open for reading
+    text (read again on malformed XML when it can seek). Raises
+    DamlImportError on malformed XML or structurally broken constructs;
+    everything merely unsupported is skipped and reported instead. Malformed
+    XML anywhere in the document wins over the first broken construct,
+    which wins over any later one; so the document is read to its end."""
     parser = ET.XMLPullParser(("start",))
     importer = _Importer()
     root = None
@@ -604,8 +612,8 @@ def import_daml(text: str, source_name: str | None = None) -> ImportReport:
             error = exc
 
     try:
-        for start in range(0, len(text), _FEED_CHARS):
-            parser.feed(text[start:start + _FEED_CHARS])
+        for piece in pieces(source):
+            parser.feed(piece)
             for _, el in parser.read_events():
                 if root is None:
                     root = el
@@ -619,7 +627,7 @@ def import_daml(text: str, source_name: str | None = None) -> ImportReport:
                 del root[:done]
         parser.close()
     except ET.ParseError as exc:
-        exc = _whole_text_error(text) or exc
+        exc = _whole_text_error(source) or exc
         raise DamlImportError(f"malformed XML: {exc}") from exc
     if error is None:
         translate(root)

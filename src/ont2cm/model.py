@@ -109,23 +109,21 @@ def check_model(model: ConceptualModel) -> list[Finding]:
     at least two homogeneous members. Crossed bounds pass: they read as
     unsatisfiable, which the review report flags."""
     defects: list[Finding] = []
-    entity_ids = [et.id for et in model.entity_types]
-    entity_id_set = set(entity_ids)
-    rel_ids = [r.id for r in model.relationships]
-    rel_id_set = set(rel_ids)
-    constraint_ids = [c.id for c in model.constraints]
 
-    def check_unique(ids, what):
+    def check_unique(values, what) -> set[str]:
+        """The set of the ids of `values`; an id that repeats is reported once."""
         seen, dup = set(), set()
-        for i in ids:
+        for i in map(attrgetter("id"), values):
             if i in seen and i not in dup:
                 defects.append(Finding("duplicateId", i, f"{what} id {i!r} repeats"))
                 dup.add(i)
             seen.add(i)
+        return seen
 
-    check_unique(entity_ids, "entity type")
-    check_unique(rel_ids, "relationship")
-    check_unique(constraint_ids, "constraint")
+    # one set per id kind, read for every reference to that kind
+    entity_id_set = check_unique(model.entity_types, "entity type")
+    rel_id_set = check_unique(model.relationships, "relationship")
+    constraint_id_set = check_unique(model.constraints, "constraint")
 
     seen_names: set[str] = set()
     for et in model.entity_types:
@@ -142,7 +140,6 @@ def check_model(model: ConceptualModel) -> list[Finding]:
             attr_names.add(attr.name)
             _check_multiplicity(attr.multiplicity, f"{et.name}.{attr.name}", defects)
 
-    constraint_by_id = {c.id: c for c in model.constraints}
     for rel in model.relationships:
         for end in (rel.source_id, rel.target_id):
             if end not in entity_id_set:
@@ -159,7 +156,7 @@ def check_model(model: ConceptualModel) -> list[Finding]:
         elif rel.whole is not None:
             defects.append(Finding("badWhole", rel.id,
                                    f"association {rel.id} must not name a whole"))
-        if rel.group_id is not None and rel.group_id not in constraint_by_id:
+        if rel.group_id is not None and rel.group_id not in constraint_id_set:
             defects.append(Finding("danglingReference", rel.id,
                                    f"{rel.id} names unknown group {rel.group_id!r}"))
 

@@ -22,8 +22,9 @@ an axiom or its definition adds some.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
 from itertools import chain, compress
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 # Datatype names accepted for datatype-property ranges.
 DATATYPES = ("string", "integer", "decimal", "boolean", "date")
@@ -56,6 +57,21 @@ DISJOINT = "disjoint"
 NAME_START = "A-Za-z_"
 NAME_CHARS = "A-Za-z0-9_-"
 ECHO_CHARS = 32  # characters of an offending token or value a message repeats
+
+
+# Characters of a document a front end reads at a time.
+PIECE_CHARS = 1 << 16
+
+
+def pieces(source: str | TextIO) -> Iterator[str]:
+    """The document `source`, a text or a file open for reading text,
+    PIECE_CHARS characters at a time, so neither front end holds it whole."""
+    if isinstance(source, str):
+        for start in range(0, len(source), PIECE_CHARS):
+            yield source[start:start + PIECE_CHARS]
+    else:
+        while piece := source.read(PIECE_CHARS):
+            yield piece
 
 
 def echo(token: str) -> str:
@@ -339,6 +355,10 @@ def validate_ontology(ont: Ontology) -> list[Finding]:
 
     for prop in ont.properties:
         where = f"property {prop.name}"
+        if prop.category not in (OBJECT, DATATYPE):
+            defects.append(Finding(
+                "badCategory", prop.name,
+                f"{where} has unknown category {prop.category!r}"))
         for d in prop.domains:
             if d not in class_names:
                 defects.append(Finding(

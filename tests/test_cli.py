@@ -1,6 +1,7 @@
 """Exit codes, artifact layout, and stream discipline of the CLI."""
 
 import errno
+import importlib.util
 import json
 import os
 import random
@@ -425,6 +426,158 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "UTF-8" in err
         assert "Traceback" not in err
+
+
+PIECE = 1 << 16  # characters of an input the front ends read at a time
+BOM = b"\xef\xbb\xbf"
+DAML_HEAD = ('<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"\n'
+             ' xmlns:daml="http://www.daml.org/2001/03/daml+oil#">\n')
+# 6,001 and 2,502 lines, each longer than one piece
+LONG_COT = "ontology x\n" + "".join(f"class C{i:05d}\n" for i in range(6000))
+LONG_DAML = DAML_HEAD + "".join(f'<daml:Class rdf:ID="C{i:05d}"/>\n'
+                                for i in range(2500))
+# a CRLF document whose \r is the last character of the first piece: the
+# header is 17 characters and each class line 14
+STRADDLING_COT = "ontology abcdef\r\n" + "".join(f"class C{i:05d}\r\n"
+                                                 for i in range(6000))
+assert STRADDLING_COT[PIECE - 1:PIECE + 1] == "\r\n"
+NOT_UTF8 = "not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position {}: " \
+    "invalid continuation byte"
+JUNK = "line 6002, column 9: unexpected 'junk' after statement"
+MISMATCHED = "malformed XML: mismatched tag: line 2503, column 14"
+
+# (file name, its bytes, the message after "error: <path>: "); a message
+# with {} gives the position of the byte 0xe9 in the file
+INPUT_ERRORS = {
+    "cot-non-utf8-after-parse-error": (
+        "a.cot", b"ontology x\nclass !\nclass Caf\xe9\n", NOT_UTF8),
+    "daml-non-utf8-after-malformed-xml": (
+        "b.daml", b"<rdf:RDF>\n<a></b>\n<!-- caf\xe9 -->\n</rdf:RDF>\n", NOT_UTF8),
+    "daml-non-utf8-after-import-error": (
+        "c.daml", b"<x>\n<!-- caf\xe9 -->\n</x>\n", NOT_UTF8),
+    "cot-non-utf8-pieces-after-parse-error": (
+        "a2.cot", b"ontology x\nclass !\n" + LONG_COT.encode() + b"class Caf\xe9\n",
+        NOT_UTF8),
+    "daml-non-utf8-pieces-after-malformed-xml": (
+        "b2.daml", b"<rdf:RDF>\n<a></b>\n" + LONG_DAML.encode()
+        + b"<!-- caf\xe9 -->\n</rdf:RDF>\n", NOT_UTF8),
+    "daml-non-utf8-pieces-after-import-error": (
+        "c2.daml", b"<x>\n" + LONG_DAML.encode() + b"<!-- caf\xe9 -->\n</x>\n",
+        NOT_UTF8),
+    "cot-non-utf8-beyond-first-piece": (
+        "d.cot", LONG_COT.encode() + b"class Caf\xe9\n", NOT_UTF8),
+    "daml-non-utf8-beyond-first-piece": (
+        "e.daml", LONG_DAML.encode() + b"<!-- caf\xe9 -->\n</rdf:RDF>\n",
+        NOT_UTF8),
+    "cot-bom-crlf-straddling": (
+        "f.cot", BOM + STRADDLING_COT.encode() + b"class C junk\r\n", JUNK),
+    "cot-lone-cr": (
+        "g.cot", LONG_COT.replace("\n", "\r").encode() + b"class C junk\r", JUNK),
+    "daml-bom-crlf-malformed-xml": (
+        "h.daml", BOM + LONG_DAML.replace("\n", "\r\n").encode()
+        + b"<daml:Class></daml:Klass>\r\n</rdf:RDF>\r\n", MISMATCHED),
+    "daml-malformed-xml-beyond-first-piece": (
+        "i.daml", (LONG_DAML + "<daml:Class></daml:Klass>\n</rdf:RDF>\n").encode(),
+        MISMATCHED),
+}
+
+
+class TestInputErrors:
+    """The exact error line and exit code of an input that cannot be read,
+    decoded or parsed, wherever in the file the fault is: a decode error
+    anywhere wins over a parse error and gives its byte offset in the file.
+    `import` reads every input as RDF/XML, so it takes the .daml cases."""
+
+    @staticmethod
+    def outcome(tmp_path, capsys, command, path):
+        out = [] if command == "check" else ["--out", str(tmp_path / "out")]
+        code = run(command, str(path), *out)
+        assert not (tmp_path / "out").exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "transform", "import"])
+    @pytest.mark.parametrize("suffix", [".cot", ".daml"])
+    def test_missing_file(self, tmp_path, capsys, command, suffix):
+        path = tmp_path / f"missing{suffix}"
+        assert self.outcome(tmp_path, capsys, command, path) \
+            == (1, f"error: cannot read {path}: No such file or directory\n")
+
+    @pytest.mark.parametrize("command, case", [
+        (command, case) for command in ("check", "transform", "import")
+        for case in INPUT_ERRORS
+        if command != "import" or case.startswith("daml")])
+    def test_error_line(self, tmp_path, capsys, command, case):
+        name, data, message = INPUT_ERRORS[case]
+        path = tmp_path / name
+        path.write_bytes(data)
+        message = message.format(data.find(b"\xe9"))
+        assert self.outcome(tmp_path, capsys, command, path) \
+            == (1, f"error: {path}: {message}\n")
+
+
+def _bench_documents():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "bench" / "workloads.py")
+    workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [doc for workload in workloads.WORKLOADS
+            for doc in workloads.generate(workload, 1)]
+
+
+# (name, text): the fixtures, the seed-1 benchmark documents, each longer
+# than one piece, and a document whose CRLF copy has a \r\n across pieces
+DOCUMENTS = [(path.name, path.read_text(encoding="utf-8"))
+             for path in sorted(FIXTURES.glob("*.*"))] \
+    + [(doc.stem + doc.suffix, doc.text) for doc in _bench_documents()] \
+    + [("straddling.cot", STRADDLING_COT.replace("\r\n", "\n"))]
+
+
+class TestOpenFileInput:
+    """Both front ends read a file open for reading text as they read its
+    text, whether the file object translates line ends or not, and a text
+    with CRLF line ends as one with LF line ends."""
+
+    @pytest.mark.parametrize("name, text", DOCUMENTS,
+                             ids=[name for name, _ in DOCUMENTS])
+    def test_file_reads_as_its_text(self, tmp_path, name, text):
+        def front_end(source):
+            if name.endswith(".cot"):
+                return cot.parse(source)
+            return import_daml(source, source_name=Path(name).stem)
+
+        expected = front_end(text)
+        crlf = text.replace("\n", "\r\n")
+        assert front_end(crlf) == expected
+        # newline="" keeps the CRLF line ends in the pieces read
+        for newline, write in ((None, text), ("", crlf)):
+            path = tmp_path / name
+            path.write_bytes(write.encode("utf-8"))
+            with open(path, encoding="utf-8", newline=newline) as source:
+                assert front_end(source) == expected, newline
+
+    def test_line_end_across_pieces(self, tmp_path):
+        # its \r\n ends one line, so the junk is on the line after 6,001
+        text = STRADDLING_COT + "class C junk\r\n"
+        path = tmp_path / "straddling.cot"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8", newline="") as source:
+            for document in (text, source):
+                with pytest.raises(cot.ParseError) as exc:
+                    cot.parse(document)
+                assert (exc.value.line, exc.value.column) == (6002, 9)
+
+    def test_malformed_xml_from_a_pipe(self):
+        # a pipe cannot be read again whole, so the error is the one the
+        # pieces gave, here the same
+        text = "<r>\n<a></b>\n</r>\n"
+        read_end, write_end = os.pipe()
+        os.write(write_end, text.encode("utf-8"))
+        os.close(write_end)
+        with open(read_end, encoding="utf-8") as source:
+            for document in (text, source):
+                with pytest.raises(damlxml.DamlImportError) as exc:
+                    import_daml(document)
+                assert str(exc.value) == "malformed XML: mismatched tag: line 2, column 5"
 
 
 def nested_cot(depth: int) -> str:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ont2cm import cot
+from ont2cm import cot, ontology
 from ont2cm.ontology import (
     SUBCLASS,
     SAME_CLASS,
@@ -161,11 +161,11 @@ class TestErrors:
 
     MIXED = "ontology x\r\nclass A\rclass B\n\r\nclass C # c\r\rclass D"
 
-    # the document is split into lines a chunk at a time; any chunk size,
+    # the document is split into lines a piece at a time; any piece size,
     # down to one character, gives the lines of a whole-text split
     @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 1 << 16])
     def test_mixed_line_ends_in_any_chunks(self, chunk, monkeypatch):
-        monkeypatch.setattr(cot, "_CHUNK_CHARS", chunk)
+        monkeypatch.setattr(ontology, "PIECE_CHARS", chunk)
         # the last line has no line end
         assert [c.name for c in cot.parse(self.MIXED).classes] == list("ABCD")
         with pytest.raises(cot.ParseError) as exc:
@@ -178,7 +178,7 @@ class TestErrors:
     def test_error_on_the_last_line_of_many_chunks(self):
         ends = ("\n", "\r\n", "\r")
         text = "".join(f"class C{i}{ends[i % 3]}" for i in range(30000))
-        assert len(text) > 4 * cot._CHUNK_CHARS
+        assert len(text) > 4 * ontology.PIECE_CHARS
         with pytest.raises(cot.ParseError) as exc:
             cot.parse(f"ontology x\n{text}class C junk")
         assert (exc.value.line, exc.value.column) == (30002, 9)

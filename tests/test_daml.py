@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ont2cm import cot, damlxml
+from ont2cm import cot, damlxml, ontology
 from ont2cm.damlxml import (
     MAX_DEPTH,
     DamlImportError,
@@ -76,7 +76,7 @@ def checked_import(text: str, source_name: str | None = None) -> ImportReport:
     values and multi-byte characters."""
     expected = _outcome(import_daml_tree, text, source_name)
     for size in (1, 7, len(text) + 1):
-        with mock.patch.object(damlxml, "_FEED_CHARS", size):
+        with mock.patch.object(ontology, "PIECE_CHARS", size):
             assert _outcome(import_daml, text, source_name) == expected, size
     report = import_daml(text, source_name)
     # what the declarations left is what validating the result finds
@@ -891,7 +891,7 @@ def lattice_daml(n: int) -> str:
 def test_import_peak_is_below_half_of_the_tree():
     # the tree a whole-document parse holds is what the importer lets go
     text = lattice_daml(4500)
-    assert len(text) > 10 * damlxml._FEED_CHARS
+    assert len(text) > 10 * ontology.PIECE_CHARS
     tracemalloc.start()
     try:
         tree = ET.fromstring(text)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ont2cm import cot
 from ont2cm.damlxml import import_daml
-from ont2cm.bww import BwwReport, ConceptClassification, PropertyClassification
+from ont2cm.bww import BwwReport, ConceptClassification
 from ont2cm.emit import (
     emit_bww_json,
     emit_dot,
@@ -34,6 +34,7 @@ from ont2cm.model import (
     Relationship,
     SemanticConstraint,
 )
+from ont2cm.ontology import DATATYPE, OBJECT, PropertyDefinition
 from ont2cm.transform import derive_model
 from strategies import ontologies
 
@@ -283,7 +284,8 @@ def grading_doc(report):
                               "propertyCount": c.property_count,
                               "lawCount": c.law_count}
                      for c in report.concepts},
-        "properties": {p.name: {"category": p.category}
+        "properties": {p.name: {"category": "intrinsic" if p.category == DATATYPE
+                                else "mutual"}
                        for p in report.properties},
         "notes": list(report.notes),
     }
@@ -322,7 +324,8 @@ gradings = st.builds(
     BwwReport,
     st.lists(st.builds(ConceptClassification, names, counts, counts),
              max_size=6).map(tuple),
-    st.lists(st.builds(PropertyClassification, names, names),
+    st.lists(st.builds(PropertyDefinition, names,
+                       st.sampled_from((OBJECT, DATATYPE)) | names),
              max_size=6).map(tuple))
 
 

@@ -120,9 +120,38 @@ class TestCheckModel:
                          instances=(Instance("x", ("et:A",)),
                                     Instance("x", ("et:A",)))),
          "duplicateName"),
+        (ConceptualModel("m", entity_types=(et("A"), et("B")),
+                         relationships=(rel("p", "A", "B"), rel("p", "A", "B"))),
+         "duplicateId"),
+        (ConceptualModel("m", entity_types=(et("A"), et("B")),
+                         constraints=(SemanticConstraint(
+                             "con:x", DISJOINT_GROUP, ("et:A", "et:B")),
+                             SemanticConstraint(
+                             "con:x", OR_GROUP, ("et:A", "et:B")))),
+         "duplicateId"),
     ])
     def test_defect_detected(self, model, kind):
         assert kind in {d.kind for d in check_model(model)}
+
+    def test_ids_repeated_three_times(self):
+        # each repeated id is reported once, entity types first, then
+        # relationships, then constraints; a generalization is its own id
+        # and repeats on every copy; references to a repeated id resolve
+        disjoint = SemanticConstraint("con:x", DISJOINT_GROUP, ("et:A", "et:B"))
+        m = ConceptualModel(
+            "m", entity_types=(et("A"), et("B"), et("A"), et("A")),
+            relationships=(rel("p", "A", "B", group_id="con:x"),) * 3,
+            generalizations=(Generalization("et:A", "et:B"),) * 3,
+            constraints=(disjoint,) * 3)
+        assert [(d.kind, d.subject, d.message) for d in check_model(m)] == [
+            ("duplicateId", "et:A", "entity type id 'et:A' repeats"),
+            ("duplicateId", "rel:p:A:B", "relationship id 'rel:p:A:B' repeats"),
+            ("duplicateId", "con:x", "constraint id 'con:x' repeats"),
+            ("duplicateName", "A", "entity name 'A' repeats"),
+            ("duplicateName", "A", "entity name 'A' repeats"),
+            ("duplicateId", "et:A->et:B", "generalization repeats"),
+            ("duplicateId", "et:A->et:B", "generalization repeats"),
+        ]
 
     def test_unsatisfiable_multiplicity_is_tolerated_when_marked(self):
         crossed = Multiplicity(2, 1)

@@ -81,6 +81,11 @@ class TestValidate:
         (ont(properties=[PropertyDefinition("p", "object",
                                             domains=("Ghost",))]),
          "danglingClass", "Ghost"),
+        # the grade and the mapping of a property follow from its category
+        (ont(classes=[ClassDefinition("A")],
+             properties=[PropertyDefinition("p", "annotation",
+                                            domains=("A",))]),
+         "badCategory", "p"),
     ])
     def test_single_defect_detected(self, broken, kind, subject):
         defects = validate_ontology(broken)
