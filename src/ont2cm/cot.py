@@ -30,10 +30,11 @@ header, goes through the token cursor. Both ways give the same statement,
 and a line the cursor rejects raises the same ParseError either way.
 
 The document is split into lines a piece at a time, and its statements
-share equal values through one `ontology.Shared`: a named term per class
-name and a `domains` tuple per distinct domain list. A class statement
-builds its ClassDefinition whole; at the end, each class's last declaration
-takes its restrictions; those on an undeclared class become subclass axioms.
+share equal values through one `ontology.Shared`: a string per word, a
+named term per class name and a `domains` tuple per distinct domain list.
+A class statement builds its ClassDefinition whole; at the end, each
+class's last declaration takes its restrictions; those on an undeclared
+class become subclass axioms.
 """
 
 from __future__ import annotations
@@ -213,28 +214,30 @@ def _parse_property(cur: _Cursor, category: str) -> PropertyDefinition:
                               range=rng)
 
 
-# A shape's builder interns every word it keeps, so the ontology holds each
-# name and keyword once however many statements repeat it.
-_intern = sys.intern
+# A shape's builder keeps every word through `Shared.words`, so the ontology
+# holds each name and keyword once however many statements repeat it.
 
 
 def _restriction_shape(m: re.Match, line: int,
                        shared: Shared) -> tuple[str, Restriction]:
+    words = shared.words
     if m[3] is not None:
-        r = Restriction(_intern(m[2]), _intern(m[3]), target=shared[m[4]])
+        r = Restriction(words[m[2]], words[m[3]], target=shared[m[4]])
     else:
-        r = Restriction(_intern(m[2]), _intern(m[5]),
+        r = Restriction(words[m[2]], words[m[5]],
                         count=_count(line, m.start(6) + 1, m[6]))
-    return _intern(m[1]), r
+    return words[m[1]], r
 
 
 def _property_shape(m: re.Match, line: int,
                     shared: Shared) -> PropertyDefinition:
-    domains = tuple(map(_intern, _NAMES_RE.findall(m[3]))) if m[3] else ()
-    return PropertyDefinition(_intern(m[2]),
+    words = shared.words
+    domains = (tuple(map(words.__getitem__, _NAMES_RE.findall(m[3])))
+               if m[3] else ())
+    return PropertyDefinition(words[m[2]],
                               OBJECT if m[1] == "objprop" else DATATYPE,
                               domains=shared.setdefault(domains, domains),
-                              range=None if m[4] is None else _intern(m[4]))
+                              range=None if m[4] is None else words[m[4]])
 
 
 # The fixed statement shapes, each a whole line: `\s` is what the token
@@ -251,11 +254,12 @@ _SHAPES = (
                 rf"(?:\s+range\s+{_N})?\s*\Z"),
      _property_shape),
     (re.compile(rf"\s*class\s+{_N}\s*\Z"),
-     lambda m, line, shared: ClassDefinition(_intern(m[1]))),
+     lambda m, line, shared: ClassDefinition(shared.words[m[1]])),
     (re.compile(rf"\s*(subclass|same-class|disjoint)\s+{_N}\s+{_N}\s*\Z"),
-     lambda m, line, shared: Axiom(_intern(m[1]), _intern(m[2]), shared[m[3]])),
+     lambda m, line, shared: Axiom(shared.words[m[1]], shared.words[m[2]],
+                                   shared[m[3]])),
     (re.compile(rf"\s*individual\s+{_N}\s+type\s+{_N}\s*\Z"),
-     lambda m, line, shared: Individual(_intern(m[1]), types=(shared[m[2]],))),
+     lambda m, line, shared: Individual(shared.words[m[1]], types=(shared[m[2]],))),
 )
 
 

@@ -206,7 +206,7 @@ class _Importer:
         if name != raw:
             self.note(f"name {raw!r} adjusted to {name!r}")
         # one string per name however often the document refers to it
-        return sys.intern(name)
+        return self.shared.words[name]
 
     def name_of(self, el) -> str | None:
         raw = el.attrib.get(_RDF_ABOUT) or el.attrib.get(_RDF_ID)

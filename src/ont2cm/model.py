@@ -255,8 +255,8 @@ def canonical_order(model: ConceptualModel) -> ConceptualModel:
     relationships = sorted(model.relationships, key=attrgetter("target_id"))
     relationships.sort(key=attrgetter("source_id"))
     relationships.sort(key=attrgetter("name"))
-    generalizations = tuple(sorted(
-        model.generalizations, key=lambda g: (g.sub_id, g.super_id)))
+    # a Generalization compares as (sub_id, super_id)
+    generalizations = tuple(sorted(model.generalizations))
     constraints = tuple(sorted(
         model.constraints, key=lambda c: (c.kind, c.member_ids, c.id)))
     instances = tuple(sorted(model.instances, key=lambda i: i.name))

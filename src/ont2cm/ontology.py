@@ -21,7 +21,6 @@ an axiom or its definition adds some.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterator
 from itertools import chain, compress
 from typing import NamedTuple, TextIO
@@ -108,15 +107,28 @@ def named(name: str) -> ClassExpression:
     return ClassExpression("named", name=name)
 
 
+# a word table: the first of equal strings, each kept as its own key
+class _Words(dict):
+    def __missing__(self, word: str) -> str:
+        self[word] = word
+        return word
+
+
 class Shared(dict):
     """Equal values of one document, each built once and reused: a front
-    end keeps one for the document it reads. `shared[name]` is the named
-    term of a class name, built at its first lookup with the name
-    interned; `shared.setdefault(value, value)` is the first of any other
-    equal values. A name is a string, so it never equals another value."""
+    end keeps one for the document it reads, dropped with the parse.
+    `shared.words[text]` is the first string equal to `text`, so no word is
+    interned process-wide. `shared[name]` is the named term of a class
+    name, built at its first lookup from its word;
+    `shared.setdefault(value, value)` is the first of any other equal
+    values. A name is a string, so it never equals another value."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.words = _Words()
 
     def __missing__(self, name: str) -> ClassExpression:
-        name = sys.intern(name)
+        name = self.words[name]
         term = self[name] = named(name)
         return term
 
@@ -654,9 +666,11 @@ class OntologyIndex:
     pass over the condensation of the superclass graph (Nuutila, 1995). A
     bit position goes only to what some class inherits: each class that is
     a superclass, the properties attached to such classes and their
-    restriction occurrences, numbered in declaration order. A class's own
-    unshared features are counted, not numbered, so the bitsets stay as
-    short as the inherited part of the hierarchy.
+    restriction occurrences, numbered in declaration order. The numbers
+    are kept as name -> position maps and each `1 << pos` is built where
+    it is ORed in or tested. A class's own unshared features are counted,
+    not numbered, so the bitsets stay as short as the inherited part of
+    the hierarchy.
     """
 
     def __init__(self, ont: Ontology):
@@ -669,19 +683,17 @@ class OntologyIndex:
         # bit positions, in declaration order
         inherited = {sup for sub, sup, _ in self.superclass_edges}
         self._superclasses = [name for name in self._attached if name in inherited]
-        self._class_bit = {name: 1 << pos
-                           for pos, name in enumerate(self._superclasses)}
-        self._property_bit: dict[str, int] = {}
+        self._class_pos = {name: pos for pos, name in enumerate(self._superclasses)}
+        self._property_pos: dict[str, int] = {}
         self._occurrences: list[Restriction] = []
-        own_occurrences: dict[str, int] = {}
+        first_occurrence: dict[str, int] = {}
         # the occurrence bits of the cardinality restrictions on each property
         self._cardinality_mask: dict[str, int] = {}
         for name in self._superclasses:
             for prop in self.attached_properties(name):
-                self._property_bit.setdefault(prop, 1 << len(self._property_bit))
+                self._property_pos.setdefault(prop, len(self._property_pos))
             restrictions = self.direct_restrictions(name)
-            first = len(self._occurrences)
-            own_occurrences[name] = ((1 << len(restrictions)) - 1) << first
+            first = first_occurrence[name] = len(self._occurrences)
             for pos, r in enumerate(restrictions, first):
                 if r.flavor in CARDINALITY_FLAVORS:
                     self._cardinality_mask[r.on_property] = (
@@ -698,10 +710,14 @@ class OntologyIndex:
         for comp in _strongly_connected(supers):
             ancestor_bits = property_bits = occurrence_bits = 0
             for member in comp:
-                ancestor_bits |= self._class_bit.get(member, 0)
-                occurrence_bits |= own_occurrences.get(member, 0)
+                if member in self._class_pos:
+                    ancestor_bits |= 1 << self._class_pos[member]
+                    # its own restrictions' occurrences are numbered in a row
+                    own = len(self.direct_restrictions(member))
+                    occurrence_bits |= ((1 << own) - 1) << first_occurrence[member]
                 for prop in self.attached_properties(member):
-                    property_bits |= self._property_bit.get(prop, 0)
+                    if prop in self._property_pos:
+                        property_bits |= 1 << self._property_pos[prop]
                 for sup in supers[member]:
                     # a fellow member is not built yet, and its own bits
                     # are ORed in above
@@ -717,13 +733,15 @@ class OntologyIndex:
     def ancestors(self, cls: str) -> tuple[str, ...]:
         """Transitive superclasses in declaration order, excluding the class
         itself, each once. Decoded from the bitsets on every call."""
-        bits = self._ancestor_bits.get(cls, 0) & ~self._class_bit.get(cls, 0)
+        bits = self._ancestor_bits.get(cls, 0)
+        if cls in self._class_pos:
+            bits &= ~(1 << self._class_pos[cls])
         return tuple(_decode(bits, self._superclasses))
 
     def is_ancestor(self, sup: str, cls: str) -> bool:
         """True if `sup` is a transitive superclass of `cls`, not itself."""
-        return sup != cls and bool(
-            self._ancestor_bits.get(cls, 0) & self._class_bit.get(sup, 0))
+        return sup != cls and sup in self._class_pos and bool(
+            self._ancestor_bits.get(cls, 0) >> self._class_pos[sup] & 1)
 
     def reach(self, cls: str) -> tuple[int, int]:
         """How many distinct declared properties, and how many restriction
@@ -733,9 +751,9 @@ class OntologyIndex:
         # features without one are counted here
         properties = self._property_bits.get(cls, 0).bit_count() + sum(
             1 for prop in self.attached_properties(cls)
-            if prop not in self._property_bit)
+            if prop not in self._property_pos)
         restrictions = self._occurrence_bits.get(cls, 0).bit_count()
-        if cls not in self._class_bit:
+        if cls not in self._class_pos:
             restrictions += len(self.direct_restrictions(cls))
         return properties, restrictions
 

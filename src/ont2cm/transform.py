@@ -200,9 +200,10 @@ def _generalizations(ont: Ontology, index: OntologyIndex,
                                 dict[str, SemanticConstraint]]:
     """One generalization per superclass edge pair, noting the pairs
     asserted more than one way. Also flag the unions an edge cannot carry
-    and give the or-group of each union on the right of a same-class axiom
-    or a definition, by id, the first of each id kept."""
-    union_groups: dict[str, SemanticConstraint] = {}
+    and give each distinct member set of a union on the right of a
+    same-class axiom or a definition an or-group, by id. A subject's groups
+    go in member order: `con:union:X`, then `con:union:X:2` and so on."""
+    unions: dict[str, set[tuple[str, ...]]] = {}  # subject -> member sets
     for kind, subject, expr, source, terms in superclass_statements(ont):
         site = (f"class {subject} definition" if kind == "definition"
                 else f"axiom {kind} {subject}")
@@ -214,9 +215,7 @@ def _generalizations(ont: Ontology, index: OntologyIndex,
             member_ids = {entity_ids[m.name] for m in terms
                           if m.op == "named" and m.name in entity_ids}
             if len(member_ids) >= 2:
-                cid = f"con:union:{subject}"
-                union_groups.setdefault(cid, SemanticConstraint(
-                    cid, OR_GROUP, tuple(sorted(member_ids))))
+                unions.setdefault(subject, set()).add(tuple(sorted(member_ids)))
             found.notes.append(f"{site}: union definition; members recorded as "
                                f"subtypes of {subject}, review the or-group")
         elif expr.op == "or":
@@ -228,16 +227,26 @@ def _generalizations(ont: Ontology, index: OntologyIndex,
                     found.flag("unmappedConstruct", site, f"union expression "
                                f"{format_expr(term)} has no direct mapping here")
 
-    gen_sources: dict[tuple[str, str], set[str]] = {}
+    # a pair's first source, or the set of its sources once it has two
+    gen_sources: dict[tuple[str, str], str | set[str]] = {}
     for sub, sup, source in index.superclass_edges:
-        gen_sources.setdefault((sub, sup), set()).add(source)
+        first = gen_sources.setdefault((sub, sup), source)
+        if first != source:
+            if type(first) is str:
+                first = gen_sources[sub, sup] = {first}
+            first.add(source)
     for (sub, sup), sources in gen_sources.items():
-        if len(sources) >= 2:
+        if type(sources) is set:
             found.notes.append(
                 f"generalization {sub} -> {sup} asserted more than one way: "
                 + ", ".join(sorted(sources, key=EDGE_SOURCES.index)))
     generalizations = tuple(Generalization(entity_ids[sub], entity_ids[sup])
                             for sub, sup in gen_sources)
+    union_groups: dict[str, SemanticConstraint] = {}
+    for subject, member_sets in unions.items():
+        for n, members in enumerate(sorted(member_sets), 1):
+            cid = f"con:union:{subject}" if n == 1 else f"con:union:{subject}:{n}"
+            union_groups[cid] = SemanticConstraint(cid, OR_GROUP, members)
     return generalizations, union_groups
 
 

@@ -310,6 +310,23 @@ class TestGeneralizations:
         assert flags_of(report, "zeroPropertyEntity") == ()
         assert flags_of(report, "unmappedConstruct") == ()
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_each_union_of_one_subject_is_its_own_group(self, order):
+        # the groups go in member order, whatever the statement order;
+        # a member set stated twice stays one group
+        statements = ["defined-class X = or(C, D)", "same-class X or(A, B)",
+                      "same-class X or(B, A)"][::order]
+        model, report = from_text("ontology t\nclass A\nclass B\nclass C\n"
+                                  "class D\n" + "\n".join(statements) + "\n")
+        assert [(c.id, c.kind, c.member_ids) for c in model.constraints] == [
+            ("con:union:X", "orGroup", ("et:A", "et:B")),
+            ("con:union:X:2", "orGroup", ("et:C", "et:D"))]
+        assert {(g.sub_id, g.super_id) for g in model.generalizations} == {
+            (f"et:{m}", "et:X") for m in "ABCD"}
+        # the two same-class statements give one note
+        assert sum("review the or-group" in n for n in report.notes) == 2
+        assert check_model(model) == []
+
     def test_union_supertype_in_subclass_axiom_is_flagged(self):
         model, report = from_text(
             "ontology t\nclass A\nclass B\nclass C\n"
@@ -335,6 +352,19 @@ class TestGeneralizations:
             "objprop p domain D range A\n"
             "subclass D A\n")
         assert any("asserted more than one way" in n for n in report.notes)
+
+    def test_edges_asserted_more_than_one_way_are_noted_in_first_seen_order(self):
+        # subclass axioms come first, so A -> B and then C -> D are seen
+        # first; their definitions arrive the other way round
+        _, report = from_text(
+            "ontology t\nclass B\nclass D\n"
+            "defined-class C = and(D, B)\ndefined-class A = and(B, D)\n"
+            "subclass A B\nsubclass C D\n")
+        assert [n for n in report.notes if "more than one way" in n] == [
+            "generalization A -> B asserted more than one way: "
+            "subclass axiom, definition",
+            "generalization C -> D asserted more than one way: "
+            "subclass axiom, definition"]
 
     def test_equivalence_cycle_collapsed_and_flagged(self):
         model, report = from_text(

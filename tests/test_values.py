@@ -4,6 +4,7 @@ unchanged, equal values a document repeats are built once, and the
 pipeline holds little beside what it keeps."""
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -19,6 +20,7 @@ from ont2cm.transform import derive_model, merged_multiplicity
 
 from test_cli import flat_cot
 from test_daml import doc
+from test_transform import chain
 
 # every value class is a NamedTuple: a tuple subclass with `_fields`
 VALUE_CLASSES = [
@@ -170,6 +172,25 @@ def test_import_builds_one_term_per_class():
     assert len(list(expressions(ont))) > 3 * len(ont.classes)
 
 
+def test_parsing_interns_no_name():
+    # the front ends share equal names through the document's own table,
+    # so a name is not the object the interpreter's intern table gives
+    cot_ont = cot.parse("ontology t\nclass Zymogen\nobjprop cleaves domain Zymogen\n"
+                        "defined-class Trypsin = and(Zymogen, "
+                        "restriction(cleaves, some, Zymogen))\n")
+    daml_ont = damlxml.import_daml(doc("""
+      <daml:Class rdf:ID="Zymogen"/>
+      <daml:Class rdf:ID="Trypsin"><rdfs:subClassOf rdf:resource="#Zymogen"/></daml:Class>
+      <daml:ObjectProperty rdf:ID="cleaves"><rdfs:domain rdf:resource="#Zymogen"/>
+      </daml:ObjectProperty>
+    """)).ontology
+    for ont in (cot_ont, daml_ont):
+        names = [c.name for c in ont.classes] + [p.name for p in ont.properties]
+        assert len(names) == 3
+        for name in names:
+            assert sys.intern(name.encode().decode()) is not name, name
+
+
 def test_a_class_without_stated_restrictions_keeps_its_own_tuple():
     ont = cot.parse("ontology t\nclass A\nclass B\nobjprop p\n"
                     "restriction A p some B\nrestriction B p some A\n"
@@ -210,3 +231,16 @@ def test_derive_model_holds_little_beside_its_result():
     # peak, so it exceeds what the call returns by less than half
     kept, peak = traced(derive_model, cot.parse(flat_cot(2000)))
     assert peak - kept < kept / 2, (peak, kept)
+
+
+def test_the_index_keeps_no_wide_int_per_name():
+    # On a 2000-class chain the index keeps 2.5-2.7 MiB, peaking at
+    # 3.1-3.3, and derive_model peaks at 3.7-4.0 MiB (Python 3.10-3.13).
+    # An int `1 << pos` kept per superclass and per property, and a mask of
+    # each superclass's own occurrences held through the build, take these
+    # to 3.0-3.2, 4.1-4.4 and 4.4-4.7 MiB.
+    ont = chain([f"C{k:05d}" for k in range(2000)])
+    kept, peak = traced(OntologyIndex, ont)
+    assert kept < 2900 * 1024 and peak < 3800 * 1024, (kept, peak)
+    _, peak = traced(derive_model, ont)
+    assert peak < 4300 * 1024, peak
